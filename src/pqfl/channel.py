@@ -6,13 +6,15 @@ deterministic function of (attack seed, direction, round, client id), so
 identical configurations tamper with identical messages regardless of
 transport or delivery order. The one exception is replay *selection*,
 which picks uniformly from the messages observed so far and therefore
-depends on delivery order.
+depends on delivery order. Only a replay channel keeps those messages
+(`Channel.history`); its history is unbounded.
 
 TCP frames are a 4-byte big-endian length prefix followed by the envelope
 bytes exactly as the codec produced them; the receiver enforces a
 configurable maximum frame length. A zero-length frame is the "no message
 this round" marker. Message drops are out of scope: a closed connection is
-fatal for the run.
+fatal for the run. Every socket, on either side, waits at most
+`IO_TIMEOUT_S` for a connection or for bytes; expiry is ConnectionFailed.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ class Channel:
             if rng.random() < cfg.probability:
                 out, applied = self._apply(cfg, msg, rng)
         with self._lock:
-            self.history.append(msg)
+            if cfg is not None and cfg.kind == AttackKind.REPLAY:
+                self.history.append(msg)
             self.stats.delivered += 1
             if applied == AttackKind.REPLAY:
                 self.stats.replayed += 1
@@ -199,6 +202,7 @@ class Channel:
 # --- framed TCP transport ----------------------------------------------------
 
 DEFAULT_FRAME_CAP = 256 * 1024 * 1024
+IO_TIMEOUT_S = 30.0
 
 
 class FrameSocket:
@@ -217,15 +221,16 @@ class FrameSocket:
         (length,) = struct.unpack(">I", self._recv_exact(4))
         if length > self.max_frame:
             raise FrameTooLarge(f"incoming frame of {length} bytes exceeds cap {self.max_frame}")
-        if length == 0:
-            return b""
         return self._recv_exact(length)
 
     def _recv_exact(self, n: int) -> bytes:
         chunks = []
         remaining = n
         while remaining:
-            chunk = self._sock.recv(min(remaining, 1 << 20))
+            try:
+                chunk = self._sock.recv(min(remaining, 1 << 20))
+            except TimeoutError as exc:
+                raise ConnectionFailed(f"no bytes from peer for {self._sock.gettimeout()} s") from exc
             if not chunk:
                 raise PeerClosed(f"connection closed with {remaining} bytes outstanding")
             chunks.append(chunk)
@@ -244,14 +249,16 @@ def tcp_listen(host: str = "127.0.0.1", port: int = 0, backlog: int = 32) -> soc
         listener = socket.create_server((host, port), backlog=backlog)
     except OSError as exc:
         raise ConnectionFailed(f"cannot listen on {host}:{port}: {exc}") from exc
+    listener.settimeout(IO_TIMEOUT_S)
     return listener
 
 
 def tcp_accept(listener: socket.socket, max_frame: int = DEFAULT_FRAME_CAP) -> FrameSocket:
     try:
         sock, _addr = listener.accept()
-    except OSError as exc:
+    except OSError as exc:  # TimeoutError included
         raise ConnectionFailed(f"accept failed: {exc}") from exc
+    sock.settimeout(IO_TIMEOUT_S)
     return FrameSocket(sock, max_frame)
 
 
@@ -259,11 +266,10 @@ def tcp_connect(
     host: str,
     port: int,
     max_frame: int = DEFAULT_FRAME_CAP,
-    timeout: float = 30.0,
+    timeout: float = IO_TIMEOUT_S,
 ) -> FrameSocket:
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
-        sock.settimeout(timeout)
     except OSError as exc:
         raise ConnectionFailed(f"cannot connect to {host}:{port}: {exc}") from exc
     return FrameSocket(sock, max_frame)

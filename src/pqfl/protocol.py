@@ -9,18 +9,27 @@ Round number and sender id live inside the signed bytes, so replayed or
 re-labelled envelopes fail verification or the freshness checks. Rejected
 updates are dropped for the round (no retry); a round whose verified set
 is empty leaves the parameters unchanged.
+
+One round driver serves both transports. They differ only in the exchange
+that carries the broadcast out and the replies back: a loop over the
+clients in process, or, over TCP, one socket and thread per client after a
+signed key announce, with every socket on both sides waiting at most
+`channel.IO_TIMEOUT_S` (30 s).
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import logging
 import threading
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
 from pqfl import channel as _channel
 from pqfl import codec, fedcore, sig
+from pqfl.channel import Direction
 from pqfl.codec import MsgType, SignedEnvelope
 from pqfl.errors import (
     ConnectionFailed,
@@ -470,41 +479,34 @@ def finish_round(
     )
 
 
-def run_round(
-    server: ServerState,
-    clients: list[ClientState],
-    chan: _channel.Channel,
-) -> RoundOutcome:
-    """Execute one round over the in-process channel."""
-    wall_start = time.perf_counter()
-    server_t = PhaseTimings()
-    dist_env = distribute_model(server, timings=server_t)
-    t0 = time.perf_counter()
-    dist_blob = codec.encode_envelope(dist_env)
-    server_t.serialize_s += time.perf_counter() - t0
-
-    client_totals = PhaseTimings()
-    client_totals.add(server_t)
-    collected: list[bytes] = []
-    skipped: list[int] = []
-    for client in clients:
-        delivered = chan.deliver(dist_blob, _channel.Direction.SERVER_TO_CLIENT, client.client_id)
-        result = client_process_round(client, delivered)
-        client_totals.add(result.timings)
-        if result.reply is None:
-            skipped.append(client.client_id)
-            continue
-        collected.append(
-            chan.deliver(result.reply, _channel.Direction.CLIENT_TO_SERVER, client.client_id)
-        )
-
-    return finish_round(server, collected, dist_env, client_totals, skipped, wall_start)
-
-
 @dataclass
 class TrainingResult:
     model: GlobalModel
     outcomes: list[RoundOutcome]
+
+
+# The transport interface: carry one broadcast to every client and return
+# (delivered replies, ids of clients that sat out, summed client timings).
+Exchange = Callable[[bytes], tuple[list[bytes], list[int], PhaseTimings]]
+
+
+def _run_rounds(server: ServerState, exchange: Exchange) -> TrainingResult:
+    """The round loop of both transports: broadcast, exchange, aggregate."""
+    outcomes = []
+    for _ in range(server.cfg.num_rounds):
+        wall_start = time.perf_counter()
+        timings = PhaseTimings()
+        dist_env = distribute_model(server, timings=timings)
+        t0 = time.perf_counter()
+        dist_blob = codec.encode_envelope(dist_env)
+        timings.serialize_s += time.perf_counter() - t0
+        collected, skipped, client_timings = exchange(dist_blob)
+        timings.add(client_timings)
+        outcome = finish_round(server, collected, dist_env, timings, skipped, wall_start)
+        outcomes.append(outcome)
+        log.info("round %d: verified=%d rejected=%d loss=%.6f", outcome.round,
+                 outcome.verified_count, len(outcome.rejections), outcome.global_loss)
+    return TrainingResult(model=server.model, outcomes=outcomes)
 
 
 def run_training(
@@ -514,18 +516,20 @@ def run_training(
 ) -> TrainingResult:
     """Run the configured number of rounds over the in-process channel."""
     chan = chan or _channel.Channel()
-    outcomes = []
-    for _ in range(server.cfg.num_rounds):
-        outcome = run_round(server, clients, chan)
-        outcomes.append(outcome)
-        log.info(
-            "round %d: verified=%d rejected=%d loss=%.6f",
-            outcome.round,
-            outcome.verified_count,
-            len(outcome.rejections),
-            outcome.global_loss,
-        )
-    return TrainingResult(model=server.model, outcomes=outcomes)
+
+    def exchange(dist_blob: bytes) -> tuple[list[bytes], list[int], PhaseTimings]:
+        collected, skipped, timings = [], [], PhaseTimings()
+        for client in clients:
+            delivered = chan.deliver(dist_blob, Direction.SERVER_TO_CLIENT, client.client_id)
+            result = client_process_round(client, delivered)
+            timings.add(result.timings)
+            if result.reply is None:
+                skipped.append(client.client_id)
+            else:
+                collected.append(chan.deliver(result.reply, Direction.CLIENT_TO_SERVER, client.client_id))
+        return collected, skipped, timings
+
+    return _run_rounds(server, exchange)
 
 
 # --- loopback / network TCP execution -----------------------------------------
@@ -559,92 +563,81 @@ def _check_announce(server: ServerState, blob: bytes) -> int:
     return sender
 
 
+@contextlib.contextmanager
+def _tcp_exchange(server: ServerState, clients: list[ClientState], chan: _channel.Channel,
+                  host: str, port: int) -> Iterator[Exchange]:
+    """Connect each client on its own thread and socket, admit each announce
+    once, and yield the TCP exchange. The listener and every accepted socket
+    are closed on every exit path, which releases the client threads at once;
+    a client thread's failure is raised on a clean exit."""
+    listener = _channel.tcp_listen(host, port)
+    address = listener.getsockname()[:2]
+    lock = threading.Lock()
+    client_timings: dict[int, PhaseTimings] = {}
+    failures: list[Exception] = []
+
+    def client_main(client: ClientState) -> None:
+        try:
+            with contextlib.closing(_channel.tcp_connect(*address)) as fs:
+                fs.send_frame(codec.encode_envelope(_make_announce(client)))
+                for _ in range(server.cfg.num_rounds):
+                    blob = chan.deliver(fs.recv_frame(), Direction.SERVER_TO_CLIENT, client.client_id)
+                    result = client_process_round(client, blob)
+                    with lock:
+                        client_timings[client.client_id] = result.timings
+                    fs.send_frame(result.reply or b"")
+        except Exception as exc:  # surfaced after join
+            with lock:
+                failures.append(exc)
+
+    accepted: list[_channel.FrameSocket] = []
+    conns: dict[int, _channel.FrameSocket] = {}
+
+    def exchange(dist_blob: bytes) -> tuple[list[bytes], list[int], PhaseTimings]:
+        for cid in sorted(conns):
+            conns[cid].send_frame(dist_blob)
+        collected, skipped, timings = [], [], PhaseTimings()
+        for cid in sorted(conns):
+            blob = conns[cid].recv_frame()
+            with lock:  # stored before the reply was sent
+                timings.add(client_timings.pop(cid))
+            if blob:
+                collected.append(chan.deliver(blob, Direction.CLIENT_TO_SERVER, cid))
+            else:
+                skipped.append(cid)
+        return collected, skipped, timings
+
+    threads = [threading.Thread(target=client_main, args=(c,), daemon=True) for c in clients]
+    try:
+        for th in threads:
+            th.start()
+        for _ in clients:
+            accepted.append(_channel.tcp_accept(listener))
+            cid = _check_announce(server, accepted[-1].recv_frame())
+            if cid in conns:  # an announce carries no freshness: it may be a replay
+                raise ConnectionFailed(f"second announce for connected client {cid}")
+            conns[cid] = accepted[-1]
+        listener.close()
+        yield exchange
+    finally:
+        listener.close()
+        for fs in accepted:
+            fs.close()
+        for th in threads:
+            th.join(timeout=60)
+    if failures:
+        raise failures[0]
+
+
 def run_training_tcp(
     server: ServerState,
     clients: list[ClientState],
     chan: _channel.Channel | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    max_frame: int = _channel.DEFAULT_FRAME_CAP,
 ) -> TrainingResult:
     """Run training with one TCP connection per client over the codec's
     wire format. Client loops run on their own threads; a dropped
     connection is fatal for the run."""
-    chan = chan or _channel.Channel()
-    listener = _channel.tcp_listen(host, port)
-    bound_host, bound_port = listener.getsockname()[:2]
-    num_rounds = server.cfg.num_rounds
-
-    lock = threading.Lock()
-    round_timings: dict[tuple[int, int], PhaseTimings] = {}
-    failures: list[Exception] = []
-
-    def client_main(client: ClientState) -> None:
-        try:
-            fs = _channel.tcp_connect(bound_host, bound_port, max_frame)
-            try:
-                fs.send_frame(codec.encode_envelope(_make_announce(client)))
-                for rnd in range(num_rounds):
-                    blob = fs.recv_frame()
-                    blob = chan.deliver(blob, _channel.Direction.SERVER_TO_CLIENT, client.client_id)
-                    result = client_process_round(client, blob)
-                    with lock:
-                        round_timings[(rnd, client.client_id)] = result.timings
-                    fs.send_frame(result.reply or b"")
-            finally:
-                fs.close()
-        except Exception as exc:  # surfaced after join
-            with lock:
-                failures.append(exc)
-
-    threads = [
-        threading.Thread(target=client_main, args=(c,), daemon=True) for c in clients
-    ]
-    for th in threads:
-        th.start()
-
-    outcomes: list[RoundOutcome] = []
-    try:
-        conns: dict[int, _channel.FrameSocket] = {}
-        for _ in clients:
-            fs = _channel.tcp_accept(listener, max_frame)
-            conns[_check_announce(server, fs.recv_frame())] = fs
-        listener.close()
-
-        for rnd in range(num_rounds):
-            wall_start = time.perf_counter()
-            totals = PhaseTimings()
-            dist_env = distribute_model(server, timings=totals)
-            t0 = time.perf_counter()
-            dist_blob = codec.encode_envelope(dist_env)
-            totals.serialize_s += time.perf_counter() - t0
-
-            for cid in sorted(conns):
-                conns[cid].send_frame(dist_blob)
-
-            collected: list[bytes] = []
-            skipped: list[int] = []
-            for cid in sorted(conns):
-                blob = conns[cid].recv_frame()
-                if blob:
-                    collected.append(
-                        chan.deliver(blob, _channel.Direction.CLIENT_TO_SERVER, cid)
-                    )
-                else:
-                    skipped.append(cid)
-            with lock:
-                for cid in sorted(conns):
-                    extra = round_timings.pop((rnd, cid), None)
-                    if extra is not None:
-                        totals.add(extra)
-            outcomes.append(
-                finish_round(server, collected, dist_env, totals, skipped, wall_start)
-            )
-        for fs in conns.values():
-            fs.close()
-    finally:
-        for th in threads:
-            th.join(timeout=60)
-    if failures:
-        raise failures[0]
-    return TrainingResult(model=server.model, outcomes=outcomes)
+    with _tcp_exchange(server, clients, chan or _channel.Channel(), host, port) as exchange:
+        return _run_rounds(server, exchange)

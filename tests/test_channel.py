@@ -3,11 +3,12 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from pqfl import codec, fedcore, protocol, sig
+from pqfl import channel, codec, fedcore, protocol, sig
 from pqfl.channel import (
     AttackConfig,
     AttackKind,
@@ -298,15 +299,137 @@ def test_tcp_run_matches_in_process():
         assert (a.payload_bytes, a.signature_bytes) == (b.payload_bytes, b.signature_bytes)
 
 
-def test_tcp_run_with_attack_matches_in_process():
+@pytest.mark.parametrize(
+    "direction", [Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT], ids=lambda d: d.value
+)
+@pytest.mark.parametrize(
+    "kind", [AttackKind.BITFLIP, AttackKind.SUBSTITUTE, AttackKind.STRIP], ids=lambda k: k.value
+)
+def test_tcp_run_with_attack_matches_in_process(kind, direction):
+    # replay is left out: which message it replays depends on delivery order;
+    # substitute forges only uploads, so its s2c case tampers with nothing
     attack = AttackConfig(
-        kind=AttackKind.BITFLIP, target_client=1,
-        direction=Direction.CLIENT_TO_SERVER, probability=1.0, seed=8,
+        kind=kind, target_client=1, direction=direction, probability=1.0, seed=8,
+        poison="negate" if kind == AttackKind.SUBSTITUTE else None,
     )
     server_a, clients_a, *_ = build_sim()
-    in_proc = run_training(server_a, clients_a, Channel(attack))
+    chan_a = Channel(attack)
+    in_proc = run_training(server_a, clients_a, chan_a)
     server_b, clients_b, *_ = build_sim()
-    over_tcp = run_training_tcp(server_b, clients_b, Channel(attack))
-    assert in_proc.model.params == over_tcp.model.params
-    for a, b in zip(in_proc.outcomes, over_tcp.outcomes):
-        assert a.verified_count == b.verified_count == 3
+    chan_b = Channel(attack)
+    over_tcp = run_training_tcp(server_b, clients_b, chan_b)
+    assert in_proc.model.params.values.tobytes() == over_tcp.model.params.values.tobytes()
+    assert chan_a.stats == chan_b.stats
+    for a, b in zip(in_proc.outcomes, over_tcp.outcomes, strict=True):
+        assert (a.verified_count, a.skipped_clients) == (b.verified_count, b.skipped_clients)
+        assert [r.reason for r in a.rejections] == [r.reason for r in b.rejections]
+        if direction == Direction.CLIENT_TO_SERVER:
+            assert a.verified_count == 3  # every forged upload rejected
+
+
+@pytest.mark.parametrize(
+    "attack, kept",
+    [
+        (None, False),
+        (AttackConfig(kind=AttackKind.BITFLIP, target_client=1, seed=8), False),
+        (AttackConfig(kind=AttackKind.REPLAY, target_client=1, seed=8), True),
+    ],
+    ids=["none", "bitflip", "replay"],
+)
+def test_history_is_kept_only_for_replay(attack, kept):
+    server, clients, *_ = build_sim()
+    chan = Channel(attack)
+    run_training(server, clients, chan)
+    assert bool(chan.history) == kept
+
+
+# --- TCP failures end the run promptly ------------------------------------------
+
+def run_tcp_bounded(server, clients, deadline):
+    """Run the TCP driver on a daemon thread and return (error, seconds), so
+    that a run which hangs fails the test instead of blocking the suite."""
+    box = {}
+
+    def target():
+        try:
+            run_training_tcp(server, clients)
+        except Exception as exc:
+            box["error"] = exc
+
+    th = threading.Thread(target=target, daemon=True)
+    start = time.perf_counter()
+    th.start()
+    th.join(deadline)
+    assert not th.is_alive(), f"run_training_tcp still running after {deadline} s"
+    return box.get("error"), time.perf_counter() - start
+
+
+def test_tcp_unregistered_announce_fails_fast():
+    server, clients, *_ = build_sim()
+    clients[2].keypair = sig.keygen(SchemeId.TEST_SCHEME, 777)  # key not in the registry
+    error, _ = run_tcp_bounded(server, clients, deadline=5.0)
+    assert isinstance(error, ConnectionFailed)
+    assert "does not match registry" in str(error)
+
+
+def test_tcp_silent_peer_fails_within_deadline(monkeypatch):
+    monkeypatch.setattr(channel, "IO_TIMEOUT_S", 0.5)
+    real_connect = channel.tcp_connect
+    lock = threading.Lock()
+    silent = []
+
+    def connect_after_silent_peer(host, port, *args, **kwargs):
+        with lock:  # the silent socket takes the first accept slot
+            if not silent:
+                silent.append(socket.create_connection((host, port)))
+        return real_connect(host, port, *args, **kwargs)
+
+    monkeypatch.setattr(channel, "tcp_connect", connect_after_silent_peer)
+    server, clients, *_ = build_sim()
+    try:
+        error, elapsed = run_tcp_bounded(server, clients, deadline=5.0)
+    finally:
+        for sock in silent:
+            sock.close()
+    assert isinstance(error, ConnectionFailed)
+    assert "no bytes from peer" in str(error)
+    assert elapsed >= 0.5
+
+
+def test_tcp_second_announce_for_connected_client_fails(monkeypatch):
+    """An announce carries no freshness: an outsider replays the first
+    client's announce from its own socket, which the server accepts next."""
+    real_connect = channel.tcp_connect
+    lock = threading.Lock()
+    replayed = threading.Event()
+    extra = []
+
+    def connect(host, port, *args, **kwargs):
+        with lock:
+            first = not extra
+            extra.append(None)
+        if not first:
+            replayed.wait(5.0)  # keep the other clients behind the replay
+            return real_connect(host, port, *args, **kwargs)
+        fs = real_connect(host, port, *args, **kwargs)
+        send = fs.send_frame
+
+        def send_and_replay(frame):
+            send(frame)
+            if not replayed.is_set():
+                extra[0] = real_connect(host, port)
+                extra[0].send_frame(frame)
+                replayed.set()
+
+        fs.send_frame = send_and_replay
+        return fs
+
+    monkeypatch.setattr(channel, "tcp_connect", connect)
+    server, clients, *_ = build_sim()
+    try:
+        error, _ = run_tcp_bounded(server, clients, deadline=5.0)
+    finally:
+        if extra and extra[0] is not None:
+            extra[0].close()
+    assert isinstance(error, ConnectionFailed)
+    assert "second announce" in str(error)
