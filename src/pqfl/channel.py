@@ -14,7 +14,8 @@ bytes exactly as the codec produced them; the receiver enforces a
 configurable maximum frame length. A zero-length frame is the "no message
 this round" marker. Message drops are out of scope: a closed connection is
 fatal for the run. Every socket, on either side, waits at most
-`IO_TIMEOUT_S` for a connection or for bytes; expiry is ConnectionFailed.
+`IO_TIMEOUT_S` for a connection, for bytes or for room to send them;
+expiry is ConnectionFailed.
 """
 
 from __future__ import annotations
@@ -28,8 +29,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from pqfl import codec
-from pqfl.codec import MsgType, ParameterVector
-from pqfl.errors import ConnectionFailed, FrameTooLarge, MalformedEnvelope, PeerClosed
+from pqfl.codec import ParameterVector, Wire
+from pqfl.errors import (
+    ConnectionFailed,
+    FrameTooLarge,
+    MalformedEnvelope,
+    MalformedPayload,
+    NonFiniteValue,
+    PeerClosed,
+)
 from pqfl.fedcore import derive_seed
 
 
@@ -75,16 +83,17 @@ class ChannelStats:
     bytes_server_to_client: int = 0
 
 
-def flip_one_bit(msg: bytes, rng: np.random.Generator) -> bytes:
-    """Flip a single uniformly chosen bit."""
+def flip_one_bit(msg: Wire, rng: np.random.Generator) -> Wire:
+    """Flip a single uniformly chosen bit of a copy of the message."""
     pos = int(rng.integers(0, len(msg) * 8))
     out = bytearray(msg)
     out[pos // 8] ^= 1 << (pos % 8)
-    return bytes(out)
+    return memoryview(out).toreadonly()
 
 
-def substitute_update(original: bytes, poison_delta: ParameterVector) -> bytes:
-    """Replace the payload of an update envelope with a poison delta.
+def substitute_update(original: Wire, poison_delta: ParameterVector) -> Wire:
+    """Replace the parameter payload of an envelope (an update or a model
+    broadcast) with a poison vector.
 
     The original signature stays attached: an outsider has no secret key,
     so the forged envelope must fail verification. In baseline (no-verify)
@@ -97,7 +106,7 @@ def substitute_update(original: bytes, poison_delta: ParameterVector) -> bytes:
     return codec.encode_envelope(forged)
 
 
-def strip_signature(original: bytes) -> bytes:
+def strip_signature(original: Wire) -> Wire:
     """Detach the signature from an envelope (left as zero-length bytes)."""
     env = codec.decode_envelope(original)
     bare = codec.SignedEnvelope(
@@ -108,7 +117,7 @@ def strip_signature(original: bytes) -> bytes:
     return codec.encode_envelope(bare)
 
 
-def replay(history: list[bytes], rng: np.random.Generator) -> bytes:
+def replay(history: list[Wire], rng: np.random.Generator) -> Wire:
     """Re-emit a uniformly chosen previously observed envelope, unmodified."""
     if not history:
         raise ValueError("no prior envelopes to replay")
@@ -123,10 +132,10 @@ class Channel:
     def __init__(self, attack: AttackConfig | None = None):
         self.attack = attack if attack is not None and attack.kind != AttackKind.NONE else None
         self.stats = ChannelStats()
-        self.history: list[bytes] = []
+        self.history: list[Wire] = []
         self._lock = threading.Lock()
 
-    def deliver(self, msg: bytes, direction: Direction, client_id: int) -> bytes:
+    def deliver(self, msg: Wire, direction: Direction, client_id: int) -> Wire:
         """Pass one message through the (possibly hostile) wire."""
         out = msg
         applied = None
@@ -157,7 +166,7 @@ class Channel:
 
     @staticmethod
     def _message_rng(
-        cfg: AttackConfig, msg: bytes, direction: Direction, client_id: int
+        cfg: AttackConfig, msg: Wire, direction: Direction, client_id: int
     ) -> np.random.Generator:
         try:
             round_no = codec.MessageHeader.decode(msg).round
@@ -168,17 +177,16 @@ class Channel:
         )
 
     def _apply(
-        self, cfg: AttackConfig, msg: bytes, rng: np.random.Generator
-    ) -> tuple[bytes, AttackKind | None]:
+        self, cfg: AttackConfig, msg: Wire, rng: np.random.Generator
+    ) -> tuple[Wire, AttackKind | None]:
         if cfg.kind == AttackKind.BITFLIP:
             return flip_one_bit(msg, rng), AttackKind.BITFLIP
         if cfg.kind == AttackKind.SUBSTITUTE:
+            # any envelope whose payload is a parameter vector: uploads and
+            # model broadcasts alike
             try:
-                env = codec.decode_envelope(msg)
-                if env.header.msg_type != MsgType.UPDATE_SUBMISSION:
-                    return msg, None
-                params = codec.decode_params(env.payload)
-            except Exception:
+                params = codec.decode_params(codec.decode_envelope(msg).payload)
+            except (MalformedEnvelope, MalformedPayload, NonFiniteValue):
                 return msg, None
             if cfg.poison == "negate":
                 poison = ParameterVector(-params.values, params.shape)
@@ -212,30 +220,43 @@ class FrameSocket:
         self._sock = sock
         self.max_frame = max_frame
 
-    def send_frame(self, data: bytes) -> None:
-        if len(data) > 0xFFFFFFFF:
-            raise FrameTooLarge(f"frame of {len(data)} bytes cannot be length-prefixed")
-        self._sock.sendall(struct.pack(">I", len(data)) + data)
+    def send_frame(self, data: Wire) -> None:
+        view = memoryview(data).cast("B")
+        if len(view) > 0xFFFFFFFF:
+            raise FrameTooLarge(f"frame of {len(view)} bytes cannot be length-prefixed")
+        # one gather write sends prefix and data without joining them first
+        parts = [struct.pack(">I", len(view)), view]
+        while parts:
+            try:
+                sent = self._sock.sendmsg(parts)
+            except TimeoutError as exc:
+                raise ConnectionFailed(f"peer took no bytes for {self._sock.gettimeout()} s") from exc
+            while parts and sent >= len(parts[0]):
+                sent -= len(parts.pop(0))
+            if parts:
+                parts[0] = parts[0][sent:]
 
-    def recv_frame(self) -> bytes:
+    def recv_frame(self) -> memoryview:
+        """The next frame, read into one new buffer and returned read-only."""
         (length,) = struct.unpack(">I", self._recv_exact(4))
         if length > self.max_frame:
             raise FrameTooLarge(f"incoming frame of {length} bytes exceeds cap {self.max_frame}")
         return self._recv_exact(length)
 
-    def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
+    def _recv_exact(self, n: int) -> memoryview:
+        # zeroed lazily, unlike bytearray(n): a peer that announces a large
+        # frame and stalls commits no memory it has not sent
+        view = memoryview(np.zeros(codec.BUFFER_LEAD + n, dtype=np.uint8))[codec.BUFFER_LEAD :]
+        got = 0
+        while got < n:
             try:
-                chunk = self._sock.recv(min(remaining, 1 << 20))
+                count = self._sock.recv_into(view[got:])
             except TimeoutError as exc:
                 raise ConnectionFailed(f"no bytes from peer for {self._sock.gettimeout()} s") from exc
-            if not chunk:
-                raise PeerClosed(f"connection closed with {remaining} bytes outstanding")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            if not count:
+                raise PeerClosed(f"connection closed with {n - got} bytes outstanding")
+            got += count
+        return view.toreadonly()
 
     def close(self) -> None:
         try:

@@ -13,13 +13,21 @@ The signature covers exactly header || payload, which binds message type,
 round, and sender identity: re-labelling an envelope invalidates its
 signature. NaN/Inf values are rejected in both directions so a poisoned
 payload cannot corrupt aggregation silently.
+
+An envelope lives in one buffer. `signed_bytes` lays out header || payload
+once, writing parameter values straight into it, with room behind them for
+the signature; the signer reads a read-only view of that prefix, and `seal`
+appends u32 signature_len || signature in place. Decoding takes views into
+the wire bytes instead of slices. Wire bytes are handed out as read-only
+buffers that nothing else writes to; a writable buffer given to a decoder is
+copied once first, so nothing decoded aliases memory that can still change.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +39,15 @@ VERSION = 1
 HEADER_LEN = 23
 _HEADER_FMT = "<4sBBBIIQ"
 _MAX_RANK = 64
+# Buffers that will hold an envelope start it this many bytes in. Parameter
+# values sit 27 + 8 * rank bytes into an envelope, 3 more than a multiple of
+# 4, so the lead leaves them float32-aligned in memory; numpy runs misaligned
+# arrays through slower buffered loops.
+BUFFER_LEAD = 1
+
+
+# Wire bytes: `bytes`, or a read-only view of a buffer that no one writes to.
+Wire = bytes | memoryview
 
 
 class MsgType(enum.IntEnum):
@@ -44,7 +61,8 @@ class ParameterVector:
     """Flat float32 parameter storage with shape metadata.
 
     `values` is the row-major flattening of a tensor of the given shape;
-    all values must be finite. Equality is bit-exact.
+    all values must be finite. Equality is bit-exact. A decoded vector's
+    values are a read-only view into the wire bytes it came from.
     """
 
     values: np.ndarray
@@ -60,7 +78,7 @@ class ParameterVector:
             count *= d
         if count != arr.size:
             raise MalformedPayload(f"shape {shape} does not match {arr.size} values")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise NonFiniteValue("parameter vector contains NaN or Inf")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -75,6 +93,11 @@ class ParameterVector:
     def size(self) -> int:
         return int(self.values.size)
 
+    @property
+    def encoded_len(self) -> int:
+        """Length of the canonical payload: rank, dims, then the values."""
+        return 4 + 8 * len(self.shape) + 4 * self.size
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterVector):
             return NotImplemented
@@ -84,19 +107,43 @@ class ParameterVector:
         return f"ParameterVector(shape={self.shape}, size={self.size})"
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    # min and max propagate NaN and reach every infinity, so two reductions
+    # check all values without allocating a mask the size of the array
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
+def _readonly(b) -> memoryview:
+    """A read-only byte view of `b`; writable input is copied once first."""
+    view = memoryview(b)
+    if not view.readonly:
+        view = memoryview(bytes(view))
+    return view.cast("B")
+
+
+def _put_params(buf: bytearray | memoryview, offset: int, p: ParameterVector) -> None:
+    """Write the canonical payload of `p` into `buf` at `offset`."""
+    if not _all_finite(p.values):
+        raise NonFiniteValue("parameter vector contains NaN or Inf")
+    struct.pack_into(f"<I{len(p.shape)}Q", buf, offset, len(p.shape), *p.shape)
+    values_at = offset + 4 + 8 * len(p.shape)
+    np.frombuffer(buf, dtype="<f4", count=p.size, offset=values_at)[:] = p.values
+
+
 def encode_params(p: ParameterVector) -> bytes:
     """Serialize a parameter vector to its canonical byte layout."""
-    if not np.isfinite(p.values).all():
-        raise NonFiniteValue("parameter vector contains NaN or Inf")
-    out = bytearray(struct.pack("<I", len(p.shape)))
-    for d in p.shape:
-        out += struct.pack("<Q", d)
-    out += p.values.astype("<f4", copy=False).tobytes()
-    return bytes(out)
+    buf = bytearray(p.encoded_len)
+    _put_params(buf, 0, p)
+    return bytes(buf)
 
 
-def decode_params(b: bytes) -> ParameterVector:
-    """Inverse of :func:`encode_params`; rejects malformed or non-finite data."""
+def decode_params(b: Wire | bytearray) -> ParameterVector:
+    """Inverse of :func:`encode_params`; rejects malformed or non-finite data.
+
+    The values are a read-only view into `b` (into a copy of it when `b` is
+    writable).
+    """
+    b = _readonly(b)
     if len(b) < 4:
         raise MalformedPayload("payload shorter than rank field")
     (rank,) = struct.unpack_from("<I", b, 0)
@@ -116,9 +163,8 @@ def decode_params(b: bytes) -> ParameterVector:
     if len(b) != expected:
         raise MalformedPayload(f"payload length {len(b)} != expected {expected}")
     values = np.frombuffer(b, dtype="<f4", count=count, offset=4 + 8 * rank)
-    if not np.isfinite(values).all():
-        raise NonFiniteValue("payload contains NaN or Inf")
-    return ParameterVector(values=values.copy(), shape=tuple(int(d) for d in shape))
+    # the ParameterVector rejects NaN and Inf
+    return ParameterVector(values=values, shape=tuple(int(d) for d in shape))
 
 
 @dataclass(frozen=True)
@@ -174,8 +220,12 @@ class MessageHeader:
 @dataclass(frozen=True)
 class SignedEnvelope:
     header: MessageHeader
-    payload: bytes
+    payload: Wire
     signature: SignatureBytes
+    # The bytes the envelope was sealed in or decoded from. Only `seal` and
+    # `decode_envelope` set it, so it always encodes exactly the fields
+    # above; dataclasses.replace() leaves it unset on the copy.
+    wire: memoryview | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.header.payload_len != len(self.payload):
@@ -185,43 +235,103 @@ class SignedEnvelope:
         if self.signature.scheme != self.header.scheme:
             raise MalformedEnvelope("signature scheme differs from header scheme")
 
+    @property
+    def signed(self) -> Wire:
+        """header || payload, the bytes the signature covers: a view into the
+        wire bytes when the envelope has them."""
+        if self.wire is None:
+            return signed_bytes(self.header, self.payload)
+        return self.wire[: HEADER_LEN + self.header.payload_len]
 
-def build_header(msg_type: MsgType, scheme: SchemeId, round: int, sender_id: int, payload: bytes) -> MessageHeader:
+
+def build_header(
+    msg_type: MsgType,
+    scheme: SchemeId,
+    round: int,
+    sender_id: int,
+    payload: Wire | ParameterVector,
+) -> MessageHeader:
+    payload_len = payload.encoded_len if isinstance(payload, ParameterVector) else len(payload)
     return MessageHeader(
         msg_type=msg_type,
         scheme=scheme,
         round=round,
         sender_id=sender_id,
-        payload_len=len(payload),
+        payload_len=payload_len,
     )
 
 
-def signed_bytes(header: MessageHeader, payload: bytes) -> bytes:
-    """The exact byte string signatures are computed over: header || payload."""
-    return header.encode() + payload
+def signed_bytes(
+    header: MessageHeader, payload: Wire | ParameterVector, max_signature_len: int = 0
+) -> memoryview:
+    """The exact bytes signatures are computed over: header || payload.
+
+    They are laid out once at the start of a new buffer that leaves room
+    behind them for u32 signature_len || a signature of up to
+    `max_signature_len` bytes, which `seal` fills. A ParameterVector payload
+    is encoded straight into the buffer. Returns a read-only view.
+    """
+    signed_len = HEADER_LEN + header.payload_len
+    buf = memoryview(bytearray(BUFFER_LEAD + signed_len + 4 + max_signature_len))[BUFFER_LEAD:]
+    buf[:HEADER_LEN] = header.encode()
+    if isinstance(payload, ParameterVector):
+        if payload.encoded_len != header.payload_len:
+            raise MalformedEnvelope(f"payload_len {header.payload_len} != {payload.encoded_len}")
+        _put_params(buf, HEADER_LEN, payload)
+    else:
+        if len(payload) != header.payload_len:
+            raise MalformedEnvelope(f"payload_len {header.payload_len} != {len(payload)}")
+        buf[HEADER_LEN:signed_len] = payload
+    return buf[:signed_len].toreadonly()
 
 
-def encode_envelope(e: SignedEnvelope) -> bytes:
-    sig = e.signature.data
+def seal(header: MessageHeader, to_sign: memoryview, signature: SignatureBytes) -> SignedEnvelope:
+    """Append u32 signature_len || signature in place behind the header ||
+    payload that `signed_bytes` returned as `to_sign`, and return the
+    envelope, whose payload and wire bytes are views into that one buffer."""
+    sig = signature.data
+    signed_len = len(to_sign)
+    end = signed_len + 4 + len(sig)
     if len(sig) >= 2**32:
         raise MalformedEnvelope("signature too long for u32 length field")
-    return e.header.encode() + e.payload + struct.pack("<I", len(sig)) + sig
+    if not isinstance(to_sign.obj, bytearray) or signed_len != HEADER_LEN + header.payload_len:
+        raise ValueError("to_sign is not a view returned by signed_bytes()")
+    buf = memoryview(to_sign.obj)[BUFFER_LEAD:]
+    if end > len(buf):
+        raise ValueError(f"no room for a {len(sig)}-byte signature")
+    struct.pack_into("<I", buf, signed_len, len(sig))
+    buf[signed_len + 4 : end] = sig
+    wire = buf[:end].toreadonly()
+    env = SignedEnvelope(header=header, payload=wire[HEADER_LEN:signed_len], signature=signature)
+    object.__setattr__(env, "wire", wire)
+    return env
 
 
-def decode_envelope(b: bytes) -> SignedEnvelope:
-    header = MessageHeader.decode(b)
-    body_start = HEADER_LEN
-    payload_end = body_start + header.payload_len
-    if len(b) < payload_end + 4:
+def encode_envelope(e: SignedEnvelope) -> Wire:
+    """The wire bytes of `e`: the buffer it was sealed in or decoded from,
+    else a new `bytes` laid out by the same writer."""
+    if e.wire is not None:
+        return e.wire
+    to_sign = signed_bytes(e.header, e.payload, len(e.signature.data))
+    return bytes(seal(e.header, to_sign, e.signature).wire)
+
+
+def decode_envelope(b: Wire | bytearray) -> SignedEnvelope:
+    """Parse wire bytes. The payload is a read-only view into `b` (into a
+    copy of it when `b` is writable); the signature is copied out."""
+    wire = _readonly(b)
+    header = MessageHeader.decode(wire)
+    payload_end = HEADER_LEN + header.payload_len
+    if len(wire) < payload_end + 4:
         raise MalformedEnvelope("envelope truncated before signature length")
-    payload = b[body_start:payload_end]
-    (sig_len,) = struct.unpack_from("<I", b, payload_end)
+    (sig_len,) = struct.unpack_from("<I", wire, payload_end)
     sig_end = payload_end + 4 + sig_len
-    if len(b) != sig_end:
-        raise MalformedEnvelope(f"envelope length {len(b)} != expected {sig_end}")
-    sig = b[payload_end + 4 : sig_end]
-    return SignedEnvelope(
+    if len(wire) != sig_end:
+        raise MalformedEnvelope(f"envelope length {len(wire)} != expected {sig_end}")
+    env = SignedEnvelope(
         header=header,
-        payload=payload,
-        signature=SignatureBytes(scheme=header.scheme, data=sig),
+        payload=wire[HEADER_LEN:payload_end],
+        signature=SignatureBytes(scheme=header.scheme, data=bytes(wire[payload_end + 4 : sig_end])),
     )
+    object.__setattr__(env, "wire", wire)
+    return env

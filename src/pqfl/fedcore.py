@@ -254,9 +254,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def loss_value(arch: ModelArchitecture, flat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    logp = _log_softmax(forward_logits(arch, flat, x))
+def _mean_nll(logp: np.ndarray, y: np.ndarray) -> float:
     return float(-logp[np.arange(y.shape[0]), y].mean())
+
+
+def loss_value(arch: ModelArchitecture, flat: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    return _mean_nll(_log_softmax(forward_logits(arch, flat, x)), y)
 
 
 def loss_and_grad(
@@ -264,35 +267,46 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its analytic gradient, flattened in the same
     layout as the parameters. Computation stays in the input dtype."""
-    layers = _unpack(arch, flat)
-    n = x.shape[0]
+    grad = np.empty(flat.size, dtype=np.result_type(flat, x))
+    logp = _backprop(_unpack(arch, flat), _unpack(arch, grad), x, y)
+    return _mean_nll(logp, y), grad
 
+
+def _backprop(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    grad_layers: list[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    y: np.ndarray,
+) -> np.ndarray:
+    """Write the gradient of the mean cross-entropy into `grad_layers`, the
+    per-layer views of one flat buffer laid out like the parameters that
+    `layers` views; return the log-probabilities."""
+    n = x.shape[0]
     activations = [x]
     h = x
     for w, b in layers[:-1]:
-        h = np.maximum(h @ w + b, 0)
+        h = h @ w
+        h += b
+        np.maximum(h, 0, out=h)
         activations.append(h)
     w_out, b_out = layers[-1]
-    logits = h @ w_out + b_out
-
+    logits = h @ w_out
+    logits += b_out
     logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(n), y].mean())
 
     dlogits = np.exp(logp)
     dlogits[np.arange(n), y] -= 1
     dlogits /= n
 
-    grads: list[np.ndarray] = []
     delta = dlogits
     for i in reversed(range(len(layers))):
-        w, _ = layers[i]
-        a_prev = activations[i]
-        grads.append(np.sum(delta, axis=0))  # bias
-        grads.append((a_prev.T @ delta).reshape(-1))  # weights
+        g_w, g_b = grad_layers[i]
+        np.sum(delta, axis=0, out=g_b)
+        np.matmul(activations[i].T, delta, out=g_w)
         if i > 0:
-            delta = (delta @ w.T) * (activations[i] > 0)
-    grads.reverse()
-    return loss, np.concatenate(grads)
+            delta = delta @ layers[i][0].T
+            delta *= activations[i] > 0
+    return logp
 
 
 def forward_loss(model: GlobalModel, data: ClientDataset) -> float:
@@ -347,17 +361,29 @@ class _AdamWState:
         self.v = np.zeros(size, dtype=np.float32)
         self.t = 0
         self.cfg = cfg
+        self._scratch = (np.empty(size, dtype=np.float32), np.empty(size, dtype=np.float32))
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """m = b1*m + (1-b1)*grad, v = b2*v + (1-b2)*grad*grad, then
+        theta -= lr * (m_hat / (sqrt(v_hat) + eps) + wd*theta), all in place,
+        each operation in the order and dtype of those expressions."""
         cfg = self.cfg
+        a, b = self._scratch
         self.t += 1
-        self.m = cfg.adamw_beta1 * self.m + (1.0 - cfg.adamw_beta1) * grad
-        self.v = cfg.adamw_beta2 * self.v + (1.0 - cfg.adamw_beta2) * grad * grad
-        m_hat = self.m / (1.0 - cfg.adamw_beta1**self.t)
-        v_hat = self.v / (1.0 - cfg.adamw_beta2**self.t)
-        theta -= cfg.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + cfg.adamw_eps) + cfg.adamw_weight_decay * theta
-        )
+        self.m *= cfg.adamw_beta1
+        self.m += np.multiply(grad, 1.0 - cfg.adamw_beta1, out=a)
+        self.v *= cfg.adamw_beta2
+        np.multiply(grad, 1.0 - cfg.adamw_beta2, out=a)
+        a *= grad
+        self.v += a
+        np.divide(self.m, 1.0 - cfg.adamw_beta1**self.t, out=a)
+        np.divide(self.v, 1.0 - cfg.adamw_beta2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.adamw_eps
+        a /= b
+        a += np.multiply(theta, cfg.adamw_weight_decay, out=b)
+        a *= cfg.learning_rate
+        theta -= a
 
 
 def local_train(
@@ -379,16 +405,20 @@ def local_train(
     rng = np.random.default_rng(client_rng_seed)
     arch = global_model.architecture
     adamw = _AdamWState(theta.size, cfg) if cfg.optimizer == "adamw" else None
+    grad = np.empty_like(theta)  # every step overwrites all of it
+    # views stay valid: both buffers are only ever updated in place
+    layers, grad_layers = _unpack(arch, theta), _unpack(arch, grad)
 
     for _ in range(cfg.local_epochs):
         perm = rng.permutation(data.num_samples)
         for lo in range(0, data.num_samples, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            _, grad = loss_and_grad(arch, theta, data.features[idx], data.labels[idx])
+            _backprop(layers, grad_layers, data.features[idx], data.labels[idx])
             if adamw is not None:
                 adamw.step(theta, grad)
             else:
-                theta -= cfg.learning_rate * grad
+                grad *= cfg.learning_rate
+                theta -= grad
 
     if not np.isfinite(theta).all():
         raise NonFiniteGradient(f"client {client_id} diverged (non-finite parameters)")

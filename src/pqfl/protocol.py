@@ -211,25 +211,38 @@ def setup_keys(
 
 # --- per-phase operations ----------------------------------------------------
 
+def _sign_envelope(
+    keypair: sig.KeyPair,
+    msg_type: MsgType,
+    round: int,
+    sender_id: int,
+    payload: bytes | codec.ParameterVector,
+    t: PhaseTimings,
+) -> SignedEnvelope:
+    """Lay out header ‖ payload once, sign a view of it and seal the
+    signature in behind it, all in one buffer."""
+    t0 = time.perf_counter()
+    header = codec.build_header(msg_type, keypair.scheme, round, sender_id, payload)
+    to_sign = codec.signed_bytes(header, payload, sig.metadata(keypair.scheme).signature_max_len)
+    t1 = time.perf_counter()
+    signature = sig.sign(keypair, to_sign)
+    t2 = time.perf_counter()
+    env = codec.seal(header, to_sign, signature)
+    t.serialize_s += (t1 - t0) + (time.perf_counter() - t2)
+    t.sign_s += t2 - t1
+    return env
+
+
 def distribute_model(server: ServerState, timings: PhaseTimings | None = None) -> SignedEnvelope:
     """Sign the current global parameters into a broadcast envelope."""
-    t = timings or PhaseTimings()
-    t0 = time.perf_counter()
-    payload = codec.encode_params(server.model.params)
-    header = codec.build_header(
+    return _sign_envelope(
+        server.keypair,
         MsgType.MODEL_DISTRIBUTION,
-        server.keypair.scheme,
         server.model.round,
         SERVER_ID,
-        payload,
+        server.model.params,
+        timings or PhaseTimings(),
     )
-    to_sign = codec.signed_bytes(header, payload)
-    t1 = time.perf_counter()
-    signature = sig.sign(server.keypair, to_sign)
-    t2 = time.perf_counter()
-    t.serialize_s += t1 - t0
-    t.sign_s += t2 - t1
-    return SignedEnvelope(header=header, payload=payload, signature=signature)
 
 
 def client_receive_model(
@@ -252,12 +265,7 @@ def client_receive_model(
         )
     if client.options.verify_models:
         t0 = time.perf_counter()
-        ok = sig.verify(
-            client.server_public_key,
-            client.scheme,
-            codec.signed_bytes(env.header, env.payload),
-            env.signature,
-        )
+        ok = sig.verify(client.server_public_key, client.scheme, env.signed, env.signature)
         t.verify_s += time.perf_counter() - t0
         if not ok:
             raise SignatureInvalid("model distribution signature rejected")
@@ -281,37 +289,28 @@ def client_submit_update(
     client: ClientState, update: ModelUpdate, timings: PhaseTimings | None = None
 ) -> SignedEnvelope:
     """Wrap a local update in a signed submission envelope."""
-    t = timings or PhaseTimings()
     if update.round != client.last_accepted_round:
         raise ReplayDetected(
             f"update round {update.round} != current round {client.last_accepted_round}"
         )
-    t0 = time.perf_counter()
-    payload = codec.encode_params(update.delta)
-    header = codec.build_header(
+    return _sign_envelope(
+        client.keypair,
         MsgType.UPDATE_SUBMISSION,
-        client.keypair.scheme,
         update.round,
         client.client_id,
-        payload,
+        update.delta,
+        timings or PhaseTimings(),
     )
-    to_sign = codec.signed_bytes(header, payload)
-    t1 = time.perf_counter()
-    signature = sig.sign(client.keypair, to_sign)
-    t2 = time.perf_counter()
-    t.serialize_s += t1 - t0
-    t.sign_s += t2 - t1
-    return SignedEnvelope(header=header, payload=payload, signature=signature)
 
 
 @dataclass
 class ClientRoundResult:
-    reply: bytes | None
+    reply: codec.Wire | None
     timings: PhaseTimings
     skipped: str | None = None  # reason text when the client sat out
 
 
-def client_process_round(client: ClientState, env_blob: bytes) -> ClientRoundResult:
+def client_process_round(client: ClientState, env_blob: codec.Wire) -> ClientRoundResult:
     """One full client round over wire bytes: decode, verify, train, submit.
 
     A client that cannot validate the incoming model sits the round out
@@ -350,7 +349,7 @@ def client_process_round(client: ClientState, env_blob: bytes) -> ClientRoundRes
 
 def server_collect_and_verify(
     server: ServerState,
-    envelope_blobs: list[bytes],
+    envelope_blobs: list[codec.Wire],
     timings: PhaseTimings | None = None,
 ) -> tuple[list[ModelUpdate], list[Rejection], int, int]:
     """Filter raw submission bytes down to the verified update set.
@@ -400,12 +399,7 @@ def server_collect_and_verify(
         if server.options.verify_updates:
             scheme, public_key = server.registry.public_key(sender)
             t0 = time.perf_counter()
-            ok = sig.verify(
-                public_key,
-                scheme,
-                codec.signed_bytes(env.header, env.payload),
-                env.signature,
-            )
+            ok = sig.verify(public_key, scheme, env.signed, env.signature)
             t.verify_s += time.perf_counter() - t0
             if not ok:
                 rejections.append(Rejection(sender, RejectReason.SIGNATURE_INVALID))
@@ -442,7 +436,7 @@ def server_collect_and_verify(
 
 def finish_round(
     server: ServerState,
-    collected: list[bytes],
+    collected: list[codec.Wire],
     dist_env: SignedEnvelope,
     client_timings: PhaseTimings,
     skipped_clients: list[int],
@@ -487,7 +481,7 @@ class TrainingResult:
 
 # The transport interface: carry one broadcast to every client and return
 # (delivered replies, ids of clients that sat out, summed client timings).
-Exchange = Callable[[bytes], tuple[list[bytes], list[int], PhaseTimings]]
+Exchange = Callable[[codec.Wire], tuple[list[codec.Wire], list[int], PhaseTimings]]
 
 
 def _run_rounds(server: ServerState, exchange: Exchange) -> TrainingResult:
@@ -517,7 +511,7 @@ def run_training(
     """Run the configured number of rounds over the in-process channel."""
     chan = chan or _channel.Channel()
 
-    def exchange(dist_blob: bytes) -> tuple[list[bytes], list[int], PhaseTimings]:
+    def exchange(dist_blob: codec.Wire) -> tuple[list[codec.Wire], list[int], PhaseTimings]:
         collected, skipped, timings = [], [], PhaseTimings()
         for client in clients:
             delivered = chan.deliver(dist_blob, Direction.SERVER_TO_CLIENT, client.client_id)
@@ -535,15 +529,17 @@ def run_training(
 # --- loopback / network TCP execution -----------------------------------------
 
 def _make_announce(client: ClientState) -> SignedEnvelope:
-    payload = client.keypair.public_key
-    header = codec.build_header(
-        MsgType.PUBLIC_KEY_ANNOUNCE, client.scheme, 0, client.client_id, payload
+    return _sign_envelope(
+        client.keypair,
+        MsgType.PUBLIC_KEY_ANNOUNCE,
+        0,
+        client.client_id,
+        client.keypair.public_key,
+        PhaseTimings(),
     )
-    signature = sig.sign(client.keypair, codec.signed_bytes(header, payload))
-    return SignedEnvelope(header=header, payload=payload, signature=signature)
 
 
-def _check_announce(server: ServerState, blob: bytes) -> int:
+def _check_announce(server: ServerState, blob: codec.Wire) -> int:
     """Map an incoming connection to a registered client id, or fail the run.
 
     The registry is the trust anchor: the announced key must byte-match it.
@@ -558,7 +554,7 @@ def _check_announce(server: ServerState, blob: bytes) -> int:
     scheme, registered_pk = server.registry.public_key(sender)
     if env.payload != registered_pk:
         raise ConnectionFailed(f"announced key for client {sender} does not match registry")
-    if not sig.verify(registered_pk, scheme, codec.signed_bytes(env.header, env.payload), env.signature):
+    if not sig.verify(registered_pk, scheme, env.signed, env.signature):
         raise ConnectionFailed(f"announce signature from client {sender} rejected")
     return sender
 
@@ -593,7 +589,7 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState], chan: _channe
     accepted: list[_channel.FrameSocket] = []
     conns: dict[int, _channel.FrameSocket] = {}
 
-    def exchange(dist_blob: bytes) -> tuple[list[bytes], list[int], PhaseTimings]:
+    def exchange(dist_blob: codec.Wire) -> tuple[list[codec.Wire], list[int], PhaseTimings]:
         for cid in sorted(conns):
             conns[cid].send_frame(dist_blob)
         collected, skipped, timings = [], [], PhaseTimings()

@@ -305,29 +305,30 @@ def keygen(scheme: SchemeId, seed: int | bytes | None = None) -> KeyPair:
     return KeyPair(scheme=scheme, public_key=public_key, secret_key=secret_key)
 
 
-def sign(keypair: KeyPair, message: bytes) -> SignatureBytes:
-    """Sign a message with the key pair's scheme."""
+def sign(keypair: KeyPair, message: bytes | memoryview) -> SignatureBytes:
+    """Sign a message with the key pair's scheme. The message may be any
+    contiguous byte buffer; it is passed through without a copy."""
     if not message:
         raise ValueError("refusing to sign an empty message")
-    data = _adapter(keypair.scheme).sign(keypair.secret_key, bytes(message))
+    data = _adapter(keypair.scheme).sign(keypair.secret_key, message)
     return SignatureBytes(scheme=keypair.scheme, data=data)
 
 
 def verify(
     public_key: bytes,
     scheme: SchemeId,
-    message: bytes,
+    message: bytes | memoryview,
     signature: SignatureBytes,
 ) -> bool:
     """True iff the signature is valid for (public_key, message).
 
-    Any malformed or mismatched input yields False; only an unsupported
-    scheme raises.
+    The message is passed through without a copy. Any malformed or
+    mismatched input yields False; only an unsupported scheme raises.
     """
     adapter = _adapter(scheme)
     if signature.scheme != scheme:
         return False
     try:
-        return bool(adapter.verify(bytes(public_key), bytes(message), bytes(signature.data)))
+        return bool(adapter.verify(bytes(public_key), message, bytes(signature.data)))
     except Exception:
         return False

@@ -136,6 +136,7 @@ class SlhDsa:
             lib.EVP_PKEY_free(pkey)
 
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
+        message = bytes(message)  # ctypes passes bytes, not other buffers
         meta = self.metadata
         if len(secret_key) != meta.secret_key_len:
             raise AdapterFailure(
@@ -163,6 +164,7 @@ class SlhDsa:
             lib.EVP_PKEY_free(pkey)
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
+        message = bytes(message)  # ctypes passes bytes, not other buffers
         meta = self.metadata
         if len(public_key) != meta.public_key_len or len(signature) != meta.signature_max_len:
             return False

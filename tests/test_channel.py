@@ -277,6 +277,19 @@ def test_peer_closed_mid_frame():
         server_fs.close()
 
 
+def test_send_to_peer_that_reads_nothing_fails_within_deadline():
+    client_fs, server_fs = socket_pair()
+    try:
+        client_fs._sock.settimeout(0.2)
+        t0 = time.perf_counter()
+        with pytest.raises(ConnectionFailed):
+            client_fs.send_frame(bytes(32 * 1024 * 1024))  # far beyond the socket buffers
+        assert time.perf_counter() - t0 < 5
+    finally:
+        client_fs.close()
+        server_fs.close()
+
+
 def test_connect_to_closed_port_fails():
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -307,7 +320,7 @@ def test_tcp_run_matches_in_process():
 )
 def test_tcp_run_with_attack_matches_in_process(kind, direction):
     # replay is left out: which message it replays depends on delivery order;
-    # substitute forges only uploads, so its s2c case tampers with nothing
+    # every other attack forges uploads (c2s) and model broadcasts (s2c) alike
     attack = AttackConfig(
         kind=kind, target_client=1, direction=direction, probability=1.0, seed=8,
         poison="negate" if kind == AttackKind.SUBSTITUTE else None,
@@ -325,6 +338,9 @@ def test_tcp_run_with_attack_matches_in_process(kind, direction):
         assert [r.reason for r in a.rejections] == [r.reason for r in b.rejections]
         if direction == Direction.CLIENT_TO_SERVER:
             assert a.verified_count == 3  # every forged upload rejected
+        else:
+            assert a.skipped_clients == [1]  # every forged broadcast rejected
+    assert chan_a.stats.tampered == server_a.cfg.num_rounds
 
 
 @pytest.mark.parametrize(

@@ -405,3 +405,108 @@ def test_single_client_equals_centralized_training():
 
     again = run_plain_fedavg(model0, [(1, data)], cfg).model.params.values
     assert fed.tobytes() == again.tobytes()
+
+
+# --- in-place training step against a frozen reference ------------------------------
+# The loop below is the training step as it was before gradients were written
+# into a preallocated buffer and the update applied in place: a fresh
+# concatenated gradient each step, `theta -= lr * grad`, and AdamW by whole-array
+# expressions. The in-place step must reproduce it bit for bit.
+
+def _reference_unpack(arch, flat):
+    layers, off = [], 0
+    for d_in, d_out in arch.layer_dims:
+        w = flat[off : off + d_in * d_out].reshape(d_in, d_out)
+        off += d_in * d_out
+        layers.append((w, flat[off : off + d_out]))
+        off += d_out
+    return layers
+
+
+def _reference_loss_and_grad(arch, flat, x, y):
+    layers = _reference_unpack(arch, flat)
+    n = x.shape[0]
+    activations = [x]
+    h = x
+    for w, b in layers[:-1]:
+        h = np.maximum(h @ w + b, 0)
+        activations.append(h)
+    w_out, b_out = layers[-1]
+    logits = h @ w_out + b_out
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(n), y].mean())
+    dlogits = np.exp(logp)
+    dlogits[np.arange(n), y] -= 1
+    dlogits /= n
+    grads = []
+    delta = dlogits
+    for i in reversed(range(len(layers))):
+        w, _ = layers[i]
+        grads.append(np.sum(delta, axis=0))
+        grads.append((activations[i].T @ delta).reshape(-1))
+        if i > 0:
+            delta = (delta @ w.T) * (activations[i] > 0)
+    grads.reverse()
+    return loss, np.concatenate(grads)
+
+
+def _reference_delta(model, data, cfg, seed):
+    start = model.params.values
+    theta = start.copy()
+    rng = np.random.default_rng(seed)
+    m = np.zeros(theta.size, dtype=np.float32)
+    v = np.zeros(theta.size, dtype=np.float32)
+    t = 0
+    for _ in range(cfg.local_epochs):
+        perm = rng.permutation(data.num_samples)
+        for lo in range(0, data.num_samples, cfg.batch_size):
+            idx = perm[lo : lo + cfg.batch_size]
+            _, grad = _reference_loss_and_grad(
+                model.architecture, theta, data.features[idx], data.labels[idx]
+            )
+            if cfg.optimizer == "adamw":
+                t += 1
+                m = cfg.adamw_beta1 * m + (1.0 - cfg.adamw_beta1) * grad
+                v = cfg.adamw_beta2 * v + (1.0 - cfg.adamw_beta2) * grad * grad
+                m_hat = m / (1.0 - cfg.adamw_beta1**t)
+                v_hat = v / (1.0 - cfg.adamw_beta2**t)
+                theta -= cfg.learning_rate * (
+                    m_hat / (np.sqrt(v_hat) + cfg.adamw_eps) + cfg.adamw_weight_decay * theta
+                )
+            else:
+                theta -= cfg.learning_rate * grad
+    return theta - start
+
+
+@pytest.mark.parametrize("hidden", [(), (24,), (20, 12)], ids=["0-hidden", "1-hidden", "2-hidden"])
+@pytest.mark.parametrize(
+    "optimizer, weight_decay", [("sgd", 0.0), ("adamw", 0.0), ("adamw", 0.01)],
+    ids=["sgd", "adamw", "adamw-wd"],
+)
+def test_in_place_step_matches_reference_bitwise(hidden, optimizer, weight_decay):
+    data = generate_synthetic(103, 40, 4, seed=5)  # 103 = 6 batches of 16 + a ragged 7
+    model = init_model(ModelArchitecture(40, hidden, 4), seed=3)
+    cfg = TrainConfig(
+        num_clients=1, num_rounds=1, local_epochs=2, batch_size=16, learning_rate=5e-2,
+        optimizer=optimizer, adamw_weight_decay=weight_decay, seed=0,
+    )
+    update = local_train(model, data, cfg, client_rng_seed=11, client_id=1)
+    expected = _reference_delta(model, data, cfg, 11)
+    assert expected.dtype == np.float32
+    assert update.delta.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(), (24,), (20, 12)], ids=["0-hidden", "1-hidden", "2-hidden"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_and_grad_matches_reference_bitwise(hidden, dtype):
+    rng = np.random.default_rng(23)
+    arch = ModelArchitecture(40, hidden, 4)
+    theta = rng.standard_normal(arch.param_count).astype(dtype)
+    x = rng.standard_normal((7, 40)).astype(dtype)
+    y = rng.integers(0, 4, size=7)
+    loss, grad = loss_and_grad(arch, theta, x, y)
+    ref_loss, ref_grad = _reference_loss_and_grad(arch, theta, x, y)
+    assert loss == ref_loss
+    assert grad.dtype == ref_grad.dtype
+    assert grad.tobytes() == ref_grad.tobytes()
