@@ -78,7 +78,7 @@ class ParameterVector:
             count *= d
         if count != arr.size:
             raise MalformedPayload(f"shape {shape} does not match {arr.size} values")
-        if not _all_finite(arr):
+        if not all_finite(arr):
             raise NonFiniteValue("parameter vector contains NaN or Inf")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -107,7 +107,7 @@ class ParameterVector:
         return f"ParameterVector(shape={self.shape}, size={self.size})"
 
 
-def _all_finite(values: np.ndarray) -> bool:
+def all_finite(values: np.ndarray) -> bool:
     # min and max propagate NaN and reach every infinity, so two reductions
     # check all values without allocating a mask the size of the array
     return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
@@ -123,7 +123,7 @@ def _readonly(b) -> memoryview:
 
 def _put_params(buf: bytearray | memoryview, offset: int, p: ParameterVector) -> None:
     """Write the canonical payload of `p` into `buf` at `offset`."""
-    if not _all_finite(p.values):
+    if not all_finite(p.values):
         raise NonFiniteValue("parameter vector contains NaN or Inf")
     struct.pack_into(f"<I{len(p.shape)}Q", buf, offset, len(p.shape), *p.shape)
     values_at = offset + 4 + 8 * len(p.shape)

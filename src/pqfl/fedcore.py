@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from pqfl.codec import ParameterVector
+from pqfl.codec import ParameterVector, all_finite
 from pqfl.errors import (
     DimensionMismatch,
     EmptyVerifiedSet,
@@ -74,6 +75,28 @@ class ClientDataset:
         return int(self.features.shape[1])
 
 
+# float64 scratch of one _normal_blocks walk: small enough that a 784-256-5
+# model's initialisation (809 KB of float32) peaks below 1.5x its output
+_SCRATCH_BYTES = 256 * 1024
+
+
+def _normal_blocks(
+    rng: np.random.Generator, shape: tuple[int, int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Draw `rng.standard_normal(shape)` in blocks of whole rows, in the same
+    order as one call would draw them, without the whole float64 matrix.
+    Yields (first row, float64 block); every block reuses one scratch buffer
+    of at most _SCRATCH_BYTES (or one row), so a caller rounds each block into
+    its float32 output before asking for the next."""
+    num_rows, width = shape
+    rows = max(1, _SCRATCH_BYTES // (8 * max(width, 1)))
+    scratch = np.empty((min(rows, num_rows), width))
+    for lo in range(0, num_rows, rows):
+        block = scratch[: min(rows, num_rows - lo)]
+        rng.standard_normal(out=block)
+        yield lo, block
+
+
 def generate_synthetic(
     num_samples: int,
     num_features: int,
@@ -86,8 +109,12 @@ def generate_synthetic(
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_classes, num_features)) * separation
     labels = rng.integers(0, num_classes, size=num_samples)
-    feats = centers[labels] + rng.standard_normal((num_samples, num_features))
-    return ClientDataset(features=feats.astype(np.float32), labels=labels)
+    feats = np.empty((num_samples, num_features), dtype=np.float32)
+    for lo, noise in _normal_blocks(rng, feats.shape):
+        hi = lo + noise.shape[0]
+        noise += centers[labels[lo:hi]]
+        feats[lo:hi] = noise
+    return ClientDataset(features=feats, labels=labels)
 
 
 def concat_datasets(datasets: list[ClientDataset]) -> ClientDataset:
@@ -159,7 +186,8 @@ def load_idx_dataset(images_path: str, labels_path: str, limit: int | None = Non
     if limit is not None:
         images = images[:limit]
         labels = labels[:limit]
-    feats = images.reshape(images.shape[0], -1).astype(np.float32) / np.float32(255.0)
+    feats = images.reshape(images.shape[0], -1).astype(np.float32)
+    feats /= np.float32(255.0)
     return ClientDataset(features=feats, labels=labels.astype(np.int64))
 
 
@@ -212,14 +240,14 @@ class ModelUpdate:
 
 
 def init_model(arch: ModelArchitecture, seed: int) -> GlobalModel:
-    """He-style normal init for weights, zero biases, float32."""
+    """He-style normal init for weights, zero biases, float32. The weights
+    are the float32 rounding of float64 normals × sqrt(2 / fan-in)."""
     rng = np.random.default_rng(seed)
-    chunks = []
-    for d_in, d_out in arch.layer_dims:
-        w = rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in)
-        chunks.append(w.reshape(-1))
-        chunks.append(np.zeros(d_out))
-    flat = np.concatenate(chunks).astype(np.float32)
+    flat = np.zeros(arch.param_count, dtype=np.float32)
+    for (d_in, _), (w, _) in zip(arch.layer_dims, _unpack(arch, flat)):
+        for lo, normals in _normal_blocks(rng, w.shape):
+            normals *= np.sqrt(2.0 / d_in)
+            w[lo : lo + normals.shape[0]] = normals
     return GlobalModel(params=ParameterVector(flat, (flat.size,)), architecture=arch, round=0)
 
 
@@ -244,9 +272,13 @@ def forward_logits(arch: ModelArchitecture, flat: np.ndarray, x: np.ndarray) -> 
     layers = _unpack(arch, flat)
     h = x
     for w, b in layers[:-1]:
-        h = np.maximum(h @ w + b, 0)
+        h = h @ w
+        h += b
+        np.maximum(h, 0, out=h)
     w, b = layers[-1]
-    return h @ w + b
+    logits = h @ w
+    logits += b
+    return logits
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -420,11 +452,11 @@ def local_train(
                 grad *= cfg.learning_rate
                 theta -= grad
 
-    if not np.isfinite(theta).all():
+    if not all_finite(theta):
         raise NonFiniteGradient(f"client {client_id} diverged (non-finite parameters)")
-    delta = theta - start
+    theta -= start  # the delta, computed in place
     return ModelUpdate(
-        delta=ParameterVector(delta, (delta.size,)),
+        delta=ParameterVector(theta, (theta.size,)),
         client_id=client_id,
         round=global_model.round,
     )
@@ -456,11 +488,11 @@ def aggregate(global_model: GlobalModel, updates: list[ModelUpdate]) -> GlobalMo
                 f"update shape {u.delta.shape} != model shape {expect_shape}"
             )
         acc += u.delta.values
-    mean = acc / len(ordered)
-    new_flat = global_model.params.values + mean
+    acc /= len(ordered)
+    acc += global_model.params.values  # old + mean: the new parameters, in place
     return replace(
         global_model,
-        params=ParameterVector(new_flat, expect_shape),
+        params=ParameterVector(acc, expect_shape),
         round=global_model.round + 1,
     )
 

@@ -442,16 +442,23 @@ def finish_round(
     skipped_clients: list[int],
     wall_start: float,
 ) -> RoundOutcome:
-    """Server half of round completion: verify, aggregate, measure."""
+    """Server half of round completion: verify, aggregate, measure.
+
+    Empties `collected` once the round is aggregated: the verified deltas
+    are views into those uploads, and the evaluation that follows should not
+    run with a whole round of them still held."""
     t = PhaseTimings()
     verified, rejections, payload_bytes, signature_bytes = server_collect_and_verify(
         server, collected, timings=t
     )
+    verified_count = len(verified)
     if verified:
         server.model = fedcore.aggregate(server.model, verified)
     else:
         log.warning("round %d: empty verified set, parameters unchanged", server.model.round)
         server.model = replace(server.model, round=server.model.round + 1)
+    del verified
+    collected.clear()
 
     loss = (
         fedcore.forward_loss(server.model, server.eval_data)
@@ -462,8 +469,8 @@ def finish_round(
     t.wall_s = time.perf_counter() - wall_start
     return RoundOutcome(
         round=server.model.round - 1,
-        updates_received=len(verified) + len(rejections),
-        verified_count=len(verified),
+        updates_received=verified_count + len(rejections),
+        verified_count=verified_count,
         rejections=rejections,
         skipped_clients=skipped_clients,
         global_loss=loss,
@@ -496,6 +503,7 @@ def _run_rounds(server: ServerState, exchange: Exchange) -> TrainingResult:
         timings.serialize_s += time.perf_counter() - t0
         collected, skipped, client_timings = exchange(dist_blob)
         timings.add(client_timings)
+        # finish_round empties `collected`, so no upload reaches the next round
         outcome = finish_round(server, collected, dist_env, timings, skipped, wall_start)
         outcomes.append(outcome)
         log.info("round %d: verified=%d rejected=%d loss=%.6f", outcome.round,
@@ -572,16 +580,21 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState], chan: _channe
     client_timings: dict[int, PhaseTimings] = {}
     failures: list[Exception] = []
 
+    def client_round(client: ClientState, frame: codec.Wire) -> codec.Wire:
+        """The reply to one broadcast frame; b"" when the client sits out.
+        The caller holds the reply only until it is sent."""
+        blob = chan.deliver(frame, Direction.SERVER_TO_CLIENT, client.client_id)
+        result = client_process_round(client, blob)
+        with lock:
+            client_timings[client.client_id] = result.timings
+        return result.reply or b""
+
     def client_main(client: ClientState) -> None:
         try:
             with contextlib.closing(_channel.tcp_connect(*address)) as fs:
                 fs.send_frame(codec.encode_envelope(_make_announce(client)))
                 for _ in range(server.cfg.num_rounds):
-                    blob = chan.deliver(fs.recv_frame(), Direction.SERVER_TO_CLIENT, client.client_id)
-                    result = client_process_round(client, blob)
-                    with lock:
-                        client_timings[client.client_id] = result.timings
-                    fs.send_frame(result.reply or b"")
+                    fs.send_frame(client_round(client, fs.recv_frame()))
         except Exception as exc:  # surfaced after join
             with lock:
                 failures.append(exc)

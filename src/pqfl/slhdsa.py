@@ -24,6 +24,8 @@ import os
 import shutil
 import sys
 
+import numpy as np
+
 from pqfl.errors import AdapterFailure, UnsupportedScheme
 from pqfl.sig import SchemeMetadata
 
@@ -59,9 +61,10 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         "EVP_MD_CTX_new": ((), vp),
         "EVP_MD_CTX_free": ((vp,), None),
         "EVP_DigestSignInit_ex": ((vp, vp, cp, vp, cp, vp, vp), ctypes.c_int),
-        "EVP_DigestSign": ((vp, cp, ctypes.POINTER(sz), cp, sz), ctypes.c_int),
+        # messages go by address (void *), so any read-only buffer passes uncopied
+        "EVP_DigestSign": ((vp, cp, ctypes.POINTER(sz), vp, sz), ctypes.c_int),
         "EVP_DigestVerifyInit_ex": ((vp, vp, cp, vp, cp, vp, vp), ctypes.c_int),
-        "EVP_DigestVerify": ((vp, cp, sz, cp, sz), ctypes.c_int),
+        "EVP_DigestVerify": ((vp, cp, sz, vp, sz), ctypes.c_int),
         "ERR_clear_error": ((), None),
     }
     for name, (argtypes, restype) in signatures.items():
@@ -135,8 +138,8 @@ class SlhDsa:
         finally:
             lib.EVP_PKEY_free(pkey)
 
-    def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        message = bytes(message)  # ctypes passes bytes, not other buffers
+    def sign(self, secret_key: bytes, message: bytes | memoryview) -> bytes:
+        data = np.frombuffer(message, dtype=np.uint8)  # the message in place, passed by address
         meta = self.metadata
         if len(secret_key) != meta.secret_key_len:
             raise AdapterFailure(
@@ -154,7 +157,7 @@ class SlhDsa:
             if not (
                 ctx
                 and lib.EVP_DigestSignInit_ex(ctx, None, None, None, None, pkey, None) == 1
-                and lib.EVP_DigestSign(ctx, out, ctypes.byref(size), message, len(message)) == 1
+                and lib.EVP_DigestSign(ctx, out, ctypes.byref(size), data.ctypes.data, data.size) == 1
             ):
                 lib.ERR_clear_error()
                 raise AdapterFailure(f"{meta.parameter_set} sign failed")
@@ -163,8 +166,8 @@ class SlhDsa:
             lib.EVP_MD_CTX_free(ctx)
             lib.EVP_PKEY_free(pkey)
 
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        message = bytes(message)  # ctypes passes bytes, not other buffers
+    def verify(self, public_key: bytes, message: bytes | memoryview, signature: bytes) -> bool:
+        data = np.frombuffer(message, dtype=np.uint8)  # the message in place, passed by address
         meta = self.metadata
         if len(public_key) != meta.public_key_len or len(signature) != meta.signature_max_len:
             return False
@@ -177,7 +180,8 @@ class SlhDsa:
             ok = bool(
                 ctx
                 and lib.EVP_DigestVerifyInit_ex(ctx, None, None, None, None, pkey, None) == 1
-                and lib.EVP_DigestVerify(ctx, signature, len(signature), message, len(message)) == 1
+                and lib.EVP_DigestVerify(ctx, signature, len(signature), data.ctypes.data, data.size)
+                == 1
             )
             if not ok:
                 lib.ERR_clear_error()

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from pqfl import fedcore
 from pqfl.codec import ParameterVector
 from pqfl.errors import (
     DimensionMismatch,
@@ -510,3 +511,79 @@ def test_loss_and_grad_matches_reference_bitwise(hidden, dtype):
     assert loss == ref_loss
     assert grad.dtype == ref_grad.dtype
     assert grad.tobytes() == ref_grad.tobytes()
+
+
+# --- float32 set-up against frozen references ----------------------------------------
+# The expressions below are data generation, initialisation and IDX scaling as
+# they were before the float32 outputs were filled block by block from a small
+# float64 scratch: whole float64 matrices, rounded to float32 at the end. The
+# block-wise fill must reproduce them bit for bit.
+
+def _reference_synthetic(num_samples, num_features, num_classes, seed, separation=3.0):
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((num_classes, num_features)) * separation
+    labels = rng.integers(0, num_classes, size=num_samples)
+    feats = centers[labels] + rng.standard_normal((num_samples, num_features))
+    return feats.astype(np.float32), labels
+
+
+def _reference_init(arch, seed):
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for d_in, d_out in arch.layer_dims:
+        w = rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in)
+        chunks.append(w.reshape(-1))
+        chunks.append(np.zeros(d_out))
+    return np.concatenate(chunks).astype(np.float32)
+
+
+def _block_rows(width):
+    return max(1, fedcore._SCRATCH_BYTES // (8 * width))
+
+
+@pytest.mark.parametrize(
+    "num_samples, num_features, scratch_bytes",
+    [(1000, 784, None), (1, 784, None), (9, 30, 16)],
+    ids=["ragged-last-block", "one-sample", "one-row-blocks"],
+)
+def test_synthetic_matches_reference_bitwise(monkeypatch, num_samples, num_features, scratch_bytes):
+    if scratch_bytes is not None:
+        monkeypatch.setattr(fedcore, "_SCRATCH_BYTES", scratch_bytes)
+        assert _block_rows(num_features) == 1  # a row is wider than the scratch
+    elif num_samples > 1:
+        assert num_samples % _block_rows(num_features) != 0  # a short last block
+    data = generate_synthetic(num_samples, num_features, 5, seed=17)
+    feats, labels = _reference_synthetic(num_samples, num_features, 5, 17)
+    assert data.features.dtype == np.float32
+    assert data.features.tobytes() == feats.tobytes()
+    assert data.labels.tobytes() == labels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "arch, scratch_bytes",
+    [
+        (ModelArchitecture(784, (256,), 5), None),
+        (ModelArchitecture(10, (), 4), None),
+        (ModelArchitecture(40, (20, 12), 4), None),
+        (ModelArchitecture(40, (20, 12), 4), 16),
+    ],
+    ids=["784-256-5", "no-hidden", "two-hidden", "two-hidden-one-row-blocks"],
+)
+def test_init_model_matches_reference_bitwise(monkeypatch, arch, scratch_bytes):
+    if scratch_bytes is not None:
+        monkeypatch.setattr(fedcore, "_SCRATCH_BYTES", scratch_bytes)
+        assert all(_block_rows(d_out) == 1 for _, d_out in arch.layer_dims)
+    values = init_model(arch, seed=29).params.values
+    assert values.tobytes() == _reference_init(arch, 29).tobytes()
+
+
+@pytest.mark.parametrize("code, dtype", [(0x08, np.uint8), (0x0B, ">i2"), (0x0D, ">f4"), (0x0E, ">f8")])
+def test_idx_scaling_matches_reference_bitwise(tmp_path, code, dtype):
+    images = (np.random.default_rng(3).random((6, 5, 4)) * 255).astype(dtype)
+    img_path = tmp_path / "images.idx"
+    lab_path = tmp_path / "labels.idx"
+    img_path.write_bytes(struct.pack(">BBBB", 0, 0, code, 3) + struct.pack(">III", 6, 5, 4) + images.tobytes())
+    lab_path.write_bytes(struct.pack(">BBBB", 0, 0, 0x08, 1) + struct.pack(">I", 6) + bytes(range(6)))
+    expected = images.reshape(6, -1).astype(np.float32) / np.float32(255.0)
+    features = load_idx_dataset(str(img_path), str(lab_path)).features
+    assert features.tobytes() == expected.tobytes()
