@@ -11,51 +11,30 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from pqfl import sig
-from pqfl.errors import SinkUnavailable
 from pqfl.protocol import RoundOutcome
 from pqfl.sig import SchemeId
 
-ROUND_CSV_COLUMNS = [
-    "scheme",
-    "round",
-    "wall_time_s",
-    "train_time_s",
-    "sign_time_s",
-    "verify_time_s",
-    "serialize_time_s",
-    "payload_bytes",
-    "signature_bytes",
-    "verified_count",
-    "rejected_count",
-    "global_loss",
-]
-
-MICROBENCH_CSV_COLUMNS = [
-    "scheme",
-    "payload_bytes",
-    "op",
-    "iterations",
-    "median_s",
-    "p10_s",
-    "p90_s",
-]
+# A round time column is written at microsecond resolution; every other float
+# is written with repr, so it reads back to the same value.
+_MICROSECONDS = {"format": "{:.6f}".format}
 
 
 @dataclass(frozen=True)
 class RoundMetrics:
     scheme: str
     round: int
-    wall_time_s: float
-    train_time_s: float
-    sign_time_s: float
-    verify_time_s: float
-    serialize_time_s: float
+    wall_time_s: float = field(metadata=_MICROSECONDS)
+    train_time_s: float = field(metadata=_MICROSECONDS)
+    sign_time_s: float = field(metadata=_MICROSECONDS)
+    verify_time_s: float = field(metadata=_MICROSECONDS)
+    serialize_time_s: float = field(metadata=_MICROSECONDS)
     payload_bytes: int
     signature_bytes: int
     verified_count: int
@@ -72,6 +51,10 @@ class MicrobenchRecord:
     median_s: float
     p10_s: float
     p90_s: float
+
+
+ROUND_CSV_COLUMNS = [f.name for f in fields(RoundMetrics)]
+MICROBENCH_CSV_COLUMNS = [f.name for f in fields(MicrobenchRecord)]
 
 
 def round_metrics(scheme: SchemeId, outcome: RoundOutcome) -> RoundMetrics:
@@ -91,26 +74,6 @@ def round_metrics(scheme: SchemeId, outcome: RoundOutcome) -> RoundMetrics:
         rejected_count=len(outcome.rejections),
         global_loss=outcome.global_loss,
     )
-
-
-class MetricsSink:
-    """Append-only record collector; ordering is preserved per run."""
-
-    def __init__(self):
-        self.records: list[RoundMetrics] = []
-        self._closed = False
-
-    def close(self) -> None:
-        self._closed = True
-
-    def record_round(self, record: RoundMetrics) -> None:
-        if self._closed:
-            raise SinkUnavailable("metrics sink is closed")
-        self.records.append(record)
-
-
-def record_round(sink: MetricsSink, record: RoundMetrics) -> None:
-    sink.record_round(record)
 
 
 def microbench(
@@ -173,88 +136,49 @@ def _time_op(fn, iterations: int, warmup: int) -> list[float]:
 
 # --- CSV emission -------------------------------------------------------------
 
-def _fmt_time(x: float) -> str:
-    return f"{x:.6f}"
+def _emit_csv(records: list, record_type: type, path: str | Path) -> None:
+    """One row per record, columns in field order, header included."""
+    columns = fields(record_type)
+    types = get_type_hints(record_type)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in columns])
+        for r in records:
+            writer.writerow([
+                f.metadata.get("format", repr if types[f.name] is float else str)(getattr(r, f.name))
+                for f in columns
+            ])
+
+
+def _read_csv(record_type: type, path: str | Path) -> list:
+    columns = fields(record_type)
+    types = get_type_hints(record_type)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != [f.name for f in columns]:
+            raise ValueError(f"unexpected {record_type.__name__} CSV header {header}")
+        return [
+            record_type(*(types[f.name](value) for f, value in zip(columns, row, strict=True)))
+            for row in reader
+        ]
 
 
 def emit_round_csv(records: list[RoundMetrics], path: str | Path) -> None:
     """Write round metrics in the fixed column order, header included."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROUND_CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.scheme,
-                    r.round,
-                    _fmt_time(r.wall_time_s),
-                    _fmt_time(r.train_time_s),
-                    _fmt_time(r.sign_time_s),
-                    _fmt_time(r.verify_time_s),
-                    _fmt_time(r.serialize_time_s),
-                    r.payload_bytes,
-                    r.signature_bytes,
-                    r.verified_count,
-                    r.rejected_count,
-                    repr(r.global_loss),
-                ]
-            )
+    _emit_csv(records, RoundMetrics, path)
 
 
 def read_round_csv(path: str | Path) -> list[RoundMetrics]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ROUND_CSV_COLUMNS:
-            raise ValueError(f"unexpected round CSV header {header}")
-        return [
-            RoundMetrics(
-                scheme=row[0],
-                round=int(row[1]),
-                wall_time_s=float(row[2]),
-                train_time_s=float(row[3]),
-                sign_time_s=float(row[4]),
-                verify_time_s=float(row[5]),
-                serialize_time_s=float(row[6]),
-                payload_bytes=int(row[7]),
-                signature_bytes=int(row[8]),
-                verified_count=int(row[9]),
-                rejected_count=int(row[10]),
-                global_loss=float(row[11]),
-            )
-            for row in reader
-        ]
+    return _read_csv(RoundMetrics, path)
 
 
 def emit_microbench_csv(records: list[MicrobenchRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MICROBENCH_CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.scheme, r.payload_bytes, r.op, r.iterations,
-                 repr(r.median_s), repr(r.p10_s), repr(r.p90_s)]
-            )
+    _emit_csv(records, MicrobenchRecord, path)
 
 
 def read_microbench_csv(path: str | Path) -> list[MicrobenchRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != MICROBENCH_CSV_COLUMNS:
-            raise ValueError(f"unexpected microbench CSV header {header}")
-        return [
-            MicrobenchRecord(
-                scheme=row[0],
-                payload_bytes=int(row[1]),
-                op=row[2],
-                iterations=int(row[3]),
-                median_s=float(row[4]),
-                p10_s=float(row[5]),
-                p90_s=float(row[6]),
-            )
-            for row in reader
-        ]
+    return _read_csv(MicrobenchRecord, path)
 
 
 # --- text reports -------------------------------------------------------------

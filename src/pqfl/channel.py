@@ -10,8 +10,8 @@ depends on delivery order. Only a replay channel keeps those messages
 (`Channel.history`); its history is unbounded.
 
 TCP frames are a 4-byte big-endian length prefix followed by the envelope
-bytes exactly as the codec produced them; the receiver enforces a
-configurable maximum frame length. A zero-length frame is the "no message
+bytes exactly as the codec produced them; the receiver enforces a maximum
+frame length, `DEFAULT_FRAME_CAP`. A zero-length frame is the "no message
 this round" marker. Message drops are out of scope: a closed connection is
 fatal for the run. Every socket, on either side, waits at most
 `IO_TIMEOUT_S` for a connection, for bytes or for room to send them;
@@ -216,9 +216,9 @@ IO_TIMEOUT_S = 30.0
 class FrameSocket:
     """Length-prefixed framing over one TCP connection."""
 
-    def __init__(self, sock: socket.socket, max_frame: int = DEFAULT_FRAME_CAP):
+    def __init__(self, sock: socket.socket):
         self._sock = sock
-        self.max_frame = max_frame
+        self.max_frame = DEFAULT_FRAME_CAP
 
     def send_frame(self, data: Wire) -> None:
         view = memoryview(data).cast("B")
@@ -274,23 +274,18 @@ def tcp_listen(host: str = "127.0.0.1", port: int = 0, backlog: int = 32) -> soc
     return listener
 
 
-def tcp_accept(listener: socket.socket, max_frame: int = DEFAULT_FRAME_CAP) -> FrameSocket:
+def tcp_accept(listener: socket.socket) -> FrameSocket:
     try:
         sock, _addr = listener.accept()
     except OSError as exc:  # TimeoutError included
         raise ConnectionFailed(f"accept failed: {exc}") from exc
     sock.settimeout(IO_TIMEOUT_S)
-    return FrameSocket(sock, max_frame)
+    return FrameSocket(sock)
 
 
-def tcp_connect(
-    host: str,
-    port: int,
-    max_frame: int = DEFAULT_FRAME_CAP,
-    timeout: float = IO_TIMEOUT_S,
-) -> FrameSocket:
+def tcp_connect(host: str, port: int, timeout: float = IO_TIMEOUT_S) -> FrameSocket:
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
         raise ConnectionFailed(f"cannot connect to {host}:{port}: {exc}") from exc
-    return FrameSocket(sock, max_frame)
+    return FrameSocket(sock)

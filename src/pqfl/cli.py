@@ -353,12 +353,9 @@ def run_one_scheme(spec: RunSpec, scheme: SchemeId) -> list[bench.RoundMetrics]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     spec = _resolve_run_spec(args)
-    sink = bench.MetricsSink()
-    for scheme in spec.schemes:
-        for record in run_one_scheme(spec, scheme):
-            bench.record_round(sink, record)
+    records = [record for scheme in spec.schemes for record in run_one_scheme(spec, scheme)]
     if spec.out:
-        bench.emit_round_csv(sink.records, spec.out)
+        bench.emit_round_csv(records, spec.out)
         print(f"metrics written to {spec.out}")
     return 0
 

@@ -86,9 +86,3 @@ class FrameTooLarge(PqflError):
 
 class PeerClosed(PqflError):
     """The remote side closed the connection mid-frame."""
-
-
-# --- metrics ---
-
-class SinkUnavailable(PqflError):
-    """The metrics sink is closed and cannot accept records."""

@@ -22,10 +22,13 @@ from __future__ import annotations
 import contextlib
 import enum
 import logging
+import queue
 import threading
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from pqfl import channel as _channel
 from pqfl import codec, fedcore, sig
@@ -99,19 +102,37 @@ class Rejection:
     detail: str = ""
 
 
+class Phase(enum.IntEnum):
+    TRAIN = 0
+    SIGN = 1
+    VERIFY = 2
+    SERIALIZE = 3
+
+
+# One timed call: (party, phase, start, duration). A round's spans are kept as
+# one packed array of SPAN_DTYPE, 21 bytes a span; while the round runs they
+# are appended to a plain list of tuples.
+Span = tuple[int, Phase, float, float]
+SPAN_DTYPE = np.dtype([("party", "<u4"), ("phase", "u1"), ("start", "<f8"), ("duration", "<f8")])
+
+
 @dataclass
 class PhaseTimings:
+    """Per-phase sums over every party's spans of one round. Clients' times
+    are included, and over TCP they ran concurrently, so a sum can exceed
+    `wall_s`; the server's own spans are its critical path."""
+
     train_s: float = 0.0
     sign_s: float = 0.0
     verify_s: float = 0.0
     serialize_s: float = 0.0
     wall_s: float = 0.0
 
-    def add(self, other: "PhaseTimings") -> None:
-        self.train_s += other.train_s
-        self.sign_s += other.sign_s
-        self.verify_s += other.verify_s
-        self.serialize_s += other.serialize_s
+    @classmethod
+    def from_spans(cls, spans: np.ndarray, wall_s: float) -> "PhaseTimings":
+        # bincount adds each phase's durations in span order
+        sums = np.bincount(spans["phase"], weights=spans["duration"], minlength=len(Phase))
+        return cls(**{f"{p.name.lower()}_s": float(sums[p]) for p in Phase}, wall_s=wall_s)
 
 
 @dataclass
@@ -125,6 +146,7 @@ class RoundOutcome:
     timings: PhaseTimings
     payload_bytes: int
     signature_bytes: int
+    spans: np.ndarray  # SPAN_DTYPE, in the order the server gathered them
 
 
 @dataclass
@@ -217,7 +239,7 @@ def _sign_envelope(
     round: int,
     sender_id: int,
     payload: bytes | codec.ParameterVector,
-    t: PhaseTimings,
+    spans: list[Span],
 ) -> SignedEnvelope:
     """Lay out header ‖ payload once, sign a view of it and seal the
     signature in behind it, all in one buffer."""
@@ -228,25 +250,30 @@ def _sign_envelope(
     signature = sig.sign(keypair, to_sign)
     t2 = time.perf_counter()
     env = codec.seal(header, to_sign, signature)
-    t.serialize_s += (t1 - t0) + (time.perf_counter() - t2)
-    t.sign_s += t2 - t1
+    t3 = time.perf_counter()
+    spans += [
+        (sender_id, Phase.SERIALIZE, t0, t1 - t0),
+        (sender_id, Phase.SIGN, t1, t2 - t1),
+        (sender_id, Phase.SERIALIZE, t2, t3 - t2),
+    ]
     return env
 
 
-def distribute_model(server: ServerState, timings: PhaseTimings | None = None) -> SignedEnvelope:
-    """Sign the current global parameters into a broadcast envelope."""
+def distribute_model(server: ServerState, spans: list[Span] | None = None) -> SignedEnvelope:
+    """Sign the current global parameters into a broadcast envelope,
+    appending the server's spans to `spans`."""
     return _sign_envelope(
         server.keypair,
         MsgType.MODEL_DISTRIBUTION,
         server.model.round,
         SERVER_ID,
         server.model.params,
-        timings or PhaseTimings(),
+        [] if spans is None else spans,
     )
 
 
 def client_receive_model(
-    client: ClientState, env: SignedEnvelope, timings: PhaseTimings | None = None
+    client: ClientState, env: SignedEnvelope, spans: list[Span] | None = None
 ) -> GlobalModel:
     """Validate and accept a model distribution envelope.
 
@@ -254,7 +281,8 @@ def client_receive_model(
     SignatureInvalid, each distinct; on success advances the client's
     accepted-round watermark.
     """
-    t = timings or PhaseTimings()
+    if spans is None:
+        spans = []
     if env.header.msg_type != MsgType.MODEL_DISTRIBUTION:
         raise MalformedEnvelope(f"expected model distribution, got {env.header.msg_type!r}")
     if env.header.sender_id != SERVER_ID:
@@ -266,7 +294,7 @@ def client_receive_model(
     if client.options.verify_models:
         t0 = time.perf_counter()
         ok = sig.verify(client.server_public_key, client.scheme, env.signed, env.signature)
-        t.verify_s += time.perf_counter() - t0
+        spans.append((client.client_id, Phase.VERIFY, t0, time.perf_counter() - t0))
         if not ok:
             raise SignatureInvalid("model distribution signature rejected")
     t0 = time.perf_counter()
@@ -274,7 +302,7 @@ def client_receive_model(
         params = codec.decode_params(env.payload)
     except (MalformedPayload, NonFiniteValue) as exc:
         raise MalformedEnvelope(f"model payload: {exc}") from exc
-    t.serialize_s += time.perf_counter() - t0
+    spans.append((client.client_id, Phase.SERIALIZE, t0, time.perf_counter() - t0))
     if params.size != client.architecture.param_count:
         raise MalformedEnvelope(
             f"model payload has {params.size} params, expected {client.architecture.param_count}"
@@ -286,7 +314,7 @@ def client_receive_model(
 
 
 def client_submit_update(
-    client: ClientState, update: ModelUpdate, timings: PhaseTimings | None = None
+    client: ClientState, update: ModelUpdate, spans: list[Span] | None = None
 ) -> SignedEnvelope:
     """Wrap a local update in a signed submission envelope."""
     if update.round != client.last_accepted_round:
@@ -299,14 +327,14 @@ def client_submit_update(
         update.round,
         client.client_id,
         update.delta,
-        timings or PhaseTimings(),
+        [] if spans is None else spans,
     )
 
 
 @dataclass
 class ClientRoundResult:
     reply: codec.Wire | None
-    timings: PhaseTimings
+    spans: list[Span]  # this client's spans of the round
     skipped: str | None = None  # reason text when the client sat out
 
 
@@ -316,19 +344,19 @@ def client_process_round(client: ClientState, env_blob: codec.Wire) -> ClientRou
     A client that cannot validate the incoming model sits the round out
     and reports why instead of raising.
     """
-    t = PhaseTimings()
+    spans: list[Span] = []
     t0 = time.perf_counter()
     try:
         env = codec.decode_envelope(env_blob)
     except MalformedEnvelope as exc:
-        return ClientRoundResult(reply=None, timings=t, skipped=f"malformed: {exc}")
-    t.serialize_s += time.perf_counter() - t0
+        return ClientRoundResult(reply=None, spans=spans, skipped=f"malformed: {exc}")
+    spans.append((client.client_id, Phase.SERIALIZE, t0, time.perf_counter() - t0))
 
     try:
-        model = client_receive_model(client, env, timings=t)
+        model = client_receive_model(client, env, spans)
     except (MalformedEnvelope, WrongSender, ReplayDetected, SignatureInvalid) as exc:
         log.info("client %d sitting out: %s", client.client_id, exc)
-        return ClientRoundResult(reply=None, timings=t, skipped=str(exc))
+        return ClientRoundResult(reply=None, spans=spans, skipped=str(exc))
 
     t0 = time.perf_counter()
     update = fedcore.local_train(
@@ -338,27 +366,28 @@ def client_process_round(client: ClientState, env_blob: codec.Wire) -> ClientRou
         train_seed(client.cfg.seed, model.round, client.client_id),
         client.client_id,
     )
-    t.train_s += time.perf_counter() - t0
+    spans.append((client.client_id, Phase.TRAIN, t0, time.perf_counter() - t0))
 
-    env_out = client_submit_update(client, update, timings=t)
+    env_out = client_submit_update(client, update, spans)
     t0 = time.perf_counter()
     blob = codec.encode_envelope(env_out)
-    t.serialize_s += time.perf_counter() - t0
-    return ClientRoundResult(reply=blob, timings=t)
+    spans.append((client.client_id, Phase.SERIALIZE, t0, time.perf_counter() - t0))
+    return ClientRoundResult(reply=blob, spans=spans)
 
 
 def server_collect_and_verify(
     server: ServerState,
     envelope_blobs: list[codec.Wire],
-    timings: PhaseTimings | None = None,
+    spans: list[Span] | None = None,
 ) -> tuple[list[ModelUpdate], list[Rejection], int, int]:
     """Filter raw submission bytes down to the verified update set.
 
     Returns (verified updates, rejections, payload_bytes, signature_bytes);
     rejection is data, never an exception. At most one update per client
-    enters the set (first valid wins).
+    enters the set (first valid wins). The server's spans go to `spans`.
     """
-    t = timings or PhaseTimings()
+    if spans is None:
+        spans = []
     verified: list[ModelUpdate] = []
     rejections: list[Rejection] = []
     accepted_ids: set[int] = set()
@@ -370,10 +399,10 @@ def server_collect_and_verify(
         try:
             env = codec.decode_envelope(blob)
         except MalformedEnvelope as exc:
-            t.serialize_s += time.perf_counter() - t0
+            spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
             rejections.append(Rejection(None, RejectReason.MALFORMED, str(exc)))
             continue
-        t.serialize_s += time.perf_counter() - t0
+        spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
         payload_bytes += len(env.payload)
         signature_bytes += len(env.signature.data)
         sender = env.header.sender_id
@@ -400,7 +429,7 @@ def server_collect_and_verify(
             scheme, public_key = server.registry.public_key(sender)
             t0 = time.perf_counter()
             ok = sig.verify(public_key, scheme, env.signed, env.signature)
-            t.verify_s += time.perf_counter() - t0
+            spans.append((SERVER_ID, Phase.VERIFY, t0, time.perf_counter() - t0))
             if not ok:
                 rejections.append(Rejection(sender, RejectReason.SIGNATURE_INVALID))
                 continue
@@ -419,7 +448,7 @@ def server_collect_and_verify(
             rejections.append(Rejection(sender, RejectReason.MALFORMED, str(exc)))
             continue
         finally:
-            t.serialize_s += time.perf_counter() - t0
+            spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
         if delta.size != server.model.architecture.param_count:
             rejections.append(
                 Rejection(sender, RejectReason.MALFORMED, f"delta size {delta.size}")
@@ -438,18 +467,20 @@ def finish_round(
     server: ServerState,
     collected: list[codec.Wire],
     dist_env: SignedEnvelope,
-    client_timings: PhaseTimings,
+    spans: list[Span],
     skipped_clients: list[int],
     wall_start: float,
 ) -> RoundOutcome:
     """Server half of round completion: verify, aggregate, measure.
 
+    `spans` holds every span of the round so far; the server's verify spans
+    are appended to it before it is packed into the outcome.
+
     Empties `collected` once the round is aggregated: the verified deltas
     are views into those uploads, and the evaluation that follows should not
     run with a whole round of them still held."""
-    t = PhaseTimings()
     verified, rejections, payload_bytes, signature_bytes = server_collect_and_verify(
-        server, collected, timings=t
+        server, collected, spans
     )
     verified_count = len(verified)
     if verified:
@@ -465,8 +496,8 @@ def finish_round(
         if server.eval_data is not None
         else float("nan")
     )
-    t.add(client_timings)
-    t.wall_s = time.perf_counter() - wall_start
+    packed = np.array(spans, dtype=SPAN_DTYPE)
+    wall_s = time.perf_counter() - wall_start
     return RoundOutcome(
         round=server.model.round - 1,
         updates_received=verified_count + len(rejections),
@@ -474,9 +505,10 @@ def finish_round(
         rejections=rejections,
         skipped_clients=skipped_clients,
         global_loss=loss,
-        timings=t,
+        timings=PhaseTimings.from_spans(packed, wall_s),
         payload_bytes=payload_bytes + len(dist_env.payload),
         signature_bytes=signature_bytes + len(dist_env.signature.data),
+        spans=packed,
     )
 
 
@@ -486,9 +518,10 @@ class TrainingResult:
     outcomes: list[RoundOutcome]
 
 
-# The transport interface: carry one broadcast to every client and return
-# (delivered replies, ids of clients that sat out, summed client timings).
-Exchange = Callable[[codec.Wire], tuple[list[codec.Wire], list[int], PhaseTimings]]
+# The transport interface: carry one broadcast to every client, append the
+# clients' spans to the round's, and return (delivered replies, ids of
+# clients that sat out).
+Exchange = Callable[[codec.Wire, list[Span]], tuple[list[codec.Wire], list[int]]]
 
 
 def _run_rounds(server: ServerState, exchange: Exchange) -> TrainingResult:
@@ -496,15 +529,14 @@ def _run_rounds(server: ServerState, exchange: Exchange) -> TrainingResult:
     outcomes = []
     for _ in range(server.cfg.num_rounds):
         wall_start = time.perf_counter()
-        timings = PhaseTimings()
-        dist_env = distribute_model(server, timings=timings)
+        spans: list[Span] = []
+        dist_env = distribute_model(server, spans)
         t0 = time.perf_counter()
         dist_blob = codec.encode_envelope(dist_env)
-        timings.serialize_s += time.perf_counter() - t0
-        collected, skipped, client_timings = exchange(dist_blob)
-        timings.add(client_timings)
+        spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
+        collected, skipped = exchange(dist_blob, spans)
         # finish_round empties `collected`, so no upload reaches the next round
-        outcome = finish_round(server, collected, dist_env, timings, skipped, wall_start)
+        outcome = finish_round(server, collected, dist_env, spans, skipped, wall_start)
         outcomes.append(outcome)
         log.info("round %d: verified=%d rejected=%d loss=%.6f", outcome.round,
                  outcome.verified_count, len(outcome.rejections), outcome.global_loss)
@@ -519,17 +551,17 @@ def run_training(
     """Run the configured number of rounds over the in-process channel."""
     chan = chan or _channel.Channel()
 
-    def exchange(dist_blob: codec.Wire) -> tuple[list[codec.Wire], list[int], PhaseTimings]:
-        collected, skipped, timings = [], [], PhaseTimings()
+    def exchange(dist_blob: codec.Wire, spans: list[Span]) -> tuple[list[codec.Wire], list[int]]:
+        collected, skipped = [], []
         for client in clients:
             delivered = chan.deliver(dist_blob, Direction.SERVER_TO_CLIENT, client.client_id)
             result = client_process_round(client, delivered)
-            timings.add(result.timings)
+            spans += result.spans
             if result.reply is None:
                 skipped.append(client.client_id)
             else:
                 collected.append(chan.deliver(result.reply, Direction.CLIENT_TO_SERVER, client.client_id))
-        return collected, skipped, timings
+        return collected, skipped
 
     return _run_rounds(server, exchange)
 
@@ -543,7 +575,7 @@ def _make_announce(client: ClientState) -> SignedEnvelope:
         0,
         client.client_id,
         client.keypair.public_key,
-        PhaseTimings(),
+        [],
     )
 
 
@@ -576,17 +608,17 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState], chan: _channe
     a client thread's failure is raised on a clean exit."""
     listener = _channel.tcp_listen(host, port)
     address = listener.getsockname()[:2]
-    lock = threading.Lock()
-    client_timings: dict[int, PhaseTimings] = {}
-    failures: list[Exception] = []
+    # Each client puts its spans here once a round, before it sends its reply,
+    # so they are all in once the server has every reply of the round.
+    client_spans: queue.SimpleQueue[list[Span]] = queue.SimpleQueue()
+    failures: list[Exception] = []  # appended by client threads, read after join
 
     def client_round(client: ClientState, frame: codec.Wire) -> codec.Wire:
         """The reply to one broadcast frame; b"" when the client sits out.
         The caller holds the reply only until it is sent."""
         blob = chan.deliver(frame, Direction.SERVER_TO_CLIENT, client.client_id)
         result = client_process_round(client, blob)
-        with lock:
-            client_timings[client.client_id] = result.timings
+        client_spans.put(result.spans)
         return result.reply or b""
 
     def client_main(client: ClientState) -> None:
@@ -596,25 +628,24 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState], chan: _channe
                 for _ in range(server.cfg.num_rounds):
                     fs.send_frame(client_round(client, fs.recv_frame()))
         except Exception as exc:  # surfaced after join
-            with lock:
-                failures.append(exc)
+            failures.append(exc)
 
     accepted: list[_channel.FrameSocket] = []
     conns: dict[int, _channel.FrameSocket] = {}
 
-    def exchange(dist_blob: codec.Wire) -> tuple[list[codec.Wire], list[int], PhaseTimings]:
+    def exchange(dist_blob: codec.Wire, spans: list[Span]) -> tuple[list[codec.Wire], list[int]]:
         for cid in sorted(conns):
             conns[cid].send_frame(dist_blob)
-        collected, skipped, timings = [], [], PhaseTimings()
+        collected, skipped = [], []
         for cid in sorted(conns):
             blob = conns[cid].recv_frame()
-            with lock:  # stored before the reply was sent
-                timings.add(client_timings.pop(cid))
             if blob:
                 collected.append(chan.deliver(blob, Direction.CLIENT_TO_SERVER, cid))
             else:
                 skipped.append(cid)
-        return collected, skipped, timings
+        for _ in conns:
+            spans += client_spans.get_nowait()
+        return collected, skipped
 
     threads = [threading.Thread(target=client_main, args=(c,), daemon=True) for c in clients]
     try:

@@ -22,6 +22,7 @@ immutable byte containers.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import hmac
 import os
@@ -135,8 +136,8 @@ class _DilithiumAdapter:
     """ML-DSA adapter. Secret keys are held in 32-byte seed form and
     expanded on use; signing is hedged (non-deterministic) per FIPS 204.
 
-    Expanded key objects are cached by their byte form: key material is
-    immutable, so concurrent re-expansion races are benign.
+    Expanded key objects are cached by their byte form, the 256 most
+    recently used of each kind.
     """
 
     _SETS = {
@@ -145,16 +146,17 @@ class _DilithiumAdapter:
         "ml-dsa-65": ("MLDSA65", 1952, 3309),
         "ml-dsa-87": ("MLDSA87", 2592, 4627),
     }
-    _CACHE_MAX = 256
 
     def __init__(self, parameter_set: str):
         from cryptography.hazmat.primitives.asymmetric import mldsa
 
         suffix, pk_len, sig_len = self._SETS[parameter_set]
-        self._priv_cls = getattr(mldsa, f"{suffix}PrivateKey")
-        self._pub_cls = getattr(mldsa, f"{suffix}PublicKey")
-        self._priv_cache: dict[bytes, object] = {}
-        self._pub_cache: dict[bytes, object] = {}
+        self._private = functools.lru_cache(maxsize=256)(
+            getattr(mldsa, f"{suffix}PrivateKey").from_seed_bytes
+        )
+        self._public = functools.lru_cache(maxsize=256)(
+            getattr(mldsa, f"{suffix}PublicKey").from_public_bytes
+        )
         self.metadata = SchemeMetadata(
             name="Dilithium",
             public_key_len=pk_len,
@@ -162,24 +164,6 @@ class _DilithiumAdapter:
             signature_max_len=sig_len,
             parameter_set=parameter_set.upper(),
         )
-
-    def _private(self, seed: bytes):
-        key = self._priv_cache.get(seed)
-        if key is None:
-            key = self._priv_cls.from_seed_bytes(seed)
-            if len(self._priv_cache) >= self._CACHE_MAX:
-                self._priv_cache.clear()
-            self._priv_cache[seed] = key
-        return key
-
-    def _public(self, raw: bytes):
-        key = self._pub_cache.get(raw)
-        if key is None:
-            key = self._pub_cls.from_public_bytes(raw)
-            if len(self._pub_cache) >= self._CACHE_MAX:
-                self._pub_cache.clear()
-            self._pub_cache[raw] = key
-        return key
 
     def keygen(self, seed: bytes | None) -> tuple[bytes, bytes]:
         sk_seed = seed if seed is not None else os.urandom(32)

@@ -14,7 +14,6 @@ from pqfl.codec import ParameterVector, decode_params, encode_params
 from pqfl.errors import ReplayDetected
 from pqfl.fedcore import TrainConfig, derive_seed
 from pqfl.protocol import (
-    PhaseTimings,
     ProtocolOptions,
     RejectReason,
     client_process_round,
@@ -203,8 +202,8 @@ def test_criterion_07_replay_defense():
 
     for rnd in range(server.cfg.num_rounds):
         wall_start = _time.perf_counter()
-        timings = PhaseTimings()
-        dist_env = distribute_model(server, timings=timings)
+        spans = []
+        dist_env = distribute_model(server, spans)
         dist_blob = codec.encode_envelope(dist_env)
         captured_dists.append((rnd, dist_blob))
 
@@ -212,7 +211,7 @@ def test_criterion_07_replay_defense():
         for client in clients:
             result = client_process_round(client, dist_blob)
             assert result.reply is not None
-            timings.add(result.timings)
+            spans += result.spans
             collected.append(result.reply)
         captured_updates.extend((rnd, blob) for blob in collected)
 
@@ -238,7 +237,7 @@ def test_criterion_07_replay_defense():
                 injected += 1
         replayed_total += injected
 
-        outcome = finish_round(server, collected, dist_env, timings, [], wall_start)
+        outcome = finish_round(server, collected, dist_env, spans, [], wall_start)
         assert outcome.verified_count == len(clients)  # honest updates only
         stale = [r for r in outcome.rejections if r.reason == RejectReason.STALE_ROUND]
         malformed = [r for r in outcome.rejections if r.reason == RejectReason.MALFORMED]

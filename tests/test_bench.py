@@ -6,7 +6,6 @@ import pytest
 
 from pqfl import bench, fedcore, protocol
 from pqfl.bench import (
-    MetricsSink,
     MicrobenchRecord,
     RoundMetrics,
     emit_microbench_csv,
@@ -18,7 +17,6 @@ from pqfl.bench import (
     summarize,
     summarize_microbench,
 )
-from pqfl.errors import SinkUnavailable
 from pqfl.fedcore import TrainConfig, derive_seed
 from pqfl.sig import SchemeId
 
@@ -59,17 +57,6 @@ def test_record_counts_and_invariants(sim_metrics):
         assert record.scheme == "testscheme"
 
 
-def test_sink_preserves_order_and_closes(sim_metrics):
-    records, _ = sim_metrics
-    sink = MetricsSink()
-    for r in records:
-        bench.record_round(sink, r)
-    assert sink.records == records
-    sink.close()
-    with pytest.raises(SinkUnavailable):
-        bench.record_round(sink, records[0])
-
-
 def test_round_csv_round_trip(tmp_path, sim_metrics):
     records, _ = sim_metrics
     path = tmp_path / "rounds.csv"
@@ -84,6 +71,29 @@ def test_round_csv_header_and_order(tmp_path, sim_metrics):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(bench.ROUND_CSV_COLUMNS)
     assert len(lines) == 1 + len(records)
+
+
+def test_round_csv_keeps_its_microsecond_format(tmp_path):
+    # rows as `pqfl run --out` has always written them: times at %.6f
+    text = (
+        "scheme,round,wall_time_s,train_time_s,sign_time_s,verify_time_s,serialize_time_s,"
+        "payload_bytes,signature_bytes,verified_count,rejected_count,global_loss\r\n"
+        "dilithium,0,0.031426,0.005431,0.017726,0.005105,0.001929,36960,26620,10,0,"
+        "1.6757985353469849\r\n"
+        "testscheme,1,0.012000,0.003100,0.000040,0.000001,0.001100,36960,352,9,1,"
+        "0.581781804561615\r\n"
+    )
+    path = tmp_path / "parent.csv"
+    path.write_bytes(text.encode())
+    records = read_round_csv(path)
+    assert records == [
+        RoundMetrics("dilithium", 0, 0.031426, 0.005431, 0.017726, 0.005105, 0.001929,
+                     36960, 26620, 10, 0, 1.6757985353469849),
+        RoundMetrics("testscheme", 1, 0.012, 0.0031, 0.00004, 0.000001, 0.0011,
+                     36960, 352, 9, 1, 0.581781804561615),
+    ]
+    emit_round_csv(records, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == text.encode()
 
 
 def test_empty_csv_is_header_only(tmp_path):

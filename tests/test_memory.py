@@ -1,6 +1,6 @@
 """Memory bounds: set-up builds its float32 outputs without float64 copies of
 them, evaluation holds one hidden activation, a run holds at most one round's
-uploads, and SLH-DSA reads each message in place.
+uploads, round spans are kept packed, and SLH-DSA reads each message in place.
 
 Sizes are the `train-large` benchmark's: 4000 samples of 784 features and
 the 784-256-5 MLP (202,245 parameters, an 808,992-byte payload).
@@ -69,6 +69,32 @@ def test_run_holds_at_most_one_round_of_uploads():
     payload = model.params.encoded_len
     allowed = (clients + 4) * payload
     assert peak <= allowed, f"a 3-round run peaked at {peak / payload:.2f} payloads"
+
+
+def test_round_spans_are_kept_packed():
+    # A long run keeps every outcome. Kept as the list of tuples a round
+    # gathers, its spans cost about 64 bytes each; packed they cost 21 plus
+    # each round's array header.
+    clients, rounds = 10, 20
+    data = fedcore.generate_synthetic(20 * clients, 8, 3, seed=2)
+    shards = fedcore.split_iid(data, clients, seed=3)
+    model = fedcore.init_model(ModelArchitecture(8, (8,), 3), seed=1)
+    cfg = TrainConfig(num_clients=clients, num_rounds=rounds, seed=1)
+    server, parties, _ = protocol.setup_keys(
+        cfg, SchemeId.TEST_SCHEME, 1, model, shards, eval_data=data
+    )
+    tracemalloc.start()
+    try:
+        outcomes = protocol.run_training(server, parties).outcomes
+        with_spans = tracemalloc.get_traced_memory()[0]
+        count = sum(len(o.spans) for o in outcomes)
+        for o in outcomes:
+            o.spans = None
+        retained = with_spans - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count == rounds * (4 + 11 * clients)
+    assert retained <= 24 * count, f"spans retained {retained / count:.1f} B each"
 
 
 def test_slhdsa_signs_and_verifies_a_sealed_update_in_place():

@@ -1,6 +1,7 @@
 """Protocol state machines: key setup, signed distribution, verification
 gates, replay defenses, and oracle equivalence of full runs."""
 
+import numpy as np
 import pytest
 
 from pqfl import codec, fedcore, sig
@@ -15,6 +16,8 @@ from pqfl.errors import (
 )
 from pqfl.fedcore import TrainConfig, derive_seed, train_seed
 from pqfl.protocol import (
+    SERVER_ID,
+    Phase,
     ProtocolOptions,
     RejectReason,
     client_process_round,
@@ -22,6 +25,7 @@ from pqfl.protocol import (
     client_submit_update,
     distribute_model,
     run_training,
+    run_training_tcp,
     server_collect_and_verify,
     setup_keys,
 )
@@ -421,3 +425,43 @@ def test_outcome_timings_populated():
     assert t.sign_s > 0 and t.verify_s > 0
     assert t.train_s > 0 and t.serialize_s > 0
     assert t.wall_s >= max(t.sign_s, t.verify_s)
+
+
+def assert_sequential(spans, slack=1e-9):
+    """No two spans overlap; `slack` absorbs start + duration rounding past
+    the next span's start when the two share a perf_counter reading."""
+    ordered = np.sort(spans, order="start")
+    ends = ordered["start"] + ordered["duration"]
+    assert np.all(ordered["start"][1:] >= ends[:-1] - slack)
+
+
+def test_phase_timings_are_sums_of_round_spans():
+    server, clients, *_ = build_sim(scheme=SchemeId.DILITHIUM, num_rounds=2)
+    result = run_training(server, clients)
+    for outcome in result.outcomes:
+        spans, t = outcome.spans, outcome.timings
+        for phase in Phase:
+            durations = spans["duration"][spans["phase"] == phase].tolist()
+            assert getattr(t, f"{phase.name.lower()}_s") == sum(durations)
+        assert_sequential(spans)  # in process, every party runs on one thread
+        assert spans["duration"].sum() <= t.wall_s
+        trained = spans["party"][spans["phase"] == Phase.TRAIN]
+        assert sorted(trained.tolist()) == [c.client_id for c in clients]
+
+
+def test_tcp_spans_separate_server_from_concurrent_clients():
+    server, clients, *_ = build_sim(scheme=SchemeId.DILITHIUM, num_rounds=2)
+    result = run_training_tcp(server, clients)
+    ids = [c.client_id for c in clients]
+    for outcome in result.outcomes:
+        spans = outcome.spans
+        own = spans[spans["party"] == SERVER_ID]
+        assert len(own) == 4 + 3 * len(clients)  # broadcast, then 3 per upload
+        assert own["duration"].sum() <= outcome.timings.wall_s
+        for cid in ids:
+            # a client's spans come from its own thread: 8 in a row, one train
+            mine = spans[spans["party"] == cid]
+            assert len(mine) == 8
+            assert np.count_nonzero(mine["phase"] == Phase.TRAIN) == 1
+            assert_sequential(mine)
+        assert set(spans["party"].tolist()) == {SERVER_ID, *ids}

@@ -225,3 +225,12 @@ def test_concurrent_sign_verify(keypairs, scheme):
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         assert all(pool.map(round_trip, range(32)))
+
+
+def test_dilithium_key_cache_stays_bounded():
+    first = sig.keygen(SchemeId.DILITHIUM, 9_000)
+    for seed in range(9_001, 9_300):
+        sig.keygen(SchemeId.DILITHIUM, seed)
+    assert sig._adapter(SchemeId.DILITHIUM)._private.cache_info().currsize <= 256
+    signature = sig.sign(first, b"after eviction")
+    assert sig.verify(first.public_key, SchemeId.DILITHIUM, b"after eviction", signature)
