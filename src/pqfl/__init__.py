@@ -3,7 +3,7 @@
 Modules:
     sig       pluggable signature schemes (Dilithium, Falcon, SPHINCS+, test)
     falcon    FN-DSA (Falcon) in Python/numpy
-    slhdsa    SLH-DSA (SPHINCS+) through an OpenSSL >= 3.5 libcrypto
+    libcrypto ML-DSA (Dilithium) and SLH-DSA (SPHINCS+) through an OpenSSL >= 3.5 libcrypto
     codec     canonical wire serialization
     fedcore   datasets, local training, aggregation
     protocol  signed model distribution / verified update aggregation

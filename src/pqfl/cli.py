@@ -1,8 +1,11 @@
 """Command-line entry point: keygen, run, bench, report.
 
-Every command is deterministic given its flags; `run` refuses to start
-without an explicit --seed so results stay reproducible from shell
-history. Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+Every command is deterministic given its flags, except for signatures:
+Falcon and ML-DSA signing is randomized, Falcon's signature length varies
+(so `signature_bytes` differs between identical `run --scheme falcon`
+runs), and `keygen --scheme sphincsplus` ignores --seed. `run` requires
+--seed so results stay reproducible from shell history. Exit codes: 0
+success, 1 runtime failure, 2 usage/config error.
 Set PQFL_LOG={error,info,debug} for log verbosity.
 """
 

@@ -1,7 +1,7 @@
-"""SLH-DSA (FIPS 205) through an OpenSSL >= 3.5 libcrypto, reached with ctypes.
+"""ML-DSA (FIPS 204) and SLH-DSA (FIPS 205) via an OpenSSL >= 3.5 libcrypto, reached with ctypes.
 
-Python's own `ssl`/`hashlib` may link an older libcrypto without SLH-DSA,
-so a suitable library is looked up and loaded by path on first use:
+Python's own `ssl`/`hashlib` may link an older libcrypto without these
+schemes, so a suitable library is looked up and loaded by path on first use:
 
     1. the path in $PQFL_LIBCRYPTO
     2. ctypes.util.find_library("crypto")
@@ -10,8 +10,8 @@ so a suitable library is looked up and loaded by path on first use:
     4. lib/libcrypto.so* next to the `openssl` executable found on PATH
 
 The first library whose OpenSSL_version_num() is at least 3.5.0 wins.
-Signing uses pure mode with an empty context string. Every EVP object a
-call creates is freed before the call returns; ctypes releases the GIL for
+Signing uses pure mode with an empty context string; ML-DSA signing is
+hedged (randomized) as FIPS 204 recommends. ctypes releases the GIL for
 the duration of each native call, so signers in different threads overlap.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import functools
 import glob
 import os
 import shutil
@@ -31,12 +32,16 @@ from pqfl.sig import SchemeMetadata
 
 MIN_VERSION = 0x30500000
 
-# parameter set -> (public key, secret key, signature) lengths, FIPS 205 Table 2
-SIZES = {
-    "SLH-DSA-SHA2-128s": (32, 64, 7856),
-    "SLH-DSA-SHA2-128f": (32, 64, 17088),
+# parameter set -> its SchemeMetadata: scheme name, then public key, secret key and
+# signature lengths (FIPS 204 and FIPS 205 Table 2). An ML-DSA secret key is the
+# 32-byte seed it is expanded from.
+PARAMETER_SETS = {
+    "ML-DSA-44": ("Dilithium", 1312, 32, 2420),
+    "ML-DSA-65": ("Dilithium", 1952, 32, 3309),
+    "ML-DSA-87": ("Dilithium", 2592, 32, 4627),
+    "SLH-DSA-SHA2-128s": ("SPHINCS+", 32, 64, 7856),
+    "SLH-DSA-SHA2-128f": ("SPHINCS+", 32, 64, 17088),
 }
-
 
 def _candidates() -> list[str]:
     found = [os.environ.get("PQFL_LIBCRYPTO", ""), ctypes.util.find_library("crypto") or ""]
@@ -52,7 +57,11 @@ def _candidates() -> list[str]:
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     vp, cp, sz = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
     signatures = {
-        "EVP_PKEY_Q_keygen": ((vp, cp, cp), vp),
+        "EVP_PKEY_CTX_new_from_name": ((vp, cp, cp), vp),
+        "EVP_PKEY_CTX_free": ((vp,), None),
+        "EVP_PKEY_keygen_init": ((vp,), ctypes.c_int),
+        "EVP_PKEY_CTX_ctrl_str": ((vp, cp, cp), ctypes.c_int),
+        "EVP_PKEY_generate": ((vp, ctypes.POINTER(vp)), ctypes.c_int),
         "EVP_PKEY_new_raw_private_key_ex": ((vp, cp, cp, cp, sz), vp),
         "EVP_PKEY_new_raw_public_key_ex": ((vp, cp, cp, cp, sz), vp),
         "EVP_PKEY_get_raw_private_key": ((vp, cp, ctypes.POINTER(sz)), ctypes.c_int),
@@ -75,7 +84,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 
 def load_libcrypto() -> tuple[ctypes.CDLL, str]:
-    """Load the first libcrypto that ships SLH-DSA; returns (library, version)."""
+    """Load the first libcrypto that ships ML-DSA and SLH-DSA; returns (library, version)."""
     searched = []
     for path in _candidates():
         try:
@@ -94,49 +103,92 @@ def load_libcrypto() -> tuple[ctypes.CDLL, str]:
         lib.OpenSSL_version.argtypes = (ctypes.c_int,)
         return _bind(lib), lib.OpenSSL_version(0).decode()
     raise UnsupportedScheme(
-        "SLH-DSA needs an OpenSSL >= 3.5 libcrypto; searched $PQFL_LIBCRYPTO, "
+        "ML-DSA and SLH-DSA need an OpenSSL >= 3.5 libcrypto; searched $PQFL_LIBCRYPTO, "
         "find_library('crypto'), the lib/ under sys.prefix and the lib/ next to "
         "`openssl` on PATH: "
         + ("; ".join(searched) or "no candidates found")
     )
 
 
-class SlhDsa:
-    """One SLH-DSA parameter set over a loaded libcrypto."""
+class _Key:
+    """An owned EVP_PKEY *, freed once, when the last reference to it goes."""
+
+    __slots__ = ("pointer", "_free")
+
+    def __init__(self, pointer: int, free) -> None:
+        self.pointer = pointer
+        self._free = free
+
+    def __del__(self) -> None:
+        self._free(self.pointer)
+
+
+class EvpSigner:
+    """One ML-DSA or SLH-DSA parameter set over a loaded libcrypto.
+
+    Key objects are cached by their byte form, the 256 most recently used
+    of each kind, and freed when evicted.
+    """
 
     def __init__(self, parameter_set: str):
-        pk_len, sk_len, sig_len = SIZES[parameter_set]
-        self.metadata = SchemeMetadata(
-            name="SPHINCS+",
-            public_key_len=pk_len,
-            secret_key_len=sk_len,
-            signature_max_len=sig_len,
-            parameter_set=parameter_set,
-        )
+        self.metadata = SchemeMetadata(*PARAMETER_SETS[parameter_set], parameter_set)
         self._lib, self.library_version = load_libcrypto()
         self._name = parameter_set.encode()
+        self._from_seed = parameter_set.startswith("ML-DSA")
+        self._private = functools.lru_cache(maxsize=256)(
+            self._generate
+            if self._from_seed
+            else functools.partial(self._import, self._lib.EVP_PKEY_new_raw_private_key_ex)
+        )
+        self._public = functools.lru_cache(maxsize=256)(
+            functools.partial(self._import, self._lib.EVP_PKEY_new_raw_public_key_ex)
+        )
 
-    def _raw(self, getter, pkey, length: int) -> bytes:
+    def _own(self, pointer: int | None, what: str) -> _Key:
+        if not pointer:
+            self._lib.ERR_clear_error()
+            raise AdapterFailure(f"{self.metadata.parameter_set}: {what} failed")
+        return _Key(pointer, self._lib.EVP_PKEY_free)
+
+    def _import(self, new_raw_key, key: bytes) -> _Key:
+        return self._own(new_raw_key(None, self._name, None, key, len(key)), "key import")
+
+    def _generate(self, seed: bytes | None) -> _Key:
+        """A new key, expanded from `seed` when given. "hexseed" sets the
+        OSSL_PARAM "seed" from hex text, as `openssl genpkey -pkeyopt` does."""
+        lib, pkey = self._lib, ctypes.c_void_p()
+        ctx = lib.EVP_PKEY_CTX_new_from_name(None, self._name, None)
+        try:
+            if (
+                ctx
+                and lib.EVP_PKEY_keygen_init(ctx) == 1
+                and (seed is None or lib.EVP_PKEY_CTX_ctrl_str(ctx, b"hexseed", seed.hex().encode()) == 1)
+            ):
+                lib.EVP_PKEY_generate(ctx, ctypes.byref(pkey))
+        finally:
+            lib.EVP_PKEY_CTX_free(ctx)
+        return self._own(pkey.value, "key generation")
+
+    def _raw(self, getter, key: _Key, length: int) -> bytes:
         out = ctypes.create_string_buffer(length)
         size = ctypes.c_size_t(length)
-        if getter(pkey, out, ctypes.byref(size)) != 1 or size.value != length:
+        if getter(key.pointer, out, ctypes.byref(size)) != 1 or size.value != length:
             raise AdapterFailure(f"{self.metadata.parameter_set}: could not export a raw key")
         return out.raw
 
     def keygen(self, seed: bytes | None) -> tuple[bytes, bytes]:
-        """A fresh key pair from OpenSSL's entropy; `seed` is not used."""
-        lib = self._lib
-        pkey = lib.EVP_PKEY_Q_keygen(None, None, self._name)
-        if not pkey:
-            lib.ERR_clear_error()
-            raise AdapterFailure(f"{self.metadata.parameter_set} key generation failed")
-        try:
-            return (
-                self._raw(lib.EVP_PKEY_get_raw_public_key, pkey, self.metadata.public_key_len),
-                self._raw(lib.EVP_PKEY_get_raw_private_key, pkey, self.metadata.secret_key_len),
-            )
-        finally:
-            lib.EVP_PKEY_free(pkey)
+        """ML-DSA: the pair expanded from `seed` (fresh when None), with the seed
+        as secret key. SLH-DSA: a fresh pair from OpenSSL; `seed` is unused."""
+        meta, lib = self.metadata, self._lib
+        if self._from_seed:
+            seed = seed if seed is not None else os.urandom(meta.secret_key_len)
+            key = self._private(seed)
+            return self._raw(lib.EVP_PKEY_get_raw_public_key, key, meta.public_key_len), seed
+        key = self._generate(None)
+        return (
+            self._raw(lib.EVP_PKEY_get_raw_public_key, key, meta.public_key_len),
+            self._raw(lib.EVP_PKEY_get_raw_private_key, key, meta.secret_key_len),
+        )
 
     def sign(self, secret_key: bytes, message: bytes | memoryview) -> bytes:
         data = np.frombuffer(message, dtype=np.uint8)  # the message in place, passed by address
@@ -146,17 +198,15 @@ class SlhDsa:
                 f"{meta.parameter_set} secret key must be {meta.secret_key_len} bytes, "
                 f"got {len(secret_key)}"
             )
+        key = self._private(bytes(secret_key))
         lib = self._lib
-        pkey = lib.EVP_PKEY_new_raw_private_key_ex(
-            None, self._name, None, secret_key, len(secret_key)
-        )
-        ctx = lib.EVP_MD_CTX_new() if pkey else None
+        ctx = lib.EVP_MD_CTX_new()
         try:
             out = ctypes.create_string_buffer(meta.signature_max_len)
             size = ctypes.c_size_t(meta.signature_max_len)
             if not (
                 ctx
-                and lib.EVP_DigestSignInit_ex(ctx, None, None, None, None, pkey, None) == 1
+                and lib.EVP_DigestSignInit_ex(ctx, None, None, None, None, key.pointer, None) == 1
                 and lib.EVP_DigestSign(ctx, out, ctypes.byref(size), data.ctypes.data, data.size) == 1
             ):
                 lib.ERR_clear_error()
@@ -164,22 +214,19 @@ class SlhDsa:
             return out.raw[: size.value]
         finally:
             lib.EVP_MD_CTX_free(ctx)
-            lib.EVP_PKEY_free(pkey)
 
     def verify(self, public_key: bytes, message: bytes | memoryview, signature: bytes) -> bool:
         data = np.frombuffer(message, dtype=np.uint8)  # the message in place, passed by address
         meta = self.metadata
         if len(public_key) != meta.public_key_len or len(signature) != meta.signature_max_len:
             return False
+        key = self._public(public_key)  # raises AdapterFailure on a malformed key
         lib = self._lib
-        pkey = lib.EVP_PKEY_new_raw_public_key_ex(
-            None, self._name, None, public_key, len(public_key)
-        )
-        ctx = lib.EVP_MD_CTX_new() if pkey else None
+        ctx = lib.EVP_MD_CTX_new()
         try:
             ok = bool(
                 ctx
-                and lib.EVP_DigestVerifyInit_ex(ctx, None, None, None, None, pkey, None) == 1
+                and lib.EVP_DigestVerifyInit_ex(ctx, None, None, None, None, key.pointer, None) == 1
                 and lib.EVP_DigestVerify(ctx, signature, len(signature), data.ctypes.data, data.size)
                 == 1
             )
@@ -188,4 +235,3 @@ class SlhDsa:
             return ok
         finally:
             lib.EVP_MD_CTX_free(ctx)
-            lib.EVP_PKEY_free(pkey)

@@ -3,9 +3,9 @@
 Three quantum-resistant schemes are exposed behind one keygen/sign/verify
 interface, plus a deterministic keyed-hash scheme for fast tests:
 
-    wire code 1  Dilithium    ML-DSA (FIPS 204), via `cryptography`
+    wire code 1  Dilithium    ML-DSA (FIPS 204), via an OpenSSL >= 3.5 libcrypto (pqfl.libcrypto)
     wire code 2  Falcon       FN-DSA (Falcon spec v1.2), in Python/numpy (pqfl.falcon)
-    wire code 3  SPHINCS+     SLH-DSA (FIPS 205), via an OpenSSL >= 3.5 libcrypto (pqfl.slhdsa)
+    wire code 3  SPHINCS+     SLH-DSA (FIPS 205), via the same libcrypto (pqfl.libcrypto)
     wire code 4  TestScheme   HMAC-SHA256 presented through the same API
 
 Parameter sets are fixed per process at import time (env vars
@@ -22,7 +22,6 @@ immutable byte containers.
 from __future__ import annotations
 
 import enum
-import functools
 import hashlib
 import hmac
 import os
@@ -130,60 +129,6 @@ def _normalize_seed(seed: int | bytes | None) -> bytes | None:
     raise TypeError(f"seed must be int, bytes, or None, not {type(seed).__name__}")
 
 
-# --- Dilithium (ML-DSA) over `cryptography` -------------------------------
-
-class _DilithiumAdapter:
-    """ML-DSA adapter. Secret keys are held in 32-byte seed form and
-    expanded on use; signing is hedged (non-deterministic) per FIPS 204.
-
-    Expanded key objects are cached by their byte form, the 256 most
-    recently used of each kind.
-    """
-
-    _SETS = {
-        # parameter set -> (class name suffix, pk len, sig len)
-        "ml-dsa-44": ("MLDSA44", 1312, 2420),
-        "ml-dsa-65": ("MLDSA65", 1952, 3309),
-        "ml-dsa-87": ("MLDSA87", 2592, 4627),
-    }
-
-    def __init__(self, parameter_set: str):
-        from cryptography.hazmat.primitives.asymmetric import mldsa
-
-        suffix, pk_len, sig_len = self._SETS[parameter_set]
-        self._private = functools.lru_cache(maxsize=256)(
-            getattr(mldsa, f"{suffix}PrivateKey").from_seed_bytes
-        )
-        self._public = functools.lru_cache(maxsize=256)(
-            getattr(mldsa, f"{suffix}PublicKey").from_public_bytes
-        )
-        self.metadata = SchemeMetadata(
-            name="Dilithium",
-            public_key_len=pk_len,
-            secret_key_len=32,
-            signature_max_len=sig_len,
-            parameter_set=parameter_set.upper(),
-        )
-
-    def keygen(self, seed: bytes | None) -> tuple[bytes, bytes]:
-        sk_seed = seed if seed is not None else os.urandom(32)
-        key = self._private(sk_seed)
-        return key.public_key().public_bytes_raw(), sk_seed
-
-    def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        try:
-            return self._private(bytes(secret_key)).sign(message)
-        except Exception as exc:
-            raise AdapterFailure(f"ML-DSA sign failed: {exc}") from exc
-
-    def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
-        try:
-            self._public(bytes(public_key)).verify(signature, message)
-            return True
-        except Exception:
-            return False
-
-
 # --- deterministic keyed-hash test scheme ---------------------------------
 
 class _TestSchemeAdapter:
@@ -234,18 +179,20 @@ _adapters: dict[SchemeId, object] = {}
 def _adapter(scheme: SchemeId):
     """The process-wide adapter for a scheme, built on first use.
 
-    Falcon tables and the SLH-DSA libcrypto are only set up here, so
-    importing this module stays cheap and Dilithium-only runs never pay
-    for them.
+    Falcon tables and the libcrypto that signs ML-DSA and SLH-DSA are only
+    set up here, so importing this module stays cheap and a run sets up
+    only the backends of the schemes it uses.
     """
     if not isinstance(scheme, SchemeId):
         raise UnsupportedScheme(f"not a scheme id: {scheme!r}")
     found = _adapters.get(scheme)
     if found is None:
         if scheme == SchemeId.DILITHIUM:
-            if _DILITHIUM_SET not in _DilithiumAdapter._SETS:
+            from pqfl.libcrypto import EvpSigner
+
+            if _DILITHIUM_SET not in ("ml-dsa-44", "ml-dsa-65", "ml-dsa-87"):
                 raise UnsupportedScheme(f"unknown ML-DSA set {_DILITHIUM_SET!r}")
-            found = _DilithiumAdapter(_DILITHIUM_SET)
+            found = EvpSigner(_DILITHIUM_SET.upper())
         elif scheme == SchemeId.FALCON:
             from pqfl.falcon import PARAMS, Falcon
 
@@ -253,11 +200,11 @@ def _adapter(scheme: SchemeId):
                 raise UnsupportedScheme(f"unknown Falcon set {_FALCON_SET!r}")
             found = Falcon(_FALCON_SET)
         elif scheme == SchemeId.SPHINCS_PLUS:
-            from pqfl.slhdsa import SlhDsa
+            from pqfl.libcrypto import EvpSigner
 
             if _SPHINCS_SET not in _SPHINCS_SETS:
                 raise UnsupportedScheme(f"unknown SLH-DSA set {_SPHINCS_SET!r}")
-            found = SlhDsa(_SPHINCS_SETS[_SPHINCS_SET])
+            found = EvpSigner(_SPHINCS_SETS[_SPHINCS_SET])
         else:
             found = _TestSchemeAdapter()
         _adapters[scheme] = found

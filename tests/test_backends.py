@@ -1,9 +1,13 @@
-"""The Falcon (pqfl.falcon) and SLH-DSA (pqfl.slhdsa) backends behind sig."""
+"""The Falcon (pqfl.falcon) and libcrypto (pqfl.libcrypto: ML-DSA, SLH-DSA) backends behind sig."""
 
+import hashlib
 import math
 import random
+import statistics
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -165,21 +169,21 @@ def test_falcon_rejects_corrupt_secret_key():
         backend.sign(bytes(broken), b"message")
 
 
-# --- SLH-DSA ---------------------------------------------------------------------
+# --- libcrypto: ML-DSA and SLH-DSA -------------------------------------------------
 
 @pytest.fixture(scope="module")
-def slhdsa():
-    from pqfl import slhdsa
+def libcrypto():
+    from pqfl import libcrypto
 
     try:
-        slhdsa.load_libcrypto()
+        libcrypto.load_libcrypto()
     except UnsupportedScheme as exc:
         pytest.skip(str(exc))
-    return slhdsa
+    return libcrypto
 
 
-def test_slhdsa_wrong_length_keys(slhdsa):
-    backend = slhdsa.SlhDsa("SLH-DSA-SHA2-128s")
+def test_slhdsa_wrong_length_keys(libcrypto):
+    backend = libcrypto.EvpSigner("SLH-DSA-SHA2-128s")
     public_key, secret_key = backend.keygen(None)
     assert (len(public_key), len(secret_key)) == (32, 64)
     signature = backend.sign(secret_key, b"message")
@@ -190,22 +194,22 @@ def test_slhdsa_wrong_length_keys(slhdsa):
 
 
 def test_slhdsa_missing_library_names_places_searched(monkeypatch, tmp_path):
-    from pqfl import slhdsa
+    from pqfl import libcrypto
 
     missing = str(tmp_path / "libcrypto-missing.so")
     monkeypatch.setenv("PQFL_LIBCRYPTO", missing)
-    monkeypatch.setattr(slhdsa.ctypes.util, "find_library", lambda name: None)
-    monkeypatch.setattr(slhdsa.shutil, "which", lambda name: None)
-    monkeypatch.setattr(slhdsa.sys, "prefix", str(tmp_path))
+    monkeypatch.setattr(libcrypto.ctypes.util, "find_library", lambda name: None)
+    monkeypatch.setattr(libcrypto.shutil, "which", lambda name: None)
+    monkeypatch.setattr(libcrypto.sys, "prefix", str(tmp_path))
     with pytest.raises(UnsupportedScheme) as info:
-        slhdsa.load_libcrypto()
+        libcrypto.load_libcrypto()
     message = str(info.value)
     assert "PQFL_LIBCRYPTO" in message and "sys.prefix" in message and "PATH" in message
     assert missing in message
 
 
 def test_slhdsa_library_search_order(monkeypatch, tmp_path):
-    from pqfl import slhdsa
+    from pqfl import libcrypto
 
     for prefix in ("python", "openssl"):
         (tmp_path / prefix / "lib").mkdir(parents=True)
@@ -213,10 +217,10 @@ def test_slhdsa_library_search_order(monkeypatch, tmp_path):
         (tmp_path / prefix / "bin").mkdir()
     (tmp_path / "openssl" / "bin" / "openssl").touch()
     monkeypatch.setenv("PQFL_LIBCRYPTO", "/env/libcrypto.so")
-    monkeypatch.setattr(slhdsa.ctypes.util, "find_library", lambda name: "libcrypto.so.3")
-    monkeypatch.setattr(slhdsa.sys, "prefix", str(tmp_path / "python"))
-    monkeypatch.setattr(slhdsa.shutil, "which", lambda name: str(tmp_path / "openssl" / "bin" / name))
-    assert slhdsa._candidates() == [
+    monkeypatch.setattr(libcrypto.ctypes.util, "find_library", lambda name: "libcrypto.so.3")
+    monkeypatch.setattr(libcrypto.sys, "prefix", str(tmp_path / "python"))
+    monkeypatch.setattr(libcrypto.shutil, "which", lambda name: str(tmp_path / "openssl" / "bin" / name))
+    assert libcrypto._candidates() == [
         "/env/libcrypto.so",
         "libcrypto.so.3",
         str(tmp_path / "python" / "lib" / "libcrypto.so.3"),
@@ -227,7 +231,108 @@ def test_slhdsa_library_search_order(monkeypatch, tmp_path):
 def test_importing_sig_loads_no_backend():
     code = (
         "import sys; from pqfl import sig; sig.keygen(sig.SchemeId.DILITHIUM, seed=1); "
-        "print('pqfl.falcon' in sys.modules, 'pqfl.slhdsa' in sys.modules)"
+        "print('pqfl.falcon' in sys.modules, sig.SchemeId.SPHINCS_PLUS in sig._adapters)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_dilithium_run_needs_no_cryptography_package():
+    code = """
+import sys
+sys.modules["cryptography"] = None  # any import of it now raises ImportError
+from pqfl import fedcore, protocol, sig
+from pqfl.fedcore import ModelArchitecture, TrainConfig
+
+kp = sig.keygen(sig.SchemeId.DILITHIUM, seed=1)
+assert sig.verify(kp.public_key, kp.scheme, b"m", sig.sign(kp, b"m"))
+data = fedcore.generate_synthetic(40, 6, 2, seed=1)
+model = fedcore.init_model(ModelArchitecture(6, (4,), 2), seed=1)
+cfg = TrainConfig(num_clients=2, num_rounds=1, seed=1)
+server, parties, _ = protocol.setup_keys(
+    cfg, sig.SchemeId.DILITHIUM, 1, model, fedcore.split_iid(data, 2, seed=1), eval_data=data
+)
+print([o.verified_count for o in protocol.run_training(server, parties).outcomes])
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[2]"]
+    assert out.stderr == ""
+
+
+def test_mldsa_44_key_from_seed_is_pinned():
+    # sha256 of the ML-DSA-44 public key that seed 1 gave through pyca/cryptography 48
+    public_key = sig.keygen(SchemeId.DILITHIUM, seed=1).public_key
+    assert (
+        hashlib.sha256(public_key).hexdigest()
+        == "e21e4e98fd7b29e19d18477072bfe9d1fea61418f7a6be37a9c686848d6b062d"
+    )
+
+
+@pytest.mark.parametrize("level", [44, 65, 87])
+def test_mldsa_matches_pyca_cryptography(libcrypto, level):
+    mldsa = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.mldsa")
+    from cryptography.exceptions import InvalidSignature
+
+    backend = libcrypto.EvpSigner(f"ML-DSA-{level}")
+    pyca = getattr(mldsa, f"MLDSA{level}PrivateKey")
+    for i in range(20):
+        seed = hashlib.sha256(b"mldsa compat %d" % i).digest()
+        message = b"update %d " % i * (i + 1)
+        flipped = bytearray(message)
+        flipped[i % len(message)] ^= 1 << (i % 8)
+        public_key, secret_key = backend.keygen(seed)
+        theirs = pyca.from_seed_bytes(seed)
+        assert secret_key == seed
+        assert public_key == theirs.public_key().public_bytes_raw()
+
+        ours = backend.sign(secret_key, message)
+        theirs.public_key().verify(ours, message)  # raises InvalidSignature on failure
+        assert backend.verify(public_key, message, theirs.sign(message))
+        assert not backend.verify(public_key, bytes(flipped), ours)
+        with pytest.raises(InvalidSignature):
+            theirs.public_key().verify(ours, bytes(flipped))
+
+
+def test_evicted_keys_are_freed_exactly_once(libcrypto, monkeypatch):
+    backend = libcrypto.EvpSigner("ML-DSA-44")
+    free = backend._lib.EVP_PKEY_free
+    freed = []
+    monkeypatch.setattr(backend._lib, "EVP_PKEY_free", lambda key: (freed.append(key), free(key)))
+    for i in range(300):
+        backend.keygen(hashlib.sha256(b"evict %d" % i).digest())
+    assert backend._private.cache_info().currsize == 256
+    assert len(freed) == 300 - 256
+    backend._private.cache_clear()
+    assert len(freed) == 300
+
+
+def test_verify_releases_the_gil():
+    kp = sig.keygen(SchemeId.DILITHIUM, seed=5)
+    message = bytes(8 << 20)
+    signature = sig.sign(kp, message)
+    calls, results, pauses = [], [], []
+
+    def verify_six_times():
+        for _ in range(6):
+            start = time.perf_counter()
+            results.append(sig.verify(kp.public_key, kp.scheme, message, signature))
+            calls.append((start, time.perf_counter()))
+
+    worker = threading.Thread(target=verify_six_times)
+    worker.start()
+    last = time.perf_counter()
+    deadline = last + 60
+    while worker.is_alive() and last < deadline:  # record each pause over 0.1 ms
+        now = time.perf_counter()
+        if now - last > 1e-4:
+            pauses.append((last, now))
+        last = now
+    worker.join(timeout=1)
+    assert not worker.is_alive() and results == [True] * 6
+
+    def longest_pause(start, end):
+        return max((min(b, end) - max(a, start) for a, b in pauses if a < end and b > start), default=0.0)
+
+    call_s = statistics.median(end - start for start, end in calls)
+    paused_s = statistics.median(longest_pause(start, end) for start, end in calls)
+    assert paused_s < 0.5 * call_s, f"main thread paused {paused_s:.4f} s of a {call_s:.4f} s verify"

@@ -1,5 +1,6 @@
 """CLI commands: exit codes, file outputs, determinism, flag parsing."""
 
+import dataclasses
 import os
 import stat
 
@@ -79,6 +80,26 @@ def test_run_deterministic(tmp_path):
         assert ra.payload_bytes == rb.payload_bytes
         assert ra.signature_bytes == rb.signature_bytes
         assert ra.verified_count == rb.verified_count
+
+
+def test_falcon_run_differs_only_in_times_and_signature_bytes(tmp_path):
+    # Falcon signing is randomized and its signatures are compressed to a
+    # varying length; everything else in the run follows from the seed.
+    records = []
+    for name in ("a.csv", "b.csv"):
+        args = (
+            "run", "--scheme", "falcon", "--clients", "2", "--rounds", "2",
+            "--seed", "42", "--out", str(tmp_path / name),
+        )
+        assert run_cli(*args) == 0
+        records.append(bench.read_round_csv(tmp_path / name))
+    kept = [
+        f.name for f in dataclasses.fields(bench.RoundMetrics)
+        if not f.name.endswith("_time_s") and f.name != "signature_bytes"
+    ]
+    assert len(kept) == 6
+    for a, b in zip(*records, strict=True):
+        assert [getattr(a, n) for n in kept] == [getattr(b, n) for n in kept]
 
 
 def test_run_requires_seed(tmp_path, capsys):
