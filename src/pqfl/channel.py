@@ -5,9 +5,10 @@ inject bytes on the wire but holds no signing keys. Attack decisions are a
 deterministic function of (attack seed, direction, round, client id), so
 identical configurations tamper with identical messages regardless of
 transport or delivery order. The one exception is replay *selection*,
-which picks uniformly from the messages observed so far and therefore
-depends on delivery order. Only a replay channel keeps those messages
-(`Channel.history`); its history is unbounded.
+which picks uniformly from the kept messages and therefore depends on
+delivery order. Only a replay channel keeps messages (`Channel.history`),
+and only those of the newest round its headers have named and of the round
+before: anything older is stale to both sides already.
 
 TCP frames are a 4-byte big-endian length prefix followed by the envelope
 bytes exactly as the codec produced them; the receiver enforces a maximum
@@ -124,6 +125,13 @@ def replay(history: list[Wire], rng: np.random.Generator) -> Wire:
     return history[int(rng.integers(0, len(history)))]
 
 
+def _header_round(msg: Wire) -> int:
+    try:
+        return codec.MessageHeader.decode(msg).round
+    except MalformedEnvelope:
+        return -1
+
+
 class Channel:
     """In-process channel: multi-producer / single-consumer with FIFO per
     sender, plus the attack injector. Thread-safe so the TCP path can share
@@ -132,21 +140,34 @@ class Channel:
     def __init__(self, attack: AttackConfig | None = None):
         self.attack = attack if attack is not None and attack.kind != AttackKind.NONE else None
         self.stats = ChannelStats()
-        self.history: list[Wire] = []
+        # replay candidates by header round: the newest round and the one before
+        self._history: dict[int, list[Wire]] = {}
         self._lock = threading.Lock()
+
+    @property
+    def history(self) -> list[Wire]:
+        """The messages a replay can pick from, oldest round first."""
+        with self._lock:
+            return [m for msgs in self._history.values() for m in msgs]
 
     def deliver(self, msg: Wire, direction: Direction, client_id: int) -> Wire:
         """Pass one message through the (possibly hostile) wire."""
         out = msg
         applied = None
         cfg = self.attack
+        round_no = _header_round(msg) if cfg is not None else -1
         if cfg is not None and self._in_scope(cfg, direction, client_id):
-            rng = self._message_rng(cfg, msg, direction, client_id)
+            rng = np.random.default_rng(
+                derive_seed(cfg.seed, "attack", direction.value, round_no, client_id)
+            )
             if rng.random() < cfg.probability:
                 out, applied = self._apply(cfg, msg, rng)
         with self._lock:
             if cfg is not None and cfg.kind == AttackKind.REPLAY:
-                self.history.append(msg)
+                self._history.setdefault(round_no, []).append(msg)
+                newest = max(self._history)
+                for old in [r for r in self._history if r < newest - 1]:
+                    del self._history[old]
             self.stats.delivered += 1
             if applied == AttackKind.REPLAY:
                 self.stats.replayed += 1
@@ -163,18 +184,6 @@ class Channel:
         if cfg.direction not in (Direction.BOTH, direction):
             return False
         return cfg.target_client is None or cfg.target_client == client_id
-
-    @staticmethod
-    def _message_rng(
-        cfg: AttackConfig, msg: Wire, direction: Direction, client_id: int
-    ) -> np.random.Generator:
-        try:
-            round_no = codec.MessageHeader.decode(msg).round
-        except MalformedEnvelope:
-            round_no = -1
-        return np.random.default_rng(
-            derive_seed(cfg.seed, "attack", direction.value, round_no, client_id)
-        )
 
     def _apply(
         self, cfg: AttackConfig, msg: Wire, rng: np.random.Generator
@@ -194,8 +203,7 @@ class Channel:
                 poison = ParameterVector(np.zeros_like(params.values), params.shape)
             return substitute_update(msg, poison), AttackKind.SUBSTITUTE
         if cfg.kind == AttackKind.REPLAY:
-            with self._lock:
-                prior = list(self.history)
+            prior = self.history
             if not prior:
                 return msg, None
             return replay(prior, rng), AttackKind.REPLAY

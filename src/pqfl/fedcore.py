@@ -42,17 +42,22 @@ def train_seed(master: int, round: int, client_id: int) -> int:
 
 # --- datasets ---------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ClientDataset:
     """Feature matrix (num_samples x num_features, float32) with integer
-    class labels in [0, num_classes)."""
+    class labels in [0, num_classes).
 
-    features: np.ndarray
-    labels: np.ndarray
+    A dataset keeps read-only views of its arrays, so nothing writes to the
+    caller's data through it; the caller's own arrays keep their flags. A
+    shard made by `split_iid` holds its parent's arrays and the indices of its
+    rows instead of a copy of them: its `features` and `labels` gather those
+    rows into new read-only arrays on each access, and `local_train` gathers
+    one mini-batch at a time."""
 
-    def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float32)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+    __slots__ = ("_features", "_labels", "_rows")
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray):
+        feats = np.ascontiguousarray(features, dtype=np.float32)
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
         if feats.ndim != 2:
             raise DimensionMismatch(f"features must be 2-D, got shape {feats.shape}")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
@@ -63,16 +68,41 @@ class ClientDataset:
             raise DimensionMismatch("dataset is empty")
         if labels.min() < 0:
             raise DimensionMismatch("negative label")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
+        self._features = _read_only(feats.view())
+        self._labels = _read_only(labels.view())
+        self._rows: np.ndarray | None = None  # None: every row, in order
+
+    @classmethod
+    def _shard(cls, parent: ClientDataset, rows: np.ndarray) -> ClientDataset:
+        """The rows `rows` of `parent`, sharing its arrays."""
+        shard = cls.__new__(cls)
+        shard._features, shard._labels = parent._features, parent._labels
+        shard._rows = rows if parent._rows is None else parent._rows[rows]
+        return shard
+
+    def _gather(self, array: np.ndarray) -> np.ndarray:
+        return array if self._rows is None else _read_only(array[self._rows])
+
+    @property
+    def features(self) -> np.ndarray:
+        return self._gather(self._features)
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._gather(self._labels)
 
     @property
     def num_samples(self) -> int:
-        return int(self.features.shape[0])
+        return int((self._features if self._rows is None else self._rows).shape[0])
 
     @property
     def num_features(self) -> int:
-        return int(self.features.shape[1])
+        return int(self._features.shape[1])
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 # float64 scratch of one _normal_blocks walk: small enough that a 784-256-5
@@ -126,7 +156,9 @@ def concat_datasets(datasets: list[ClientDataset]) -> ClientDataset:
 
 def split_iid(dataset: ClientDataset, num_clients: int, seed: int) -> list[ClientDataset]:
     """Shuffle with the seeded PRNG, then partition into near-equal shards
-    (sizes differ by at most one, larger shards first)."""
+    (sizes differ by at most one, larger shards first). Each shard is a row
+    view of `dataset`: it shares the dataset's arrays and holds only its row
+    indices, so splitting copies no sample."""
     if num_clients < 1:
         raise ValueError("num_clients must be >= 1")
     if dataset.num_samples < num_clients:
@@ -134,10 +166,7 @@ def split_iid(dataset: ClientDataset, num_clients: int, seed: int) -> list[Clien
             f"{dataset.num_samples} samples cannot cover {num_clients} clients"
         )
     perm = np.random.default_rng(seed).permutation(dataset.num_samples)
-    shards = []
-    for idx in np.array_split(perm, num_clients):
-        shards.append(ClientDataset(features=dataset.features[idx], labels=dataset.labels[idx]))
-    return shards
+    return [ClientDataset._shard(dataset, rows) for rows in np.array_split(perm, num_clients)]
 
 
 # --- IDX container files (big-endian image/label format) --------------------
@@ -353,10 +382,9 @@ def _check_dims(model: GlobalModel, data: ClientDataset) -> None:
         raise DimensionMismatch(
             f"dataset has {data.num_features} features, model expects {arch.input_dim}"
         )
-    if int(data.labels.max()) >= arch.num_classes:
-        raise DimensionMismatch(
-            f"label {int(data.labels.max())} outside {arch.num_classes} classes"
-        )
+    top = int(data.labels.max())  # a shard gathers its labels, not its features
+    if top >= arch.num_classes:
+        raise DimensionMismatch(f"label {top} outside {arch.num_classes} classes")
 
 
 # --- training ----------------------------------------------------------------
@@ -440,12 +468,16 @@ def local_train(
     grad = np.empty_like(theta)  # every step overwrites all of it
     # views stay valid: both buffers are only ever updated in place
     layers, grad_layers = _unpack(arch, theta), _unpack(arch, grad)
+    # a shard's batches are gathered straight from its parent's rows
+    features, labels, rows = data._features, data._labels, data._rows
 
     for _ in range(cfg.local_epochs):
         perm = rng.permutation(data.num_samples)
+        if rows is not None:
+            perm = rows[perm]
         for lo in range(0, data.num_samples, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            _backprop(layers, grad_layers, data.features[idx], data.labels[idx])
+            _backprop(layers, grad_layers, features[idx], labels[idx])
             if adamw is not None:
                 adamw.step(theta, grad)
             else:

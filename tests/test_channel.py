@@ -359,6 +359,16 @@ def test_history_is_kept_only_for_replay(attack, kept):
     assert bool(chan.history) == kept
 
 
+def test_replay_history_keeps_the_newest_round_and_the_one_before():
+    chan = Channel(AttackConfig(kind=AttackKind.REPLAY, target_client=9, seed=8))
+    for rnd in range(6):
+        for sender in (1, 2, 3):
+            chan.deliver(sample_envelope(round=rnd, sender=sender), Direction.CLIENT_TO_SERVER, sender)
+        kept = [codec.MessageHeader.decode(m).round for m in chan.history]
+        assert kept == [rnd - 1] * 3 * (rnd > 0) + [rnd] * 3
+    assert chan.stats.delivered == 18
+
+
 # --- TCP failures end the run promptly ------------------------------------------
 
 def run_tcp_bounded(server, clients, deadline):

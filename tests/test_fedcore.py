@@ -106,6 +106,67 @@ def test_concat_datasets_round_trip():
     assert merged.num_samples == data.num_samples
 
 
+# The split as it was before shards became row views: a fancy-index copy of
+# each shard's rows. The views must hold the same rows in the same order.
+def _reference_split(data, num_clients, seed):
+    perm = np.random.default_rng(seed).permutation(data.num_samples)
+    return [(data.features[idx], data.labels[idx]) for idx in np.array_split(perm, num_clients)]
+
+
+@pytest.mark.parametrize("num_samples, num_clients", [(100, 10), (101, 10), (57, 5)])
+def test_shards_match_fancy_index_split_bitwise(num_samples, num_clients):
+    data = small_data(num_samples)
+    shards = split_iid(data, num_clients, seed=3)
+    expected = _reference_split(data, num_clients, 3)
+    assert len(shards) == len(expected)
+    for shard, (feats, labels) in zip(shards, expected):
+        assert shard.num_samples == feats.shape[0] and shard.num_features == feats.shape[1]
+        assert shard.features.dtype == np.float32 and shard.labels.dtype == np.int64
+        assert shard.features.tobytes() == feats.tobytes()
+        assert shard.labels.tobytes() == labels.tobytes()
+
+
+def test_splitting_a_shard_splits_its_rows():
+    shard = split_iid(small_data(57), 3, seed=3)[1]
+    copied = ClientDataset(shard.features.copy(), shard.labels.copy())
+    for a, b in zip(split_iid(shard, 4, seed=5), split_iid(copied, 4, seed=5)):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "optimizer, batch_size", [("sgd", 8), ("adamw", 8), ("sgd", 16)],
+    ids=["sgd", "adamw", "ragged-last-batch"],
+)
+def test_local_train_on_shard_matches_copied_shard(optimizer, batch_size):
+    shard = split_iid(small_data(120, d=12, c=4), 3, seed=2)[0]
+    copied = ClientDataset(shard.features.copy(), shard.labels.copy())
+    # 40 samples: whole batches of 8, and batches of 16 with a short last one
+    assert shard.num_samples == 40
+    model = init_model(ModelArchitecture(12, (16,), 4), seed=3)
+    cfg = TrainConfig(
+        num_clients=3, num_rounds=1, local_epochs=2, batch_size=batch_size,
+        learning_rate=5e-2, optimizer=optimizer, seed=0,
+    )
+    delta = local_train(model, shard, cfg, client_rng_seed=11, client_id=1).delta.values
+    expected = local_train(model, copied, cfg, client_rng_seed=11, client_id=1).delta.values
+    assert delta.tobytes() == expected.tobytes()
+
+
+def test_dataset_arrays_are_read_only():
+    feats = np.zeros((6, 2), dtype=np.float32)
+    labels = np.zeros(6, dtype=np.int64)
+    data = ClientDataset(feats, labels)
+    shard = split_iid(data, 2, seed=0)[0]
+    for array in (data.features, data.labels, shard.features, shard.labels):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # the caller's own arrays keep their flags, and the dataset sees their values
+    feats[0, 0] = 5.0
+    labels[0] = 1
+    assert data.features[0, 0] == 5.0 and data.labels[0] == 1
+
+
 # --- datasets -----------------------------------------------------------------
 
 def test_synthetic_deterministic_and_valid():

@@ -1,6 +1,8 @@
 """Memory bounds: set-up builds its float32 outputs without float64 copies of
-them, evaluation holds one hidden activation, a run holds at most one round's
-uploads, round spans are kept packed, and SLH-DSA reads each message in place.
+them, splitting copies no sample, evaluation holds one hidden activation, a
+run holds at most one round's uploads, a replay run's memory does not grow
+with its rounds, round spans are kept packed, and SLH-DSA reads each message
+in place.
 
 Sizes are the `train-large` benchmark's: 4000 samples of 784 features and
 the 784-256-5 MLP (202,245 parameters, an 808,992-byte payload).
@@ -10,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from pqfl import fedcore, protocol, sig
+from pqfl import channel, fedcore, protocol, sig
 from pqfl.errors import UnsupportedScheme
 from pqfl.fedcore import ModelArchitecture, TrainConfig
 from pqfl.sig import SchemeId
@@ -42,6 +44,14 @@ def test_init_model_peaks_near_its_output():
     assert peak <= 1.5 * size, f"init_model peaked at {peak / size:.2f}x its output"
 
 
+def test_split_iid_copies_no_sample():
+    data = fedcore.generate_synthetic(4000, 784, 5, seed=1)
+    peak, shards = traced_peak(lambda: fedcore.split_iid(data, 20, seed=2))
+    assert sum(s.num_samples for s in shards) == 4000
+    size = data.features.nbytes
+    assert peak <= 0.05 * size, f"split_iid allocated {peak / size:.2f}x the feature matrix"
+
+
 def test_forward_loss_holds_one_hidden_activation():
     data = fedcore.generate_synthetic(4000, 784, 5, seed=1)
     model = fedcore.init_model(LARGE, seed=1)
@@ -69,6 +79,32 @@ def test_run_holds_at_most_one_round_of_uploads():
     payload = model.params.encoded_len
     allowed = (clients + 4) * payload
     assert peak <= allowed, f"a 3-round run peaked at {peak / payload:.2f} payloads"
+
+
+def test_replay_run_memory_is_flat_in_rounds():
+    clients = 4
+
+    def peak_of(rounds):
+        data = fedcore.generate_synthetic(16 * clients, 784, 5, seed=2)
+        shards = fedcore.split_iid(data, clients, seed=3)
+        model = fedcore.init_model(LARGE, seed=1)
+        cfg = TrainConfig(num_clients=clients, num_rounds=rounds, batch_size=16, seed=1)
+        server, parties, _ = protocol.setup_keys(
+            cfg, SchemeId.TEST_SCHEME, 1, model, shards, eval_data=data
+        )
+        attack = channel.AttackConfig(kind=channel.AttackKind.REPLAY, target_client=1, seed=8)
+        chan = channel.Channel(attack)
+        peak, result = traced_peak(lambda: protocol.run_training(server, parties, chan))
+        assert len(result.outcomes) == rounds and chan.stats.replayed >= rounds - 1
+        return peak
+
+    short, long = peak_of(2), peak_of(8)
+    # Replay keeps the messages of two rounds at most. Keeping every message
+    # delivered would add six rounds of uploads and broadcasts to the longer run.
+    payload = fedcore.init_model(LARGE, seed=1).params.encoded_len
+    assert abs(long - short) <= clients * payload, (
+        f"8 rounds peaked {(long - short) / payload:+.2f} payloads beyond 2 rounds"
+    )
 
 
 def test_round_spans_are_kept_packed():
