@@ -4,7 +4,10 @@ Every command is deterministic given its flags, except for signatures:
 Falcon and ML-DSA signing is randomized, Falcon's signature length varies
 (so `signature_bytes` differs between identical `run --scheme falcon`
 runs), and `keygen --scheme sphincsplus` ignores --seed. `run` requires
---seed so results stay reproducible from shell history. Exit codes: 0
+--seed so results stay reproducible from shell history. `run --config FILE`
+reads `key = value` lines whose keys are the `run` flag names, written with
+`-` or `_`; a boolean key is true for 1/true/yes/on and false for anything
+else, and flags on the command line win over the file. Exit codes: 0
 success, 1 runtime failure, 2 usage/config error.
 Set PQFL_LOG={error,info,debug} for log verbosity.
 """
@@ -15,7 +18,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from pqfl import bench, channel, fedcore, protocol, sig
@@ -23,56 +25,8 @@ from pqfl.errors import PqflError
 from pqfl.fedcore import TrainConfig
 from pqfl.sig import SchemeId
 
-_RUN_DEFAULTS = {
-    "scheme": "dilithium",
-    "clients": 10,
-    "rounds": 10,
-    "local_epochs": 1,
-    "batch_size": 32,
-    "lr": None,  # resolved per optimizer below
-    "optimizer": "sgd",
-    "dataset": "synthetic",
-    "samples": 1000,
-    "features": 20,
-    "classes": 5,
-    "separation": 3.0,
-    "hidden": "32",
-    "idx_images": None,
-    "idx_labels": None,
-    "idx_limit": None,
-    "attack": None,
-    "transport": "inprocess",
-    "strict": False,
-    "no_verify": False,
-    "out": None,
-    "seed": None,
-}
-
 # SGD wants a larger constant step than AdamW on the small desk-scale model.
 _DEFAULT_LR = {"sgd": 1e-2, "adamw": 1e-5}
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    schemes: list[SchemeId]
-    cfg: TrainConfig
-    dataset: str
-    samples: int
-    features: int
-    classes: int
-    separation: float
-    hidden_dims: tuple[int, ...]
-    idx_images: str | None
-    idx_labels: str | None
-    idx_limit: int | None
-    attack: channel.AttackConfig | None
-    transport: str
-    tcp_host: str
-    tcp_port: int
-    strict: bool
-    verify: bool
-    out: str | None
-    seed: int
 
 
 def _setup_logging() -> None:
@@ -112,21 +66,12 @@ def parse_attack(text: str) -> channel.AttackConfig:
     return channel.AttackConfig(**kwargs)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """`key = value` lines; blank lines and #-comments ignored."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
-        values[key.strip().lower().replace("-", "_")] = value.strip()
-    return values
+def _hidden_dims(text: str) -> tuple[int, ...]:
+    return tuple(int(d) for d in text.split(",") if d.strip())
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The `pqfl` parser and its `run` sub-parser, which `--config` parses again."""
     parser = argparse.ArgumentParser(
         prog="pqfl",
         description="Federated averaging with post-quantum signatures.",
@@ -139,32 +84,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p_key.add_argument("--out-dir", required=True)
     p_key.add_argument("--seed", type=int, default=None)
 
-    p_run = sub.add_parser("run", help="run a federated training experiment")
+    p_run = sub.add_parser("run", help="run a federated training experiment",
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p_run.add_argument("--config", help="key = value config file; flags override it")
-    p_run.add_argument("--scheme", help="scheme name, comma list, or `all`")
-    p_run.add_argument("--clients", type=int)
-    p_run.add_argument("--rounds", type=int)
-    p_run.add_argument("--local-epochs", type=int, dest="local_epochs")
-    p_run.add_argument("--batch-size", type=int, dest="batch_size")
-    p_run.add_argument("--lr", type=float)
-    p_run.add_argument("--optimizer", choices=["sgd", "adamw"])
-    p_run.add_argument("--dataset", choices=["synthetic", "idx"])
-    p_run.add_argument("--samples", type=int)
-    p_run.add_argument("--features", type=int)
-    p_run.add_argument("--classes", type=int)
-    p_run.add_argument("--separation", type=float)
-    p_run.add_argument("--hidden", help="comma list of hidden dims; empty for logistic")
-    p_run.add_argument("--idx-images", dest="idx_images")
-    p_run.add_argument("--idx-labels", dest="idx_labels")
-    p_run.add_argument("--idx-limit", type=int, dest="idx_limit")
+    p_run.add_argument("--scheme", default="dilithium",
+                       help="scheme name, comma list, or `all`")
+    p_run.add_argument("--clients", type=int, default=10, help="number of clients")
+    p_run.add_argument("--rounds", type=int, default=10, help="number of rounds")
+    p_run.add_argument("--local-epochs", type=int, default=1, help="local epochs per round")
+    p_run.add_argument("--batch-size", type=int, default=32, help="local mini-batch size")
+    p_run.add_argument("--lr", type=float,
+                       help="learning rate; unset means 1e-2 for sgd, 1e-5 for adamw")
+    p_run.add_argument("--optimizer", choices=["sgd", "adamw"], default="sgd",
+                       help="local optimizer")
+    p_run.add_argument("--dataset", choices=["synthetic", "idx"], default="synthetic",
+                       help="seeded Gaussian mixture or IDX files")
+    p_run.add_argument("--samples", type=int, default=1000, help="synthetic samples")
+    p_run.add_argument("--features", type=int, default=20, help="synthetic features")
+    p_run.add_argument("--classes", type=int, default=5, help="synthetic classes")
+    p_run.add_argument("--separation", type=float, default=3.0,
+                       help="synthetic class-centre spread")
+    p_run.add_argument("--hidden", type=_hidden_dims, default="32",
+                       help="comma list of hidden dims; empty for logistic")
+    p_run.add_argument("--idx-images", help="IDX image file")
+    p_run.add_argument("--idx-labels", help="IDX label file")
+    p_run.add_argument("--idx-limit", type=int, help="use only the first N IDX samples")
     p_run.add_argument("--attack", help="kind:key=value:... e.g. bitflip:target=1:p=1.0")
-    p_run.add_argument("--transport", help="inprocess or tcp[:host[:port]]")
-    p_run.add_argument("--strict", action="store_true", default=None,
-                       help="refuse the non-PQC test scheme")
-    p_run.add_argument("--no-verify", action="store_true", default=None, dest="no_verify",
+    p_run.add_argument("--transport", default="inprocess", help="inprocess or tcp[:host[:port]]")
+    p_run.add_argument("--strict", action="store_true", help="refuse the non-PQC test scheme")
+    p_run.add_argument("--no-verify", action="store_true",
                        help="baseline mode: skip all signature verification")
     p_run.add_argument("--out", help="metrics CSV path")
-    p_run.add_argument("--seed", type=int, help="master seed (required)")
+    p_run.add_argument("--seed", type=int, help="master seed; required")
 
     p_bench = sub.add_parser("bench", help="microbenchmark sign/verify/keygen")
     p_bench.add_argument("--schemes", default="all", help="`all` (the 3 PQC schemes) or comma list")
@@ -176,106 +127,59 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="summarize a run metrics CSV")
     p_report.add_argument("csv_path")
 
-    return parser
+    return parser, p_run
 
 
-def _resolve_run_spec(args: argparse.Namespace) -> RunSpec:
-    merged = dict(_RUN_DEFAULTS)
-    int_keys = {"clients", "rounds", "local_epochs", "batch_size", "samples",
-                "features", "classes", "idx_limit", "seed"}
-    float_keys = {"lr", "separation"}
-    bool_keys = {"strict", "no_verify"}
-    if args.config:
-        file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(_RUN_DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key, raw in file_values.items():
-            if key in bool_keys:
-                merged[key] = raw.lower() in ("1", "true", "yes", "on")
-            elif key in int_keys:
-                merged[key] = int(raw)
-            elif key in float_keys:
-                merged[key] = float(raw)
-            else:
-                merged[key] = raw
-    for key in _RUN_DEFAULTS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
+def _parse_run_with_config(
+    run_parser: argparse.ArgumentParser, path: str, run_argv: list[str]
+) -> argparse.Namespace:
+    """Parse `run` again, the file's `key = value` lines becoming flags ahead of
+    the command line's. Blank lines and #-comments are ignored."""
+    settings = vars(run_parser.parse_args([]))
+    del settings["config"]
+    file_argv = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        key = key.lower().replace("-", "_")
+        if not eq:
+            raise ValueError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
+        if key not in settings:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(settings[key], bool):  # only the store_true flags default to bools
+            file_argv.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            file_argv.append(flag)
+    # A bad file value then raises ArgumentError instead of exiting, and main returns 2.
+    run_parser.exit_on_error = False
+    try:
+        return run_parser.parse_args(file_argv + run_argv, argparse.Namespace(command="run"))
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
-    if merged["seed"] is None:
-        raise ValueError("--seed is required (no wall-clock seeding)")
 
-    scheme_text = str(merged["scheme"]).lower()
-    if scheme_text == "all":
-        schemes = list(sig.ALL_SCHEMES)
-    else:
-        schemes = [SchemeId.from_label(s) for s in scheme_text.split(",") if s]
+def _schemes(text: str, every: tuple[SchemeId, ...]) -> list[SchemeId]:
+    if text.lower() == "all":
+        return list(every)
+    return [SchemeId.from_label(s) for s in text.split(",") if s]
 
-    lr = merged["lr"]
-    if lr is None:
-        lr = _DEFAULT_LR[merged["optimizer"]]
 
-    cfg = TrainConfig(
-        num_clients=int(merged["clients"]),
-        num_rounds=int(merged["rounds"]),
-        local_epochs=int(merged["local_epochs"]),
-        batch_size=int(merged["batch_size"]),
-        learning_rate=float(lr),
-        optimizer=str(merged["optimizer"]),
-        seed=int(merged["seed"]),
-    )
-
-    hidden_text = str(merged["hidden"]).strip()
-    hidden_dims = tuple(int(d) for d in hidden_text.split(",") if d.strip()) if hidden_text else ()
-
-    attack = parse_attack(merged["attack"]) if merged["attack"] else None
-
-    transport_text = str(merged["transport"]).lower()
-    tcp_host, tcp_port = "127.0.0.1", 0
-    if transport_text.startswith("tcp"):
-        transport = "tcp"
-        bits = transport_text.split(":")
-        if len(bits) >= 2 and bits[1]:
-            tcp_host = bits[1]
-        if len(bits) >= 3 and bits[2]:
-            tcp_port = int(bits[2])
-    elif transport_text == "inprocess":
-        transport = "inprocess"
-    else:
-        raise ValueError(f"unknown transport {transport_text!r}")
-
-    if merged["dataset"] == "idx":
-        for key in ("idx_images", "idx_labels"):
-            path = merged[key]
-            if not path or not Path(path).exists():
-                raise ValueError(f"--{key.replace('_', '-')} must name an existing file")
-
-    return RunSpec(
-        schemes=schemes,
-        cfg=cfg,
-        dataset=str(merged["dataset"]),
-        samples=int(merged["samples"]),
-        features=int(merged["features"]),
-        classes=int(merged["classes"]),
-        separation=float(merged["separation"]),
-        hidden_dims=hidden_dims,
-        idx_images=merged["idx_images"],
-        idx_labels=merged["idx_labels"],
-        idx_limit=merged["idx_limit"],
-        attack=attack,
-        transport=transport,
-        tcp_host=tcp_host,
-        tcp_port=tcp_port,
-        strict=bool(merged["strict"]),
-        verify=not bool(merged["no_verify"]),
-        out=merged["out"],
-        seed=int(merged["seed"]),
-    )
+def _tcp_address(transport: str) -> tuple[str, int] | None:
+    """None for `inprocess`; (host, port) for `tcp[:host[:port]]`, port 0 picking a free one."""
+    if transport.lower() == "inprocess":
+        return None
+    kind, host, port = (transport.lower().split(":") + ["", ""])[:3]
+    if kind != "tcp":
+        raise ValueError(f"unknown transport {transport!r}")
+    return host or "127.0.0.1", int(port or 0)
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
+    if args.clients < 1:
+        raise ValueError(f"--clients must be at least 1, got {args.clients}")
     scheme = SchemeId.from_label(args.scheme)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,43 +207,38 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_dataset(spec: RunSpec) -> fedcore.ClientDataset:
-    if spec.dataset == "idx":
-        return fedcore.load_idx_dataset(spec.idx_images, spec.idx_labels, spec.idx_limit)
-    return fedcore.generate_synthetic(
-        spec.samples,
-        spec.features,
-        spec.classes,
-        fedcore.derive_seed(spec.seed, "data"),
-        spec.separation,
-    )
-
-
-def run_one_scheme(spec: RunSpec, scheme: SchemeId) -> list[bench.RoundMetrics]:
+def run_one_scheme(
+    args: argparse.Namespace, scheme: SchemeId, cfg: TrainConfig,
+    attack: channel.AttackConfig | None, tcp_address: tuple[str, int] | None,
+) -> list[bench.RoundMetrics]:
     """Execute one full training run and return its per-round metrics."""
-    data = _load_dataset(spec)
-    shards = fedcore.split_iid(data, spec.cfg.num_clients, fedcore.derive_seed(spec.seed, "split"))
+    if args.dataset == "idx":
+        data = fedcore.load_idx_dataset(args.idx_images, args.idx_labels, args.idx_limit)
+    else:
+        data = fedcore.generate_synthetic(
+            args.samples, args.features, args.classes,
+            fedcore.derive_seed(cfg.seed, "data"), args.separation,
+        )
+    shards = fedcore.split_iid(data, cfg.num_clients, fedcore.derive_seed(cfg.seed, "split"))
     arch = fedcore.ModelArchitecture(
         input_dim=data.num_features,
-        hidden_dims=spec.hidden_dims,
+        hidden_dims=args.hidden,
         num_classes=int(data.labels.max()) + 1,
     )
-    model = fedcore.init_model(arch, fedcore.derive_seed(spec.seed, "init"))
+    model = fedcore.init_model(arch, fedcore.derive_seed(cfg.seed, "init"))
     options = protocol.ProtocolOptions(
-        strict=spec.strict,
-        verify_updates=spec.verify,
-        verify_models=spec.verify,
+        strict=args.strict,
+        verify_updates=not args.no_verify,
+        verify_models=not args.no_verify,
     )
     server, clients, _registry = protocol.setup_keys(
-        spec.cfg, scheme, spec.seed, model, shards, options, eval_data=data
+        cfg, scheme, cfg.seed, model, shards, options, eval_data=data
     )
-    chan = channel.Channel(spec.attack)
-    if spec.transport == "tcp":
-        result = protocol.run_training_tcp(
-            server, clients, chan, host=spec.tcp_host, port=spec.tcp_port
-        )
-    else:
+    chan = channel.Channel(attack)
+    if tcp_address is None:
         result = protocol.run_training(server, clients, chan)
+    else:
+        result = protocol.run_training_tcp(server, clients, chan, *tcp_address)
 
     metrics = []
     for outcome in result.outcomes:
@@ -355,20 +254,38 @@ def run_one_scheme(spec: RunSpec, scheme: SchemeId) -> list[bench.RoundMetrics]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _resolve_run_spec(args)
-    records = [record for scheme in spec.schemes for record in run_one_scheme(spec, scheme)]
-    if spec.out:
-        bench.emit_round_csv(records, spec.out)
-        print(f"metrics written to {spec.out}")
+    # Every input is checked here, before the first scheme's run starts.
+    if args.seed is None:
+        raise ValueError("--seed is required (no wall-clock seeding)")
+    schemes = _schemes(args.scheme, sig.ALL_SCHEMES)
+    cfg = TrainConfig(
+        num_clients=args.clients,
+        num_rounds=args.rounds,
+        local_epochs=args.local_epochs,
+        batch_size=args.batch_size,
+        learning_rate=_DEFAULT_LR[args.optimizer] if args.lr is None else args.lr,
+        optimizer=args.optimizer,
+        seed=args.seed,
+    )
+    attack = parse_attack(args.attack) if args.attack else None
+    tcp_address = _tcp_address(args.transport)
+    if args.dataset == "idx":
+        for flag, path in (("--idx-images", args.idx_images), ("--idx-labels", args.idx_labels)):
+            if not path or not Path(path).exists():
+                raise ValueError(f"{flag} must name an existing file")
+
+    records = [
+        record for scheme in schemes
+        for record in run_one_scheme(args, scheme, cfg, attack, tcp_address)
+    ]
+    if args.out:
+        bench.emit_round_csv(records, args.out)
+        print(f"metrics written to {args.out}")
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    text = args.schemes.lower()
-    if text == "all":
-        schemes = list(sig.PQC_SCHEMES)
-    else:
-        schemes = [SchemeId.from_label(s) for s in text.split(",") if s]
+    schemes = _schemes(args.schemes, sig.PQC_SCHEMES)
     sizes = [int(s) for s in args.sizes.split(",") if s]
     records = bench.microbench(schemes, sizes, args.iters, seed=args.seed)
     print(bench.summarize_microbench(records))
@@ -386,25 +303,21 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, run_parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"keygen": cmd_keygen, "run": cmd_run, "bench": cmd_bench, "report": cmd_report}
     try:
-        if args.command == "keygen":
-            return cmd_keygen(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        if args.command == "report":
-            return cmd_report(args)
-        parser.error(f"unknown command {args.command!r}")
+        if args.command == "run" and args.config:
+            # argv[0] is the command: `pqfl` itself takes no option but --help.
+            args = _parse_run_with_config(run_parser, args.config, argv[1:])
+        return commands[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PqflError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -174,7 +174,6 @@ class ClientState:
     cfg: TrainConfig
     options: ProtocolOptions = field(default_factory=ProtocolOptions)
     last_accepted_round: int = -1
-    current_model: GlobalModel | None = None
 
 
 def setup_keys(
@@ -309,7 +308,6 @@ def client_receive_model(
         )
     model = GlobalModel(params=params, architecture=client.architecture, round=env.header.round)
     client.last_accepted_round = env.header.round
-    client.current_model = model
     return model
 
 

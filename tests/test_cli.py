@@ -3,6 +3,8 @@
 import dataclasses
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -126,6 +128,20 @@ def test_run_bad_attack_spec(tmp_path, capsys):
     assert "attack" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    ("--transport", "udp"),
+    ("--transport", "tcp:127.0.0.1:notaport"),
+    ("--dataset", "idx", "--idx-images", "nope.idx", "--idx-labels", "nope2.idx"),
+    ("--attack", "meteor:p=1.0"),
+], ids=["udp", "bad-port", "missing-idx", "bad-attack"])
+def test_bad_run_input_exits_before_any_run(tmp_path, capsys, extra):
+    args = ("run", "--scheme", "all", "--clients", "2", "--rounds", "1", "--seed", "3",
+            "--out", str(tmp_path / "x.csv"), *extra)
+    assert run_cli(*args) == 2
+    assert "round" not in capsys.readouterr().out
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_run_over_tcp(tmp_path):
     assert run_cli(*run_args(tmp_path, "--transport", "tcp")) == 0
     records = bench.read_round_csv(tmp_path / "m.csv")
@@ -225,3 +241,89 @@ def test_parse_attack_specs():
         parse_attack("bitflip:warp=9")
     with pytest.raises(ValueError):
         parse_attack("nothing:p=1")
+
+
+# --- config files and flags agree -----------------------------------------------------
+
+def _untimed(path):
+    names = [f.name for f in dataclasses.fields(bench.RoundMetrics)
+             if not f.name.endswith("_time_s")]
+    return [[getattr(r, n) for n in names] for r in bench.read_round_csv(path)]
+
+
+def test_config_file_matches_the_same_flags(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "# every kind of value a config file can hold\n"
+        "scheme = testscheme\n"
+        "clients = 3\n"
+        "rounds = 2\n"
+        "local-epochs = 2\n"
+        "samples = 120\n"
+        "features = 6\n"
+        "classes = 3\n"
+        "separation = 2.5\n"
+        "hidden =\n"
+        "optimizer = adamw\n"
+        "no_verify = yes\n"
+        "strict = false\n"
+        "attack = bitflip:target=1:p=1.0\n"
+        "transport = tcp\n"
+        "seed = 42\n"
+        f"out = {tmp_path / 'file.csv'}\n"
+    )
+    assert run_cli("run", "--config", str(cfg_file)) == 0
+    assert run_cli(
+        "run", "--scheme", "testscheme", "--clients", "3", "--rounds", "2",
+        "--local-epochs", "2", "--samples", "120", "--features", "6", "--classes", "3",
+        "--separation", "2.5", "--hidden", "", "--optimizer", "adamw", "--no-verify",
+        "--attack", "bitflip:target=1:p=1.0", "--transport", "tcp", "--seed", "42",
+        "--out", str(tmp_path / "flags.csv"),
+    ) == 0
+    from_file = _untimed(tmp_path / "file.csv")
+    assert len(from_file) == 2
+    assert from_file == _untimed(tmp_path / "flags.csv")
+
+
+def test_config_file_bad_value_names_its_key(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("seed = 1\nclients = many\n")
+    assert run_cli("run", "--config", str(cfg_file)) == 2
+    assert "clients" in capsys.readouterr().err
+
+
+def test_run_help_lists_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--help")
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--clients CLIENTS number of clients (default: 10)" in help_text
+
+
+@pytest.mark.parametrize("clients", ["0", "-5"])
+def test_keygen_rejects_fewer_than_one_client(tmp_path, capsys, clients):
+    out = tmp_path / "keys"
+    assert run_cli("keygen", "--clients", clients, "--out-dir", str(out), "--seed", "1") == 2
+    assert "--clients" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --- exit status seen by a shell --------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--help"], 0),
+    (["run", "--seed", "1", "--frobnicate"], 2),
+    (["run", "--config", "unknown_key.cfg"], 2),
+    (["keygen", "--clients", "0", "--out-dir", "keys"], 2),
+    (["run", "--strict", "--scheme", "testscheme", "--seed", "1"], 1),
+], ids=["help", "unknown-flag", "unknown-config-key", "keygen-no-clients", "strict-testscheme"])
+def test_process_exit_codes(tmp_path, argv, code):
+    (tmp_path / "unknown_key.cfg").write_text("seed = 1\nwarp_factor = 9\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "pqfl.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == code, done.stderr.decode()
