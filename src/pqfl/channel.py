@@ -118,6 +118,14 @@ def strip_signature(original: Wire) -> Wire:
     return codec.encode_envelope(bare)
 
 
+def _same_bytes(a: Wire, b: Wire) -> bool:
+    # compared as uint8 arrays in one numpy call; comparing two memoryviews
+    # goes element by element
+    return len(a) == len(b) and np.array_equal(
+        np.frombuffer(a, dtype=np.uint8), np.frombuffer(b, dtype=np.uint8)
+    )
+
+
 def replay(history: list[Wire], rng: np.random.Generator) -> Wire:
     """Re-emit a uniformly chosen previously observed envelope, unmodified."""
     if not history:
@@ -162,6 +170,11 @@ class Channel:
             )
             if rng.random() < cfg.probability:
                 out, applied = self._apply(cfg, msg, rng)
+        # a bitflip always changes one bit; a substitute or a strip can give
+        # back the bytes it was handed
+        tampered = applied == AttackKind.BITFLIP or (
+            applied in (AttackKind.SUBSTITUTE, AttackKind.STRIP) and not _same_bytes(out, msg)
+        )
         with self._lock:
             if cfg is not None and cfg.kind == AttackKind.REPLAY:
                 self._history.setdefault(round_no, []).append(msg)
@@ -171,7 +184,7 @@ class Channel:
             self.stats.delivered += 1
             if applied == AttackKind.REPLAY:
                 self.stats.replayed += 1
-            elif applied is not None and out != msg:
+            elif tampered:
                 self.stats.tampered += 1
             if direction == Direction.CLIENT_TO_SERVER:
                 self.stats.bytes_client_to_server += len(out)
@@ -227,6 +240,8 @@ class FrameSocket:
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self.max_frame = DEFAULT_FRAME_CAP
+        # the bodies of incoming frames; see recv_frame
+        self._frames = codec.ReusedBuffer()
 
     def send_frame(self, data: Wire) -> None:
         view = memoryview(data).cast("B")
@@ -245,26 +260,31 @@ class FrameSocket:
                 parts[0] = parts[0][sent:]
 
     def recv_frame(self) -> memoryview:
-        """The next frame, read into one new buffer and returned read-only."""
-        (length,) = struct.unpack(">I", self._recv_exact(4))
+        """The next frame, returned read-only. Its bytes sit in this
+        connection's receive buffer, which a later frame reuses only once
+        nothing refers to this one: not its views, the arrays decoded from
+        it, nor a replay channel's history."""
+        prefix = bytearray(4)
+        self._recv_into(memoryview(prefix))
+        (length,) = struct.unpack(">I", prefix)
         if length > self.max_frame:
             raise FrameTooLarge(f"incoming frame of {length} bytes exceeds cap {self.max_frame}")
-        return self._recv_exact(length)
+        if not length:
+            return memoryview(b"")
+        view = self._frames.take(length)
+        self._recv_into(view)
+        return view.toreadonly()
 
-    def _recv_exact(self, n: int) -> memoryview:
-        # zeroed lazily, unlike bytearray(n): a peer that announces a large
-        # frame and stalls commits no memory it has not sent
-        view = memoryview(np.zeros(codec.BUFFER_LEAD + n, dtype=np.uint8))[codec.BUFFER_LEAD :]
+    def _recv_into(self, view: memoryview) -> None:
         got = 0
-        while got < n:
+        while got < len(view):
             try:
                 count = self._sock.recv_into(view[got:])
             except TimeoutError as exc:
                 raise ConnectionFailed(f"no bytes from peer for {self._sock.gettimeout()} s") from exc
             if not count:
-                raise PeerClosed(f"connection closed with {n - got} bytes outstanding")
+                raise PeerClosed(f"connection closed with {len(view) - got} bytes outstanding")
             got += count
-        return view.toreadonly()
 
     def close(self) -> None:
         try:

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from pqfl import bench, channel, fedcore, protocol, sig
-from pqfl.errors import PqflError
+from pqfl.errors import PqflError, UnsupportedScheme
 from pqfl.fedcore import TrainConfig
 from pqfl.sig import SchemeId
 
@@ -149,6 +149,11 @@ def _parse_run_with_config(
         if key not in settings:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
+        if key == "transport":  # so that a bad one names the file, as other bad values do
+            try:
+                _tcp_address(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not isinstance(settings[key], bool):  # only the store_true flags default to bools
             file_argv.append(f"{flag}={value}")
         elif value.lower() in ("1", "true", "yes", "on"):
@@ -161,26 +166,36 @@ def _parse_run_with_config(
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _schemes(text: str, every: tuple[SchemeId, ...]) -> list[SchemeId]:
+def _scheme(label: str, flag: str) -> SchemeId:
+    try:
+        return SchemeId.from_label(label)
+    except UnsupportedScheme as exc:  # a usage error, unlike strict mode's refusal
+        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _schemes(text: str, every: tuple[SchemeId, ...], flag: str) -> list[SchemeId]:
     if text.lower() == "all":
         return list(every)
-    return [SchemeId.from_label(s) for s in text.split(",") if s]
+    return [_scheme(s, flag) for s in text.split(",") if s]
 
 
 def _tcp_address(transport: str) -> tuple[str, int] | None:
     """None for `inprocess`; (host, port) for `tcp[:host[:port]]`, port 0 picking a free one."""
     if transport.lower() == "inprocess":
         return None
-    kind, host, port = (transport.lower().split(":") + ["", ""])[:3]
-    if kind != "tcp":
-        raise ValueError(f"unknown transport {transport!r}")
+    parts = transport.lower().split(":")
+    kind, host, port = (parts + ["", ""])[:3]
+    if kind != "tcp" or len(parts) > 3:
+        raise ValueError(f"--transport: unknown transport {transport!r}")
+    if port and not (port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"--transport: port {port!r} is not a number from 0 to 65535")
     return host or "127.0.0.1", int(port or 0)
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
     if args.clients < 1:
         raise ValueError(f"--clients must be at least 1, got {args.clients}")
-    scheme = SchemeId.from_label(args.scheme)
+    scheme = _scheme(args.scheme, "--scheme")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = sig.metadata(scheme)
@@ -257,7 +272,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Every input is checked here, before the first scheme's run starts.
     if args.seed is None:
         raise ValueError("--seed is required (no wall-clock seeding)")
-    schemes = _schemes(args.scheme, sig.ALL_SCHEMES)
+    schemes = _schemes(args.scheme, sig.ALL_SCHEMES, "--scheme")
     cfg = TrainConfig(
         num_clients=args.clients,
         num_rounds=args.rounds,
@@ -285,7 +300,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    schemes = _schemes(args.schemes, sig.PQC_SCHEMES)
+    schemes = _schemes(args.schemes, sig.PQC_SCHEMES, "--schemes")
     sizes = [int(s) for s in args.sizes.split(",") if s]
     records = bench.microbench(schemes, sizes, args.iters, seed=args.seed)
     print(bench.summarize_microbench(records))

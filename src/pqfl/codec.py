@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,35 @@ BUFFER_LEAD = 1
 
 # Wire bytes: `bytes`, or a read-only view of a buffer that no one writes to.
 Wire = bytes | memoryview
+
+
+class ReusedBuffer:
+    """One owner's byte buffer, written again message after message.
+
+    `take(n)` returns a writable view of `n` bytes that starts `BUFFER_LEAD`
+    bytes into the buffer. The kept buffer is reused only when nothing but
+    this object refers to it and it is at least `n` and at most `2 * n` bytes
+    long. Otherwise a new, lazily zeroed buffer is allocated and kept instead,
+    so a peer that announces a large frame and stalls commits no memory it
+    has not sent, and the old buffer lives on for as long as anyone holds it.
+    Every view into the buffer, and every array decoded from such a view,
+    refers to it, so no bytes still held anywhere are overwritten.
+
+    Only the owner calls `take`, from one thread at a time.
+    """
+
+    def __init__(self) -> None:
+        self._buf: np.ndarray | None = None
+
+    def take(self, n: int) -> memoryview:
+        # when free, the two references are this object's and getrefcount's argument
+        if (
+            self._buf is None
+            or sys.getrefcount(self._buf) > 2
+            or not n <= len(self._buf) - BUFFER_LEAD <= 2 * n
+        ):
+            self._buf = np.zeros(BUFFER_LEAD + n, dtype=np.uint8)
+        return memoryview(self._buf)[BUFFER_LEAD : BUFFER_LEAD + n]
 
 
 class MsgType(enum.IntEnum):
@@ -262,17 +292,21 @@ def build_header(
 
 
 def signed_bytes(
-    header: MessageHeader, payload: Wire | ParameterVector, max_signature_len: int = 0
+    header: MessageHeader,
+    payload: Wire | ParameterVector,
+    max_signature_len: int = 0,
+    buffer: ReusedBuffer | None = None,
 ) -> memoryview:
     """The exact bytes signatures are computed over: header || payload.
 
-    They are laid out once at the start of a new buffer that leaves room
-    behind them for u32 signature_len || a signature of up to
-    `max_signature_len` bytes, which `seal` fills. A ParameterVector payload
-    is encoded straight into the buffer. Returns a read-only view.
+    They are laid out once at the start of a buffer taken from `buffer` (a
+    new one when it is None) that leaves room behind them for
+    u32 signature_len || a signature of up to `max_signature_len` bytes,
+    which `seal` fills. A ParameterVector payload is encoded straight into
+    the buffer. Returns a read-only view.
     """
     signed_len = HEADER_LEN + header.payload_len
-    buf = memoryview(bytearray(BUFFER_LEAD + signed_len + 4 + max_signature_len))[BUFFER_LEAD:]
+    buf = (buffer or ReusedBuffer()).take(signed_len + 4 + max_signature_len)
     buf[:HEADER_LEN] = header.encode()
     if isinstance(payload, ParameterVector):
         if payload.encoded_len != header.payload_len:
@@ -294,7 +328,7 @@ def seal(header: MessageHeader, to_sign: memoryview, signature: SignatureBytes) 
     end = signed_len + 4 + len(sig)
     if len(sig) >= 2**32:
         raise MalformedEnvelope("signature too long for u32 length field")
-    if not isinstance(to_sign.obj, bytearray) or signed_len != HEADER_LEN + header.payload_len:
+    if not isinstance(to_sign.obj, np.ndarray) or signed_len != HEADER_LEN + header.payload_len:
         raise ValueError("to_sign is not a view returned by signed_bytes()")
     buf = memoryview(to_sign.obj)[BUFFER_LEAD:]
     if end > len(buf):

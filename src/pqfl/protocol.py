@@ -15,6 +15,14 @@ that carries the broadcast out and the replies back: a loop over the
 clients in process, or, over TCP, one socket and thread per client after a
 signed key announce, with every socket on both sides waiting at most
 `channel.IO_TIMEOUT_S` (30 s).
+
+Each party lays its envelopes out in one `codec.ReusedBuffer` that it owns:
+`ServerState.broadcasts` is the server's, the in-process exchange keeps one
+for all its clients, and each TCP client thread keeps its own. An envelope
+and every view or array decoded from it keep that buffer, so the next
+envelope reuses it only once they are gone: a broadcast once its round is
+over, an upload once it is sent over TCP, or once `finish_round` has
+aggregated it and emptied `collected`.
 """
 
 from __future__ import annotations
@@ -157,6 +165,10 @@ class ServerState:
     cfg: TrainConfig
     options: ProtocolOptions = field(default_factory=ProtocolOptions)
     eval_data: ClientDataset | None = None
+    # where the broadcasts are laid out, round after round and run after run
+    broadcasts: codec.ReusedBuffer = field(
+        default_factory=codec.ReusedBuffer, repr=False, compare=False
+    )
 
     @property
     def round(self) -> int:
@@ -239,12 +251,14 @@ def _sign_envelope(
     sender_id: int,
     payload: bytes | codec.ParameterVector,
     spans: list[Span],
+    buffer: codec.ReusedBuffer | None = None,
 ) -> SignedEnvelope:
     """Lay out header ‖ payload once, sign a view of it and seal the
-    signature in behind it, all in one buffer."""
+    signature in behind it, all in one buffer taken from `buffer`."""
     t0 = time.perf_counter()
     header = codec.build_header(msg_type, keypair.scheme, round, sender_id, payload)
-    to_sign = codec.signed_bytes(header, payload, sig.metadata(keypair.scheme).signature_max_len)
+    max_len = sig.metadata(keypair.scheme).signature_max_len
+    to_sign = codec.signed_bytes(header, payload, max_len, buffer)
     t1 = time.perf_counter()
     signature = sig.sign(keypair, to_sign)
     t2 = time.perf_counter()
@@ -259,8 +273,8 @@ def _sign_envelope(
 
 
 def distribute_model(server: ServerState, spans: list[Span] | None = None) -> SignedEnvelope:
-    """Sign the current global parameters into a broadcast envelope,
-    appending the server's spans to `spans`."""
+    """Sign the current global parameters into a broadcast envelope laid out
+    in `server.broadcasts`, appending the server's spans to `spans`."""
     return _sign_envelope(
         server.keypair,
         MsgType.MODEL_DISTRIBUTION,
@@ -268,6 +282,7 @@ def distribute_model(server: ServerState, spans: list[Span] | None = None) -> Si
         SERVER_ID,
         server.model.params,
         [] if spans is None else spans,
+        server.broadcasts,
     )
 
 
@@ -312,9 +327,12 @@ def client_receive_model(
 
 
 def client_submit_update(
-    client: ClientState, update: ModelUpdate, spans: list[Span] | None = None
+    client: ClientState,
+    update: ModelUpdate,
+    spans: list[Span] | None = None,
+    buffer: codec.ReusedBuffer | None = None,
 ) -> SignedEnvelope:
-    """Wrap a local update in a signed submission envelope."""
+    """Wrap a local update in a signed submission envelope laid out in `buffer`."""
     if update.round != client.last_accepted_round:
         raise ReplayDetected(
             f"update round {update.round} != current round {client.last_accepted_round}"
@@ -326,6 +344,7 @@ def client_submit_update(
         client.client_id,
         update.delta,
         [] if spans is None else spans,
+        buffer,
     )
 
 
@@ -336,8 +355,11 @@ class ClientRoundResult:
     skipped: str | None = None  # reason text when the client sat out
 
 
-def client_process_round(client: ClientState, env_blob: codec.Wire) -> ClientRoundResult:
-    """One full client round over wire bytes: decode, verify, train, submit.
+def client_process_round(
+    client: ClientState, env_blob: codec.Wire, buffer: codec.ReusedBuffer | None = None
+) -> ClientRoundResult:
+    """One full client round over wire bytes: decode, verify, train, submit
+    an upload laid out in `buffer`.
 
     A client that cannot validate the incoming model sits the round out
     and reports why instead of raising.
@@ -366,7 +388,7 @@ def client_process_round(client: ClientState, env_blob: codec.Wire) -> ClientRou
     )
     spans.append((client.client_id, Phase.TRAIN, t0, time.perf_counter() - t0))
 
-    env_out = client_submit_update(client, update, spans)
+    env_out = client_submit_update(client, update, spans, buffer)
     t0 = time.perf_counter()
     blob = codec.encode_envelope(env_out)
     spans.append((client.client_id, Phase.SERIALIZE, t0, time.perf_counter() - t0))
@@ -535,6 +557,7 @@ def _run_rounds(server: ServerState, exchange: Exchange) -> TrainingResult:
         collected, skipped = exchange(dist_blob, spans)
         # finish_round empties `collected`, so no upload reaches the next round
         outcome = finish_round(server, collected, dist_env, spans, skipped, wall_start)
+        del dist_env, dist_blob  # so that the next broadcast can reuse their buffer
         outcomes.append(outcome)
         log.info("round %d: verified=%d rejected=%d loss=%.6f", outcome.round,
                  outcome.verified_count, len(outcome.rejections), outcome.global_loss)
@@ -548,12 +571,13 @@ def run_training(
 ) -> TrainingResult:
     """Run the configured number of rounds over the in-process channel."""
     chan = chan or _channel.Channel()
+    uploads = codec.ReusedBuffer()  # reused once `finish_round` has let go of a round
 
     def exchange(dist_blob: codec.Wire, spans: list[Span]) -> tuple[list[codec.Wire], list[int]]:
         collected, skipped = [], []
         for client in clients:
             delivered = chan.deliver(dist_blob, Direction.SERVER_TO_CLIENT, client.client_id)
-            result = client_process_round(client, delivered)
+            result = client_process_round(client, delivered, uploads)
             spans += result.spans
             if result.reply is None:
                 skipped.append(client.client_id)
@@ -611,11 +635,13 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState], chan: _channe
     client_spans: queue.SimpleQueue[list[Span]] = queue.SimpleQueue()
     failures: list[Exception] = []  # appended by client threads, read after join
 
-    def client_round(client: ClientState, frame: codec.Wire) -> codec.Wire:
+    def client_round(
+        client: ClientState, frame: codec.Wire, uploads: codec.ReusedBuffer
+    ) -> codec.Wire:
         """The reply to one broadcast frame; b"" when the client sits out.
         The caller holds the reply only until it is sent."""
         blob = chan.deliver(frame, Direction.SERVER_TO_CLIENT, client.client_id)
-        result = client_process_round(client, blob)
+        result = client_process_round(client, blob, uploads)
         client_spans.put(result.spans)
         return result.reply or b""
 
@@ -623,8 +649,9 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState], chan: _channe
         try:
             with contextlib.closing(_channel.tcp_connect(*address)) as fs:
                 fs.send_frame(codec.encode_envelope(_make_announce(client)))
+                uploads = codec.ReusedBuffer()  # this thread's, free again once a reply is sent
                 for _ in range(server.cfg.num_rounds):
-                    fs.send_frame(client_round(client, fs.recv_frame()))
+                    fs.send_frame(client_round(client, fs.recv_frame(), uploads))
         except Exception as exc:  # surfaced after join
             failures.append(exc)
 

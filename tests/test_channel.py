@@ -1,5 +1,6 @@
 """Attack injection semantics, channel stats, and the framed TCP transport."""
 
+import hashlib
 import socket
 import struct
 import threading
@@ -202,6 +203,27 @@ def test_stats_conservation():
     assert chan.stats.bytes_client_to_server > 0
 
 
+@pytest.mark.parametrize("kind, poison, signature, tampered", [
+    (AttackKind.SUBSTITUTE, "zero", b"x" * 32, 0),  # zeros for zeros: the same bytes
+    (AttackKind.SUBSTITUTE, "negate", b"x" * 32, 1),  # -0.0 for 0.0: sign bits change
+    (AttackKind.STRIP, None, b"", 0),
+    (AttackKind.STRIP, None, b"x" * 32, 1),
+    (AttackKind.BITFLIP, None, b"x" * 32, 1),
+], ids=["substitute-same", "substitute-signs", "strip-bare", "strip", "bitflip"])
+def test_deliver_counts_tampering_only_when_the_bytes_change(kind, poison, signature, tampered):
+    payload = codec.encode_params(ParameterVector(np.zeros(6, dtype=np.float32), (2, 3)))
+    header = codec.build_header(
+        codec.MsgType.UPDATE_SUBMISSION, SchemeId.TEST_SCHEME, 1, 2, payload
+    )
+    blob = codec.encode_envelope(codec.SignedEnvelope(
+        header=header, payload=payload, signature=sig.SignatureBytes(SchemeId.TEST_SCHEME, signature)
+    ))
+    chan = Channel(AttackConfig(kind=kind, target_client=2, poison=poison, seed=3))
+    out = chan.deliver(memoryview(blob), Direction.CLIENT_TO_SERVER, 2)  # as a TCP frame arrives
+    assert (bytes(out) != blob) == bool(tampered)
+    assert (chan.stats.delivered, chan.stats.tampered, chan.stats.replayed) == (1, tampered, 0)
+
+
 def test_baseline_mode_poison_raises_loss():
     """Without verification, negated-update substitution hurts the model;
     with verification the attacked client is simply dropped."""
@@ -367,6 +389,31 @@ def test_replay_history_keeps_the_newest_round_and_the_one_before():
         kept = [codec.MessageHeader.decode(m).round for m in chan.history]
         assert kept == [rnd - 1] * 3 * (rnd > 0) + [rnd] * 3
     assert chan.stats.delivered == 18
+
+
+class DigestingChannel(Channel):
+    """Records the SHA-256 of every message it is handed, by the message's id.
+    A message still in the history has been alive since it was delivered, so
+    no other message can have had its id since then."""
+
+    def __init__(self, attack):
+        super().__init__(attack)
+        self.digests = {}
+
+    def deliver(self, msg, direction, client_id):
+        self.digests[id(msg)] = hashlib.sha256(msg).digest()
+        return super().deliver(msg, direction, client_id)
+
+
+def test_tcp_replay_history_keeps_the_bytes_it_was_handed():
+    # Over TCP every message sits in a receive buffer that later frames reuse
+    # once nothing refers to it; a history that still holds it keeps it.
+    server, clients, *_ = build_sim(num_rounds=4)
+    chan = DigestingChannel(AttackConfig(kind=AttackKind.REPLAY, target_client=1, seed=8))
+    run_training_tcp(server, clients, chan)
+    history = chan.history
+    assert chan.stats.replayed >= 3 and len(history) >= 2 * len(clients)
+    assert [hashlib.sha256(m).digest() for m in history] == [chan.digests[id(m)] for m in history]
 
 
 # --- TCP failures end the run promptly ------------------------------------------

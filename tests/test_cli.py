@@ -308,6 +308,25 @@ def test_keygen_rejects_fewer_than_one_client(tmp_path, capsys, clients):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--scheme", "foo", "--seed", "1"], ["--scheme", "'foo'"]),
+    (["keygen", "--scheme", "foo", "--out-dir", "keys"], ["--scheme", "'foo'"]),
+    (["bench", "--schemes", "dilithium,foo"], ["--schemes", "'foo'"]),
+    (["run", "--transport", "tcp:127.0.0.1:notaport", "--seed", "1"], ["--transport", "'notaport'"]),
+    (["run", "--transport", "tcp::70000", "--seed", "1"], ["--transport", "'70000'"]),
+    (["run", "--transport", "tcp:127.0.0.1:0:9", "--seed", "1"], ["--transport", "'tcp:127.0.0.1:0:9'"]),
+    (["run", "--config", "tcp.cfg"], ["tcp.cfg:2:", "--transport", "'notaport'"]),
+], ids=["run-scheme", "keygen-scheme", "bench-schemes", "port", "port-range", "extra-field",
+        "config-port"])
+def test_bad_scheme_or_transport_names_its_flag(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tcp.cfg").write_text("seed = 1\ntransport = tcp:127.0.0.1:notaport\n")
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert all(word in err for word in named), err
+    assert "round" not in out and not (tmp_path / "keys").exists()
+
+
 # --- exit status seen by a shell --------------------------------------------------------
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -319,7 +338,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
     (["run", "--config", "unknown_key.cfg"], 2),
     (["keygen", "--clients", "0", "--out-dir", "keys"], 2),
     (["run", "--strict", "--scheme", "testscheme", "--seed", "1"], 1),
-], ids=["help", "unknown-flag", "unknown-config-key", "keygen-no-clients", "strict-testscheme"])
+    (["run", "--scheme", "foo", "--seed", "1"], 2),
+    (["keygen", "--scheme", "foo", "--out-dir", "keys"], 2),
+], ids=["help", "unknown-flag", "unknown-config-key", "keygen-no-clients", "strict-testscheme",
+        "run-unknown-scheme", "keygen-unknown-scheme"])
 def test_process_exit_codes(tmp_path, argv, code):
     (tmp_path / "unknown_key.cfg").write_text("seed = 1\nwarp_factor = 9\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -9,6 +9,7 @@ else a message allocates.
 import socket
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -125,6 +126,65 @@ def test_params_decoded_from_bytes_are_views():
     decoded = codec.decode_params(blob)
     assert not decoded.values.flags.owndata
     assert not decoded.values.flags.writeable
+
+
+# --- reused buffers are written again only once nothing refers to them ----------------
+
+def test_reused_buffer_is_replaced_while_held_or_badly_sized():
+    buffers = codec.ReusedBuffer()
+    held = buffers.take(100)
+    assert buffers.take(100).obj is not held.obj
+    del held
+    kept = weakref.ref(buffers.take(100).obj)
+    assert buffers.take(50).obj is kept()  # at most twice the size: reused
+    assert len(buffers.take(101).obj) == codec.BUFFER_LEAD + 101  # too small: replaced
+    assert len(buffers.take(50).obj) == codec.BUFFER_LEAD + 50  # over twice the size: replaced
+
+
+def test_received_frames_keep_their_bytes_while_held():
+    _, client, update = parties(SchemeId.TEST_SCHEME, SMALL)
+    negated = ModelUpdate(ParameterVector(-update.delta.values, update.delta.shape), 1, 0)
+    blobs = [bytes(codec.encode_envelope(protocol.client_submit_update(client, u)))
+             for u in (update, negated, update)]
+    a, b = socket.socketpair()
+    with a, b:
+        sender, receiver = FrameSocket(a), FrameSocket(b)
+        for blob in blobs:  # a few KB each: the socket buffers hold them all
+            sender.send_frame(blob)
+        first = receiver.recv_frame()
+        values = codec.decode_params(codec.decode_envelope(first).payload).values
+        first_buffer = weakref.ref(first.obj)
+        del first  # the decoded values still refer to the buffer
+        second = receiver.recv_frame()
+        assert second.obj is not first_buffer()
+        assert bytes(second) == blobs[1]
+        assert np.array_equal(values, update.delta.values)
+        kept = weakref.ref(second.obj)
+        del second
+        third = receiver.recv_frame()
+        assert third.obj is kept()  # released, so the next frame reuses it
+        assert bytes(third) == blobs[2]
+
+
+def test_signing_reuses_the_envelope_buffer_only_once_the_envelope_is_dropped():
+    _, client, update = parties(SchemeId.TEST_SCHEME, SMALL)
+    buffers = codec.ReusedBuffer()
+
+    def sign(delta):
+        return protocol._sign_envelope(
+            client.keypair, MsgType.UPDATE_SUBMISSION, 0, 1, delta, [], buffers
+        )
+
+    first = sign(update.delta)
+    expected = bytes(first.wire)
+    second = sign(ParameterVector(-update.delta.values, update.delta.shape))
+    assert second.wire.obj is not first.wire.obj
+    assert bytes(first.wire) == expected
+    kept = weakref.ref(second.wire.obj)
+    del second
+    third = sign(update.delta)
+    assert third.wire.obj is kept()
+    assert bytes(third.wire) == expected
 
 
 # --- allocation guards ---------------------------------------------------------------------
