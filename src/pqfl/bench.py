@@ -80,13 +80,12 @@ def microbench(
     schemes: list[SchemeId],
     payload_sizes: list[int],
     iterations: int = 30,
-    warmup: int = 3,
     seed: int = 0,
 ) -> list[MicrobenchRecord]:
     """Measure keygen/sign/verify medians per scheme and payload size.
 
-    Warm-up runs are excluded; the monotonic clock times each call
-    individually.
+    Three untimed warm-up calls precede each series; the monotonic clock
+    times each call individually.
     """
     if iterations < 30:
         raise ValueError("microbench medians need at least 30 iterations")
@@ -108,7 +107,7 @@ def microbench(
                 sig.verify(keypair.public_key, scheme, payload, signature)
 
             for op, fn in (("keygen", run_keygen), ("sign", run_sign), ("verify", run_verify)):
-                times = _time_op(fn, iterations, warmup)
+                times = _time_op(fn, iterations)
                 records.append(
                     MicrobenchRecord(
                         scheme=scheme.label,
@@ -123,8 +122,8 @@ def microbench(
     return records
 
 
-def _time_op(fn, iterations: int, warmup: int) -> list[float]:
-    for _ in range(warmup):
+def _time_op(fn, iterations: int) -> list[float]:
+    for _ in range(3):  # warm-up, untimed
         fn()
     times = []
     for _ in range(iterations):
@@ -203,12 +202,7 @@ def summarize(records: list[RoundMetrics]) -> str:
             f"verified={verified} rejected={rejected} "
             f"final_loss={rows[-1].global_loss:.6f}"
         )
-    if len(schemes) > 1:
-        ranked = sorted(schemes, key=lambda s: overhead[s])
-        lines.append(
-            "signature overhead ordering (fastest first): " + " < ".join(ranked)
-        )
-        lines.append(f"verdict: {ranked[0]} is the fastest scheme on this run")
+    lines += _ranking(overhead, "signature overhead ordering", "scheme on this run")
     return "\n".join(lines)
 
 
@@ -222,13 +216,24 @@ def summarize_microbench(records: list[MicrobenchRecord]) -> str:
             f"{r.scheme:<14} {r.payload_bytes:<12} {r.op:<7} "
             f"{r.median_s:<12.6f} {r.p10_s:<12.6f} {r.p90_s:<12.6f}"
         )
-    schemes = sorted({r.scheme for r in records})
-    if len(schemes) > 1:
-        combined: dict[str, float] = {}
-        for scheme in schemes:
-            rows = [r for r in records if r.scheme == scheme and r.op in ("sign", "verify")]
-            combined[scheme] = sum(r.median_s for r in rows)
-        ranked = sorted(schemes, key=lambda s: combined[s])
-        lines.append("sign+verify ordering (fastest first): " + " < ".join(ranked))
-        lines.append(f"verdict: {ranked[0]} is the fastest scheme")
+    combined = {
+        scheme: sum(r.median_s for r in records if r.scheme == scheme and r.op in ("sign", "verify"))
+        for scheme in sorted({r.scheme for r in records})
+    }
+    lines += _ranking(combined, "sign+verify ordering", "scheme")
     return "\n".join(lines)
+
+
+def _ranking(cost: dict[str, float], ordering: str, verdict: str) -> list[str]:
+    """Rank the schemes in `cost` fastest first, leaving out the HMAC test
+    scheme, which is no candidate, and give each one's cost over it."""
+    test = SchemeId.TEST_SCHEME.label
+    ranked = sorted((s for s in cost if s != test), key=cost.__getitem__)
+    lines = []
+    if len(ranked) > 1:
+        lines.append(f"{ordering} (fastest first): " + " < ".join(ranked))
+        lines.append(f"verdict: {ranked[0]} is the fastest {verdict}")
+    if test in cost and ranked:
+        over = ", ".join(f"{s} {cost[s] - cost[test]:+.6f}s" for s in ranked)
+        lines.append(f"overhead over {test}: {over}")
+    return lines

@@ -293,9 +293,9 @@ class FrameSocket:
             pass
 
 
-def tcp_listen(host: str = "127.0.0.1", port: int = 0, backlog: int = 32) -> socket.socket:
+def tcp_listen(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
     try:
-        listener = socket.create_server((host, port), backlog=backlog)
+        listener = socket.create_server((host, port), backlog=32)
     except OSError as exc:
         raise ConnectionFailed(f"cannot listen on {host}:{port}: {exc}") from exc
     listener.settimeout(IO_TIMEOUT_S)

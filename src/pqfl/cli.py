@@ -1,14 +1,14 @@
 """Command-line entry point: keygen, run, bench, report.
 
 Every command is deterministic given its flags, except for signatures:
-Falcon and ML-DSA signing is randomized, Falcon's signature length varies
-(so `signature_bytes` differs between identical `run --scheme falcon`
-runs), and `keygen --scheme sphincsplus` ignores --seed. `run` requires
---seed so results stay reproducible from shell history. `run --config FILE`
-reads `key = value` lines whose keys are the `run` flag names, written with
-`-` or `_`; a boolean key is true for 1/true/yes/on and false for anything
-else, and flags on the command line win over the file. Exit codes: 0
-success, 1 runtime failure, 2 usage/config error.
+Falcon and ML-DSA signing is randomized, and Falcon's signature length
+varies (so `signature_bytes` differs between identical `run --scheme
+falcon` runs). `run` requires --seed so results stay reproducible from
+shell history. `run --config FILE` reads `key = value` lines whose keys are
+the `run` flag names, written with `-` or `_`; a boolean key is true for
+1/true/yes/on and false for anything else, and flags on the command line
+win over the file. Exit codes: 0 success, 1 runtime failure, 2 usage/config
+error.
 Set PQFL_LOG={error,info,debug} for log verbosity.
 """
 
@@ -149,9 +149,9 @@ def _parse_run_with_config(
         if key not in settings:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
-        if key == "transport":  # so that a bad one names the file, as other bad values do
+        if key in _CONVERTERS:  # so that a bad value names the file, as argparse's checks do
             try:
-                _tcp_address(value)
+                _CONVERTERS[key](value)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not isinstance(settings[key], bool):  # only the store_true flags default to bools
@@ -179,6 +179,13 @@ def _schemes(text: str, every: tuple[SchemeId, ...], flag: str) -> list[SchemeId
     return [_scheme(s, flag) for s in text.split(",") if s]
 
 
+def _attack(text: str | None) -> channel.AttackConfig | None:
+    try:
+        return parse_attack(text) if text else None
+    except ValueError as exc:
+        raise ValueError(f"--attack: {exc}") from None
+
+
 def _tcp_address(transport: str) -> tuple[str, int] | None:
     """None for `inprocess`; (host, port) for `tcp[:host[:port]]`, port 0 picking a free one."""
     if transport.lower() == "inprocess":
@@ -190,6 +197,14 @@ def _tcp_address(transport: str) -> tuple[str, int] | None:
     if port and not (port.isdigit() and int(port) <= 65535):
         raise ValueError(f"--transport: port {port!r} is not a number from 0 to 65535")
     return host or "127.0.0.1", int(port or 0)
+
+
+# The `run` settings that `cmd_run` converts itself; each names its flag in its errors.
+_CONVERTERS = {
+    "scheme": lambda text: _schemes(text, sig.ALL_SCHEMES, "--scheme"),
+    "attack": _attack,
+    "transport": _tcp_address,
+}
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
@@ -272,7 +287,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Every input is checked here, before the first scheme's run starts.
     if args.seed is None:
         raise ValueError("--seed is required (no wall-clock seeding)")
-    schemes = _schemes(args.scheme, sig.ALL_SCHEMES, "--scheme")
+    schemes = _CONVERTERS["scheme"](args.scheme)
     cfg = TrainConfig(
         num_clients=args.clients,
         num_rounds=args.rounds,
@@ -282,8 +297,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         optimizer=args.optimizer,
         seed=args.seed,
     )
-    attack = parse_attack(args.attack) if args.attack else None
-    tcp_address = _tcp_address(args.transport)
+    attack = _CONVERTERS["attack"](args.attack)
+    tcp_address = _CONVERTERS["transport"](args.transport)
     if args.dataset == "idx":
         for flag, path in (("--idx-images", args.idx_images), ("--idx-labels", args.idx_labels)):
             if not path or not Path(path).exists():

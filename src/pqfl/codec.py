@@ -114,11 +114,6 @@ class ParameterVector:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "shape", shape)
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "ParameterVector":
-        arr = np.asarray(arr, dtype=np.float32)
-        return cls(values=arr.reshape(-1), shape=arr.shape if arr.ndim else (1,))
-
     @property
     def size(self) -> int:
         return int(self.values.size)

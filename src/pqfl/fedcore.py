@@ -297,17 +297,21 @@ def _unpack(arch: ModelArchitecture, flat: np.ndarray) -> list[tuple[np.ndarray,
     return layers
 
 
-def forward_logits(arch: ModelArchitecture, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    layers = _unpack(arch, flat)
+def _forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the ReLU activation of each hidden layer in turn, then the logits."""
     h = x
-    for w, b in layers[:-1]:
+    for i, (w, b) in enumerate(layers):
         h = h @ w
         h += b
-        np.maximum(h, 0, out=h)
-    w, b = layers[-1]
-    logits = h @ w
-    logits += b
-    return logits
+        if i < len(layers) - 1:
+            np.maximum(h, 0, out=h)
+        yield h
+
+
+def forward_logits(arch: ModelArchitecture, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    for out in _forward(_unpack(arch, flat), x):  # holds one hidden activation at a time
+        pass
+    return out
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -343,17 +347,8 @@ def _backprop(
     per-layer views of one flat buffer laid out like the parameters that
     `layers` views; return the log-probabilities."""
     n = x.shape[0]
-    activations = [x]
-    h = x
-    for w, b in layers[:-1]:
-        h = h @ w
-        h += b
-        np.maximum(h, 0, out=h)
-        activations.append(h)
-    w_out, b_out = layers[-1]
-    logits = h @ w_out
-    logits += b_out
-    logp = _log_softmax(logits)
+    activations = [x, *_forward(layers, x)]
+    logp = _log_softmax(activations.pop())
 
     dlogits = np.exp(logp)
     dlogits[np.arange(n), y] -= 1
@@ -397,9 +392,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-2
     optimizer: str = "sgd"  # "sgd" | "adamw"
-    adamw_beta1: float = 0.9
-    adamw_beta2: float = 0.999
-    adamw_eps: float = 1e-8
     adamw_weight_decay: float = 0.0
     seed: int = 0
 
@@ -413,6 +405,10 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.optimizer not in ("sgd", "adamw"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+
+
+# AdamW's moment decay rates and denominator guard, the usual defaults
+ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS = 0.9, 0.999, 1e-8
 
 
 class _AdamWState:
@@ -430,16 +426,16 @@ class _AdamWState:
         cfg = self.cfg
         a, b = self._scratch
         self.t += 1
-        self.m *= cfg.adamw_beta1
-        self.m += np.multiply(grad, 1.0 - cfg.adamw_beta1, out=a)
-        self.v *= cfg.adamw_beta2
-        np.multiply(grad, 1.0 - cfg.adamw_beta2, out=a)
+        self.m *= ADAMW_BETA1
+        self.m += np.multiply(grad, 1.0 - ADAMW_BETA1, out=a)
+        self.v *= ADAMW_BETA2
+        np.multiply(grad, 1.0 - ADAMW_BETA2, out=a)
         a *= grad
         self.v += a
-        np.divide(self.m, 1.0 - cfg.adamw_beta1**self.t, out=a)
-        np.divide(self.v, 1.0 - cfg.adamw_beta2**self.t, out=b)
+        np.divide(self.m, 1.0 - ADAMW_BETA1**self.t, out=a)
+        np.divide(self.v, 1.0 - ADAMW_BETA2**self.t, out=b)
         np.sqrt(b, out=b)
-        b += cfg.adamw_eps
+        b += ADAMW_EPS
         a /= b
         a += np.multiply(theta, cfg.adamw_weight_decay, out=b)
         a *= cfg.learning_rate

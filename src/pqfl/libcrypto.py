@@ -21,6 +21,7 @@ import ctypes
 import ctypes.util
 import functools
 import glob
+import hashlib
 import os
 import shutil
 import sys
@@ -178,13 +179,17 @@ class EvpSigner:
 
     def keygen(self, seed: bytes | None) -> tuple[bytes, bytes]:
         """ML-DSA: the pair expanded from `seed` (fresh when None), with the seed
-        as secret key. SLH-DSA: a fresh pair from OpenSSL; `seed` is unused."""
+        as secret key. SLH-DSA: the pair FIPS 205 derives from SK.seed || SK.prf ||
+        PK.seed, 3n bytes that SHAKE256 stretches `seed` to (fresh when None),
+        with the raw 4n-byte secret key."""
         meta, lib = self.metadata, self._lib
         if self._from_seed:
             seed = seed if seed is not None else os.urandom(meta.secret_key_len)
             key = self._private(seed)
             return self._raw(lib.EVP_PKEY_get_raw_public_key, key, meta.public_key_len), seed
-        key = self._generate(None)
+        if seed is not None:  # the public key is PK.seed || PK.root, so n is half its length
+            seed = hashlib.shake_256(seed).digest(3 * meta.public_key_len // 2)
+        key = self._generate(seed)
         return (
             self._raw(lib.EVP_PKEY_get_raw_public_key, key, meta.public_key_len),
             self._raw(lib.EVP_PKEY_get_raw_private_key, key, meta.secret_key_len),

@@ -16,13 +16,13 @@ clients in process, or, over TCP, one socket and thread per client after a
 signed key announce, with every socket on both sides waiting at most
 `channel.IO_TIMEOUT_S` (30 s).
 
-Each party lays its envelopes out in one `codec.ReusedBuffer` that it owns:
-`ServerState.broadcasts` is the server's, the in-process exchange keeps one
-for all its clients, and each TCP client thread keeps its own. An envelope
-and every view or array decoded from it keep that buffer, so the next
-envelope reuses it only once they are gone: a broadcast once its round is
-over, an upload once it is sent over TCP, or once `finish_round` has
-aggregated it and emptied `collected`.
+The server lays its broadcasts out in one `codec.ReusedBuffer`,
+`ServerState.broadcasts`, and each TCP client thread lays its uploads out in
+one of its own. An envelope and every view or array decoded from it keep
+that buffer, so the next envelope reuses it only once they are gone: a
+broadcast once its round is over, an upload once it is sent. In process,
+each upload is held in `collected` until `finish_round` has aggregated it,
+so every client's upload there takes a new buffer.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import logging
 import queue
 import threading
 import time
+import types
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 
@@ -65,21 +66,9 @@ log = logging.getLogger("pqfl.protocol")
 SERVER_ID = 0
 
 
-@dataclass(frozen=True)
-class KeyRegistry:
-    """Trusted, frozen mapping from participant id to (scheme, public key).
-    Id 0 is the server; 1..M are clients. Distributed out-of-band."""
-
-    entries: dict[int, tuple[sig.SchemeId, bytes]]
-
-    def public_key(self, participant_id: int) -> tuple[sig.SchemeId, bytes]:
-        return self.entries[participant_id]
-
-    def __contains__(self, participant_id: int) -> bool:
-        return participant_id in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
+# The trusted, read-only mapping from participant id to (scheme, public key).
+# Id 0 is the server; 1..M are clients. Distributed out of band.
+KeyRegistry = types.MappingProxyType
 
 
 @dataclass(frozen=True)
@@ -213,10 +202,10 @@ def setup_keys(
     server_kp = sig.keygen(scheme, key_seed(SERVER_ID))
     client_kps = [sig.keygen(scheme, key_seed(i)) for i in range(1, cfg.num_clients + 1)]
 
-    entries = {SERVER_ID: (scheme, server_kp.public_key)}
-    for i, kp in enumerate(client_kps, start=1):
-        entries[i] = (scheme, kp.public_key)
-    registry = KeyRegistry(entries=entries)
+    # the server's id, 0, comes first, then the clients' 1..M
+    registry = KeyRegistry(
+        {pid: (scheme, kp.public_key) for pid, kp in enumerate([server_kp, *client_kps])}
+    )
 
     server = ServerState(
         model=model,
@@ -317,9 +306,9 @@ def client_receive_model(
     except (MalformedPayload, NonFiniteValue) as exc:
         raise MalformedEnvelope(f"model payload: {exc}") from exc
     spans.append((client.client_id, Phase.SERIALIZE, t0, time.perf_counter() - t0))
-    if params.size != client.architecture.param_count:
+    if params.shape != (client.architecture.param_count,):
         raise MalformedEnvelope(
-            f"model payload has {params.size} params, expected {client.architecture.param_count}"
+            f"model payload has shape {params.shape}, expected ({client.architecture.param_count},)"
         )
     model = GlobalModel(params=params, architecture=client.architecture, round=env.header.round)
     client.last_accepted_round = env.header.round
@@ -446,7 +435,7 @@ def server_collect_and_verify(
             continue
 
         if server.options.verify_updates:
-            scheme, public_key = server.registry.public_key(sender)
+            scheme, public_key = server.registry[sender]
             t0 = time.perf_counter()
             ok = sig.verify(public_key, scheme, env.signed, env.signature)
             spans.append((SERVER_ID, Phase.VERIFY, t0, time.perf_counter() - t0))
@@ -469,9 +458,9 @@ def server_collect_and_verify(
             continue
         finally:
             spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
-        if delta.size != server.model.architecture.param_count:
+        if delta.shape != server.model.params.shape:
             rejections.append(
-                Rejection(sender, RejectReason.MALFORMED, f"delta size {delta.size}")
+                Rejection(sender, RejectReason.MALFORMED, f"delta shape {delta.shape}")
             )
             continue
 
@@ -571,13 +560,12 @@ def run_training(
 ) -> TrainingResult:
     """Run the configured number of rounds over the in-process channel."""
     chan = chan or _channel.Channel()
-    uploads = codec.ReusedBuffer()  # reused once `finish_round` has let go of a round
 
     def exchange(dist_blob: codec.Wire, spans: list[Span]) -> tuple[list[codec.Wire], list[int]]:
         collected, skipped = [], []
         for client in clients:
             delivered = chan.deliver(dist_blob, Direction.SERVER_TO_CLIENT, client.client_id)
-            result = client_process_round(client, delivered, uploads)
+            result = client_process_round(client, delivered)
             spans += result.spans
             if result.reply is None:
                 skipped.append(client.client_id)
@@ -613,7 +601,7 @@ def _check_announce(server: ServerState, blob: codec.Wire) -> int:
     sender = env.header.sender_id
     if env.header.msg_type != MsgType.PUBLIC_KEY_ANNOUNCE or sender not in server.registry:
         raise ConnectionFailed(f"announce from unknown participant {sender}")
-    scheme, registered_pk = server.registry.public_key(sender)
+    scheme, registered_pk = server.registry[sender]
     if env.payload != registered_pk:
         raise ConnectionFailed(f"announced key for client {sender} does not match registry")
     if not sig.verify(registered_pk, scheme, env.signed, env.signature):

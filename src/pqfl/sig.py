@@ -219,12 +219,7 @@ def metadata(scheme: SchemeId) -> SchemeMetadata:
 
 
 def keygen(scheme: SchemeId, seed: int | bytes | None = None) -> KeyPair:
-    """Generate a key pair.
-
-    A seed makes TestScheme, Dilithium and Falcon key generation
-    deterministic; SLH-DSA keys always come from OpenSSL's entropy and the
-    seed is ignored.
-    """
+    """Generate a key pair; a seed makes key generation deterministic for every scheme."""
     adapter = _adapter(scheme)
     public_key, secret_key = adapter.keygen(_normalize_seed(seed))
     meta = adapter.metadata

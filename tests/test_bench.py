@@ -160,6 +160,27 @@ def test_summarize_microbench_verdict():
     assert "x < y" in text and "verdict: x is the fastest" in text
 
 
+def test_verdict_ranks_pqc_schemes_only():
+    # TestScheme is fastest, but it is the baseline, not a candidate
+    rows = [
+        RoundMetrics(name, 0, 1.0, 0.5, cost, cost, 0.01, 10, 10, 3, 0, 0.5)
+        for name, cost in (("dilithium", 0.01), ("falcon", 0.1), ("testscheme", 0.0001))
+    ]
+    text = summarize(rows)
+    assert "signature overhead ordering (fastest first): dilithium < falcon\n" in text
+    assert "verdict: dilithium is the fastest" in text
+    assert "overhead over testscheme: dilithium +0.019800s, falcon +0.199800s" in text
+
+    recs = [
+        MicrobenchRecord(name, 64, op, 30, cost, cost, cost)
+        for name, cost in (("sphincsplus", 0.5), ("testscheme", 0.0001), ("dilithium", 0.001))
+        for op in ("sign", "verify")
+    ]
+    text = summarize_microbench(recs)
+    assert "dilithium < sphincsplus" in text and "verdict: dilithium is the fastest" in text
+    assert "overhead over testscheme: dilithium +0.001800s, sphincsplus +0.999800s" in text
+
+
 def test_per_round_overhead_ordering_across_runs():
     """Median per-round sign+verify totals over 5 repeated runs must obey
     the scheme speed ordering even though single rounds may interleave.

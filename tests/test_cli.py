@@ -52,6 +52,16 @@ def test_keygen_deterministic_with_seed(tmp_path):
     assert (a / "client_001.pk").read_bytes() == (b / "client_001.pk").read_bytes()
 
 
+def test_keygen_sphincsplus_deterministic_with_seed(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        assert run_cli("keygen", "--scheme", "sphincsplus", "--clients", "1",
+                       "--out-dir", str(d), "--seed", "5") == 0
+    for name in ("server.pk", "server.sk", "client_001.pk", "client_001.sk", "manifest.txt"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert (a / "server.pk").read_bytes() != (a / "client_001.pk").read_bytes()
+
+
 # --- run -------------------------------------------------------------------------
 
 def run_args(tmp_path, *extra, csv_name="m.csv"):
@@ -290,6 +300,20 @@ def test_config_file_bad_value_names_its_key(tmp_path, capsys):
     cfg_file.write_text("seed = 1\nclients = many\n")
     assert run_cli("run", "--config", str(cfg_file)) == 2
     assert "clients" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, flag", [
+    ("attack = meteor:p=1", "--attack"),
+    ("scheme = dilithium,foo", "--scheme"),
+    ("transport = udp", "--transport"),
+], ids=["attack", "scheme", "transport"])
+def test_config_file_bad_converted_value_names_file_line_and_flag(tmp_path, capsys, line, flag):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"seed = 1\n# a comment\n{line}\n")
+    assert run_cli("run", "--config", str(cfg_file)) == 2
+    out, err = capsys.readouterr()
+    assert f"{cfg_file}:3:" in err and flag in err, err
+    assert "round" not in out
 
 
 def test_run_help_lists_defaults(capsys):

@@ -528,13 +528,14 @@ def _reference_delta(model, data, cfg, seed):
                 model.architecture, theta, data.features[idx], data.labels[idx]
             )
             if cfg.optimizer == "adamw":
+                beta1, beta2, eps = 0.9, 0.999, 1e-8
                 t += 1
-                m = cfg.adamw_beta1 * m + (1.0 - cfg.adamw_beta1) * grad
-                v = cfg.adamw_beta2 * v + (1.0 - cfg.adamw_beta2) * grad * grad
-                m_hat = m / (1.0 - cfg.adamw_beta1**t)
-                v_hat = v / (1.0 - cfg.adamw_beta2**t)
+                m = beta1 * m + (1.0 - beta1) * grad
+                v = beta2 * v + (1.0 - beta2) * grad * grad
+                m_hat = m / (1.0 - beta1**t)
+                v_hat = v / (1.0 - beta2**t)
                 theta -= cfg.learning_rate * (
-                    m_hat / (np.sqrt(v_hat) + cfg.adamw_eps) + cfg.adamw_weight_decay * theta
+                    m_hat / (np.sqrt(v_hat) + eps) + cfg.adamw_weight_decay * theta
                 )
             else:
                 theta -= cfg.learning_rate * grad

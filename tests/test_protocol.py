@@ -1,12 +1,14 @@
 """Protocol state machines: key setup, signed distribution, verification
 gates, replay defenses, and oracle equivalence of full runs."""
 
+import time
+
 import numpy as np
 import pytest
 
 from pqfl import codec, fedcore, sig
 from pqfl.channel import AttackConfig, AttackKind, Channel, Direction
-from pqfl.codec import MsgType, SignedEnvelope, build_header, signed_bytes
+from pqfl.codec import MsgType, ParameterVector, SignedEnvelope, build_header, signed_bytes
 from pqfl.errors import (
     MalformedEnvelope,
     ReplayDetected,
@@ -24,6 +26,7 @@ from pqfl.protocol import (
     client_receive_model,
     client_submit_update,
     distribute_model,
+    finish_round,
     run_training,
     run_training_tcp,
     server_collect_and_verify,
@@ -68,10 +71,19 @@ def honest_update(client, server):
 def test_setup_registry_counts_and_schemes():
     server, clients, registry, *_ = build_sim(num_clients=10)
     assert len(registry) == 11
-    assert all(scheme == SchemeId.TEST_SCHEME for scheme, _pk in registry.entries.values())
-    assert registry.public_key(0)[1] == server.keypair.public_key
+    assert all(scheme == SchemeId.TEST_SCHEME for scheme, _pk in registry.values())
+    assert registry[0][1] == server.keypair.public_key
     for client in clients:
-        assert registry.public_key(client.client_id)[1] == client.keypair.public_key
+        assert registry[client.client_id][1] == client.keypair.public_key
+
+
+def test_registry_is_read_only():
+    server, _, registry, *_ = build_sim()
+    with pytest.raises(TypeError):
+        registry[0] = (SchemeId.TEST_SCHEME, b"\x00" * 32)
+    with pytest.raises(TypeError):
+        registry[99] = (SchemeId.TEST_SCHEME, b"\x00" * 32)
+    assert registry is server.registry and registry[0][1] == server.keypair.public_key
 
 
 def test_setup_strict_mode_rejects_test_scheme():
@@ -96,7 +108,7 @@ def test_setup_shard_count_mismatch():
 def test_setup_keys_deterministic_for_seedable_schemes():
     _, _, reg_a, *_ = build_sim(scheme=SchemeId.DILITHIUM)
     _, _, reg_b, *_ = build_sim(scheme=SchemeId.DILITHIUM)
-    assert reg_a.entries == reg_b.entries
+    assert reg_a == reg_b
 
 
 # --- model distribution -----------------------------------------------------------
@@ -108,7 +120,7 @@ def test_distribute_model_payload_and_signature():
     assert env.header.sender_id == 0
     assert env.header.round == 0
     assert codec.decode_params(env.payload) == model.params
-    scheme, pk = registry.public_key(0)
+    scheme, pk = registry[0]
     assert sig.verify(pk, scheme, signed_bytes(env.header, env.payload), env.signature)
 
 
@@ -117,7 +129,7 @@ def test_distribute_model_tamper_detected():
     env = distribute_model(server)
     tampered = bytearray(env.payload)
     tampered[20] ^= 0x01
-    scheme, pk = registry.public_key(0)
+    scheme, pk = registry[0]
     assert not sig.verify(pk, scheme, signed_bytes(env.header, bytes(tampered)), env.signature)
 
 
@@ -265,6 +277,36 @@ def test_stale_round_rejected():
     verified, rejections, _, _ = server_collect_and_verify(server, [blob])
     assert verified == []
     assert [r.reason for r in rejections] == [RejectReason.STALE_ROUND]
+
+
+def test_reshaped_upload_rejected_and_the_round_goes_on():
+    # the right element count in another shape must not reach aggregation
+    server, clients, *_ = build_sim(num_clients=2)
+    start = server.model
+    _, update_1 = honest_update(clients[0], server)
+    blob_2, update_2 = honest_update(clients[1], server)
+    delta = update_1.delta
+    reshaped = fedcore.ModelUpdate(ParameterVector(delta.values, (delta.size, 1)), 1, 0)
+    blob_1 = codec.encode_envelope(client_submit_update(clients[0], reshaped))
+    outcome = finish_round(
+        server, [blob_1, blob_2], distribute_model(server), [], [], time.perf_counter()
+    )
+    assert [(r.sender_id, r.reason) for r in outcome.rejections] == [(1, RejectReason.MALFORMED)]
+    assert outcome.verified_count == 1
+    assert server.model.round == 1
+    assert server.model.params == fedcore.aggregate(start, [update_2]).params
+
+
+def test_client_sits_out_a_reshaped_broadcast():
+    server, clients, *_ = build_sim()
+    params = server.model.params
+    payload = codec.encode_params(ParameterVector(params.values, (params.size, 1)))
+    header = build_header(MsgType.MODEL_DISTRIBUTION, server.keypair.scheme, 0, SERVER_ID, payload)
+    signature = sig.sign(server.keypair, signed_bytes(header, payload))
+    blob = codec.encode_envelope(SignedEnvelope(header=header, payload=payload, signature=signature))
+    result = client_process_round(clients[0], blob)
+    assert result.reply is None
+    assert "shape" in result.skipped
 
 
 def test_garbage_bytes_rejected_as_malformed():

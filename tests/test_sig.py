@@ -1,5 +1,6 @@
 """Signature scheme adapters: round trips, tampering, sizes, concurrency."""
 
+import hashlib
 import secrets
 from concurrent.futures import ThreadPoolExecutor
 
@@ -126,6 +127,21 @@ def test_dilithium_keygen_honors_seed():
     b = sig.keygen(SchemeId.DILITHIUM, seed=5)
     assert a.public_key == b.public_key and a.secret_key == b.secret_key
     assert a.public_key != sig.keygen(SchemeId.DILITHIUM, seed=6).public_key
+
+
+def test_sphincsplus_keygen_honors_seed():
+    a = sig.keygen(SchemeId.SPHINCS_PLUS, seed=5)
+    b = sig.keygen(SchemeId.SPHINCS_PLUS, seed=5)
+    assert a.public_key == b.public_key and a.secret_key == b.secret_key
+    assert a.public_key != sig.keygen(SchemeId.SPHINCS_PLUS, seed=6).public_key
+    # FIPS 205 keys: SK.seed || SK.prf || PK.seed || PK.root, the first three
+    # the seed stretched to 3n bytes, and the public key PK.seed || PK.root
+    n = len(a.public_key) // 2
+    stretched = hashlib.shake_256(sig._normalize_seed(5)).digest(3 * n)
+    assert a.secret_key == stretched + a.public_key[n:]
+    assert a.public_key[:n] == stretched[2 * n :]
+    message = b"seeded SLH-DSA"
+    assert sig.verify(a.public_key, SchemeId.SPHINCS_PLUS, message, sig.sign(b, message))
 
 
 def test_unseeded_keygen_gives_fresh_keys():
