@@ -4,11 +4,11 @@ The attacker model is a pure outsider: it can read, modify, replay, and
 inject bytes on the wire but holds no signing keys. Attack decisions are a
 deterministic function of (attack seed, direction, round, client id), so
 identical configurations tamper with identical messages regardless of
-transport or delivery order. The one exception is replay *selection*,
-which picks uniformly from the kept messages and therefore depends on
-delivery order. Only a replay channel keeps messages (`Channel.history`),
-and only those of the newest round its headers have named and of the round
-before: anything older is stale to both sides already.
+transport or delivery order. A replay picks uniformly from the kept
+messages, in the order of delivery that `protocol` fixes. Only a replay
+channel keeps messages (`Channel.history`), and only those of the newest
+round its headers have named and of the round before: anything older is
+stale to both sides already.
 
 TCP frames are a 4-byte big-endian length prefix followed by the envelope
 bytes exactly as the codec produced them; the receiver enforces a maximum
@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import socket
 import struct
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -141,22 +140,19 @@ def _header_round(msg: Wire) -> int:
 
 
 class Channel:
-    """In-process channel: multi-producer / single-consumer with FIFO per
-    sender, plus the attack injector. Thread-safe so the TCP path can share
-    one instance across client connections."""
+    """The wire every message crosses, with the attack injector. One thread
+    delivers every message, in the order it chooses."""
 
     def __init__(self, attack: AttackConfig | None = None):
         self.attack = attack if attack is not None and attack.kind != AttackKind.NONE else None
         self.stats = ChannelStats()
         # replay candidates by header round: the newest round and the one before
         self._history: dict[int, list[Wire]] = {}
-        self._lock = threading.Lock()
 
     @property
     def history(self) -> list[Wire]:
         """The messages a replay can pick from, oldest round first."""
-        with self._lock:
-            return [m for msgs in self._history.values() for m in msgs]
+        return [m for msgs in self._history.values() for m in msgs]
 
     def deliver(self, msg: Wire, direction: Direction, client_id: int) -> Wire:
         """Pass one message through the (possibly hostile) wire."""
@@ -175,21 +171,20 @@ class Channel:
         tampered = applied == AttackKind.BITFLIP or (
             applied in (AttackKind.SUBSTITUTE, AttackKind.STRIP) and not _same_bytes(out, msg)
         )
-        with self._lock:
-            if cfg is not None and cfg.kind == AttackKind.REPLAY:
-                self._history.setdefault(round_no, []).append(msg)
-                newest = max(self._history)
-                for old in [r for r in self._history if r < newest - 1]:
-                    del self._history[old]
-            self.stats.delivered += 1
-            if applied == AttackKind.REPLAY:
-                self.stats.replayed += 1
-            elif tampered:
-                self.stats.tampered += 1
-            if direction == Direction.CLIENT_TO_SERVER:
-                self.stats.bytes_client_to_server += len(out)
-            else:
-                self.stats.bytes_server_to_client += len(out)
+        if cfg is not None and cfg.kind == AttackKind.REPLAY:
+            self._history.setdefault(round_no, []).append(msg)
+            newest = max(self._history)
+            for old in [r for r in self._history if r < newest - 1]:
+                del self._history[old]
+        self.stats.delivered += 1
+        if applied == AttackKind.REPLAY:
+            self.stats.replayed += 1
+        elif tampered:
+            self.stats.tampered += 1
+        if direction == Direction.CLIENT_TO_SERVER:
+            self.stats.bytes_client_to_server += len(out)
+        else:
+            self.stats.bytes_server_to_client += len(out)
         return out
 
     @staticmethod
@@ -239,7 +234,6 @@ class FrameSocket:
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self.max_frame = DEFAULT_FRAME_CAP
         # the bodies of incoming frames; see recv_frame
         self._frames = codec.ReusedBuffer()
 
@@ -267,8 +261,8 @@ class FrameSocket:
         prefix = bytearray(4)
         self._recv_into(memoryview(prefix))
         (length,) = struct.unpack(">I", prefix)
-        if length > self.max_frame:
-            raise FrameTooLarge(f"incoming frame of {length} bytes exceeds cap {self.max_frame}")
+        if length > DEFAULT_FRAME_CAP:
+            raise FrameTooLarge(f"incoming frame of {length} bytes exceeds cap {DEFAULT_FRAME_CAP}")
         if not length:
             return memoryview(b"")
         view = self._frames.take(length)

@@ -137,6 +137,8 @@ def _parse_run_with_config(
     the command line's. Blank lines and #-comments are ignored."""
     settings = vars(run_parser.parse_args([]))
     del settings["config"]
+    # While the file is read, a bad value raises ArgumentError instead of exiting.
+    run_parser.exit_on_error = False
     file_argv = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -156,14 +158,15 @@ def _parse_run_with_config(
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not isinstance(settings[key], bool):  # only the store_true flags default to bools
             file_argv.append(f"{flag}={value}")
+            try:  # alone, so that a bad value names its line
+                run_parser.parse_args(file_argv[-1:])
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         elif value.lower() in ("1", "true", "yes", "on"):
             file_argv.append(flag)
-    # A bad file value then raises ArgumentError instead of exiting, and main returns 2.
-    run_parser.exit_on_error = False
-    try:
-        return run_parser.parse_args(file_argv + run_argv, argparse.Namespace(command="run"))
-    except argparse.ArgumentError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    # the command line's own errors exit as they do without --config
+    run_parser.exit_on_error = True
+    return run_parser.parse_args(file_argv + run_argv, argparse.Namespace(command="run"))
 
 
 def _scheme(label: str, flag: str) -> SchemeId:
@@ -222,11 +225,10 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         pk_path = out_dir / f"{stem}.pk"
         sk_path = out_dir / f"{stem}.sk"
         pk_path.write_bytes(kp.public_key)
-        sk_path.write_bytes(kp.secret_key)
-        try:
-            os.chmod(sk_path, 0o600)
-        except OSError:
-            pass
+        # created 0600; an existing file is narrowed to 0600 before the key goes in
+        with open(os.open(sk_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600), "wb") as f:
+            os.fchmod(f.fileno(), 0o600)
+            f.write(kp.secret_key)
         manifest_lines.append(
             f"scheme={scheme.label} parameter_set={meta.parameter_set} id={pid} "
             f"pk_len={len(kp.public_key)} sk_len={len(kp.secret_key)} "

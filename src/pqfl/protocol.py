@@ -10,11 +10,11 @@ re-labelled envelopes fail verification or the freshness checks. Rejected
 updates are dropped for the round (no retry); a round whose verified set
 is empty leaves the parameters unchanged.
 
-One round driver serves both transports. They differ only in the exchange
-that carries the broadcast out and the replies back: a loop over the
-clients in process, or, over TCP, one socket and thread per client after a
-signed key announce, with every socket on both sides waiting at most
-`channel.IO_TIMEOUT_S` (30 s).
+One round driver serves both transports and alone passes messages through
+the channel. They differ only in the exchange that carries the broadcasts
+out and the replies back: a loop over the clients in process, or, over TCP,
+one socket and thread per client after a signed key announce, with every
+socket on both sides waiting at most `channel.IO_TIMEOUT_S` (30 s).
 
 The server lays its broadcasts out in one `codec.ReusedBuffer`,
 `ServerState.broadcasts`, and each TCP client thread lays its uploads out in
@@ -78,9 +78,6 @@ class ProtocolOptions:
     # and models without checking signatures.
     verify_updates: bool = True
     verify_models: bool = True
-    # Disabling the round freshness check demonstrates the replay hole the
-    # binding exists to close. Never disable outside experiments.
-    enforce_round_binding: bool = True
 
 
 class RejectReason(enum.Enum):
@@ -424,7 +421,7 @@ def server_collect_and_verify(
         if sender == SERVER_ID or sender not in server.registry:
             rejections.append(Rejection(sender, RejectReason.UNKNOWN_SENDER))
             continue
-        if server.options.enforce_round_binding and env.header.round != server.model.round:
+        if env.header.round != server.model.round:
             rejections.append(
                 Rejection(
                     sender,
@@ -527,14 +524,23 @@ class TrainingResult:
     outcomes: list[RoundOutcome]
 
 
-# The transport interface: carry one broadcast to every client, append the
-# clients' spans to the round's, and return (delivered replies, ids of
-# clients that sat out).
-Exchange = Callable[[codec.Wire, list[Span]], tuple[list[codec.Wire], list[int]]]
+# The transport interface: carry each (client id, broadcast frame) out, append
+# the clients' spans to the round's, and return each client's (id, reply) in
+# ascending id, b"" for a client that sat out.
+Addressed = tuple[int, codec.Wire]
+Exchange = Callable[[Iterator[Addressed], list[Span]], list[Addressed]]
 
 
-def _run_rounds(server: ServerState, exchange: Exchange) -> TrainingResult:
-    """The round loop of both transports: broadcast, exchange, aggregate."""
+def _run_rounds(
+    server: ServerState, clients: list[ClientState], chan: _channel.Channel, exchange: Exchange
+) -> TrainingResult:
+    """The round loop of both transports: broadcast, exchange, aggregate.
+
+    The one caller of `chan.deliver`, on the server's thread: each client's
+    broadcast in ascending client id, made as the exchange takes it, then each
+    reply in that order. So an attack sees the same messages in the same
+    order over either transport."""
+    client_ids = sorted(c.client_id for c in clients)
     outcomes = []
     for _ in range(server.cfg.num_rounds):
         wall_start = time.perf_counter()
@@ -543,7 +549,16 @@ def _run_rounds(server: ServerState, exchange: Exchange) -> TrainingResult:
         t0 = time.perf_counter()
         dist_blob = codec.encode_envelope(dist_env)
         spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
-        collected, skipped = exchange(dist_blob, spans)
+        frames = (chan.deliver(dist_blob, Direction.SERVER_TO_CLIENT, cid) for cid in client_ids)
+        replies = exchange(zip(client_ids, frames), spans)
+        collected, skipped = [], []
+        while replies:  # each reply is let go once delivered: only `collected` keeps an upload
+            cid, reply = replies.pop(0)
+            if reply:
+                collected.append(chan.deliver(reply, Direction.CLIENT_TO_SERVER, cid))
+            else:
+                skipped.append(cid)
+            del reply
         # finish_round empties `collected`, so no upload reaches the next round
         outcome = finish_round(server, collected, dist_env, spans, skipped, wall_start)
         del dist_env, dist_blob  # so that the next broadcast can reuse their buffer
@@ -559,21 +574,17 @@ def run_training(
     chan: _channel.Channel | None = None,
 ) -> TrainingResult:
     """Run the configured number of rounds over the in-process channel."""
-    chan = chan or _channel.Channel()
+    by_id = {c.client_id: c for c in clients}
 
-    def exchange(dist_blob: codec.Wire, spans: list[Span]) -> tuple[list[codec.Wire], list[int]]:
-        collected, skipped = [], []
-        for client in clients:
-            delivered = chan.deliver(dist_blob, Direction.SERVER_TO_CLIENT, client.client_id)
-            result = client_process_round(client, delivered)
+    def exchange(frames: Iterator[Addressed], spans: list[Span]) -> list[Addressed]:
+        replies = []
+        for cid, frame in frames:
+            result = client_process_round(by_id[cid], frame)
             spans += result.spans
-            if result.reply is None:
-                skipped.append(client.client_id)
-            else:
-                collected.append(chan.deliver(result.reply, Direction.CLIENT_TO_SERVER, client.client_id))
-        return collected, skipped
+            replies.append((cid, result.reply or b""))
+        return replies
 
-    return _run_rounds(server, exchange)
+    return _run_rounds(server, clients, chan or _channel.Channel(), exchange)
 
 
 # --- loopback / network TCP execution -----------------------------------------
@@ -610,7 +621,7 @@ def _check_announce(server: ServerState, blob: codec.Wire) -> int:
 
 
 @contextlib.contextmanager
-def _tcp_exchange(server: ServerState, clients: list[ClientState], chan: _channel.Channel,
+def _tcp_exchange(server: ServerState, clients: list[ClientState],
                   host: str, port: int) -> Iterator[Exchange]:
     """Connect each client on its own thread and socket, admit each announce
     once, and yield the TCP exchange. The listener and every accepted socket
@@ -623,42 +634,29 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState], chan: _channe
     client_spans: queue.SimpleQueue[list[Span]] = queue.SimpleQueue()
     failures: list[Exception] = []  # appended by client threads, read after join
 
-    def client_round(
-        client: ClientState, frame: codec.Wire, uploads: codec.ReusedBuffer
-    ) -> codec.Wire:
-        """The reply to one broadcast frame; b"" when the client sits out.
-        The caller holds the reply only until it is sent."""
-        blob = chan.deliver(frame, Direction.SERVER_TO_CLIENT, client.client_id)
-        result = client_process_round(client, blob, uploads)
-        client_spans.put(result.spans)
-        return result.reply or b""
-
     def client_main(client: ClientState) -> None:
         try:
             with contextlib.closing(_channel.tcp_connect(*address)) as fs:
                 fs.send_frame(codec.encode_envelope(_make_announce(client)))
                 uploads = codec.ReusedBuffer()  # this thread's, free again once a reply is sent
                 for _ in range(server.cfg.num_rounds):
-                    fs.send_frame(client_round(client, fs.recv_frame(), uploads))
+                    result = client_process_round(client, fs.recv_frame(), uploads)
+                    client_spans.put(result.spans)
+                    fs.send_frame(result.reply or b"")
+                    del result  # so that the next upload reuses `uploads`
         except Exception as exc:  # surfaced after join
             failures.append(exc)
 
     accepted: list[_channel.FrameSocket] = []
     conns: dict[int, _channel.FrameSocket] = {}
 
-    def exchange(dist_blob: codec.Wire, spans: list[Span]) -> tuple[list[codec.Wire], list[int]]:
-        for cid in sorted(conns):
-            conns[cid].send_frame(dist_blob)
-        collected, skipped = [], []
-        for cid in sorted(conns):
-            blob = conns[cid].recv_frame()
-            if blob:
-                collected.append(chan.deliver(blob, Direction.CLIENT_TO_SERVER, cid))
-            else:
-                skipped.append(cid)
+    def exchange(frames: Iterator[Addressed], spans: list[Span]) -> list[Addressed]:
+        for cid, frame in frames:
+            conns[cid].send_frame(frame)
+        replies = [(cid, conns[cid].recv_frame()) for cid in sorted(conns)]
         for _ in conns:
             spans += client_spans.get_nowait()
-        return collected, skipped
+        return replies
 
     threads = [threading.Thread(target=client_main, args=(c,), daemon=True) for c in clients]
     try:
@@ -692,5 +690,5 @@ def run_training_tcp(
     """Run training with one TCP connection per client over the codec's
     wire format. Client loops run on their own threads; a dropped
     connection is fatal for the run."""
-    with _tcp_exchange(server, clients, chan or _channel.Channel(), host, port) as exchange:
-        return _run_rounds(server, exchange)
+    with _tcp_exchange(server, clients, host, port) as exchange:
+        return _run_rounds(server, clients, chan or _channel.Channel(), exchange)

@@ -279,7 +279,6 @@ def test_frame_round_trip_bit_exact():
 def test_frame_too_large_rejected_before_body():
     client_fs, server_fs = socket_pair()
     try:
-        server_fs.max_frame = 1024 * 1024
         client_fs._sock.sendall(struct.pack(">I", 2**31))  # length only, no body
         with pytest.raises(FrameTooLarge):
             server_fs.recv_frame()
@@ -338,15 +337,18 @@ def test_tcp_run_matches_in_process():
     "direction", [Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT], ids=lambda d: d.value
 )
 @pytest.mark.parametrize(
-    "kind", [AttackKind.BITFLIP, AttackKind.SUBSTITUTE, AttackKind.STRIP], ids=lambda k: k.value
+    "kind", [AttackKind.BITFLIP, AttackKind.SUBSTITUTE, AttackKind.STRIP, AttackKind.REPLAY],
+    ids=lambda k: k.value,
 )
 def test_tcp_run_with_attack_matches_in_process(kind, direction):
-    # replay is left out: which message it replays depends on delivery order;
-    # every other attack forges uploads (c2s) and model broadcasts (s2c) alike
+    # every attack forges uploads (c2s) and model broadcasts (s2c) alike
     attack = AttackConfig(
         kind=kind, target_client=1, direction=direction, probability=1.0, seed=8,
         poison="negate" if kind == AttackKind.SUBSTITUTE else None,
     )
+    # client 1's broadcast is the first message of the run, and a replay has
+    # nothing to pick before it
+    unforged = {0} if (kind, direction) == (AttackKind.REPLAY, Direction.SERVER_TO_CLIENT) else set()
     server_a, clients_a, *_ = build_sim()
     chan_a = Channel(attack)
     in_proc = run_training(server_a, clients_a, chan_a)
@@ -358,11 +360,33 @@ def test_tcp_run_with_attack_matches_in_process(kind, direction):
     for a, b in zip(in_proc.outcomes, over_tcp.outcomes, strict=True):
         assert (a.verified_count, a.skipped_clients) == (b.verified_count, b.skipped_clients)
         assert [r.reason for r in a.rejections] == [r.reason for r in b.rejections]
-        if direction == Direction.CLIENT_TO_SERVER:
+        if a.round in unforged:
+            assert (a.verified_count, a.skipped_clients) == (4, [])
+        elif direction == Direction.CLIENT_TO_SERVER:
             assert a.verified_count == 3  # every forged upload rejected
         else:
             assert a.skipped_clients == [1]  # every forged broadcast rejected
-    assert chan_a.stats.tampered == server_a.cfg.num_rounds
+    forged = server_a.cfg.num_rounds - len(unforged)
+    expected = (0, forged) if kind == AttackKind.REPLAY else (forged, 0)
+    assert (chan_a.stats.tampered, chan_a.stats.replayed) == expected
+
+
+def test_tcp_replay_runs_are_reproducible():
+    # The round driver delivers every message on one thread in one order, so
+    # what a replay picks does not depend on how the client threads run.
+    attack = AttackConfig(
+        kind=AttackKind.REPLAY, target_client=None, direction=Direction.BOTH, probability=0.5, seed=3
+    )
+    runs = []
+    for _ in range(2):
+        server, clients, *_ = build_sim(num_rounds=6)
+        result = run_training_tcp(server, clients, Channel(attack))
+        rounds = [
+            (o.verified_count, [(r.sender_id, r.reason) for r in o.rejections], o.skipped_clients)
+            for o in result.outcomes
+        ]
+        runs.append((rounds, result.model.params.values.tobytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize(

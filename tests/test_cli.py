@@ -44,6 +44,30 @@ def test_keygen_secret_files_restrictive_permissions(tmp_path):
     assert mode == 0o600
 
 
+def test_keygen_never_leaves_a_secret_key_readable_by_others(tmp_path, monkeypatch):
+    out = tmp_path / "keys"
+    out.mkdir()
+    (out / "server.sk").write_bytes(b"old key")
+    os.chmod(out / "server.sk", 0o644)
+    argv = ("keygen", "--scheme", "testscheme", "--clients", "2", "--out-dir", str(out))
+    old_umask = os.umask(0o022)
+    try:
+        assert run_cli(*argv) == 0
+        assert stat.S_IMODE(os.stat(out / "server.sk").st_mode) == 0o600
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("chmod refused")
+
+        for path in out.glob("*.sk"):
+            path.unlink()
+        monkeypatch.setattr(os, "chmod", refuse)
+        code = run_cli(*argv)
+    finally:
+        os.umask(old_umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.glob("*.sk")}
+    assert code == 1 or set(modes.values()) == {0o600}, (code, modes)
+
+
 def test_keygen_deterministic_with_seed(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -306,7 +330,10 @@ def test_config_file_bad_value_names_its_key(tmp_path, capsys):
     ("attack = meteor:p=1", "--attack"),
     ("scheme = dilithium,foo", "--scheme"),
     ("transport = udp", "--transport"),
-], ids=["attack", "scheme", "transport"])
+    ("clients = many", "--clients"),
+    ("separation = wide", "--separation"),
+    ("optimizer = rmsprop", "--optimizer"),
+], ids=["attack", "scheme", "transport", "int", "float", "choice"])
 def test_config_file_bad_converted_value_names_file_line_and_flag(tmp_path, capsys, line, flag):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(f"seed = 1\n# a comment\n{line}\n")
