@@ -305,9 +305,9 @@ def tcp_accept(listener: socket.socket) -> FrameSocket:
     return FrameSocket(sock)
 
 
-def tcp_connect(host: str, port: int, timeout: float = IO_TIMEOUT_S) -> FrameSocket:
+def tcp_connect(host: str, port: int) -> FrameSocket:
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
+        sock = socket.create_connection((host, port), timeout=IO_TIMEOUT_S)
     except OSError as exc:
         raise ConnectionFailed(f"cannot connect to {host}:{port}: {exc}") from exc
     return FrameSocket(sock)

@@ -7,8 +7,10 @@ falcon` runs). `run` requires --seed so results stay reproducible from
 shell history. `run --config FILE` reads `key = value` lines whose keys are
 the `run` flag names, written with `-` or `_`; a boolean key is true for
 1/true/yes/on and false for anything else, and flags on the command line
-win over the file. Exit codes: 0 success, 1 runtime failure, 2 usage/config
-error.
+win over the file. Each flag's value is converted by its argparse `type`,
+so a bad value, on the command line or in the file, is reported naming the
+flag (and for the file, `FILE:LINE:`) before anything runs. Exit codes:
+0 success, 1 runtime failure, 2 usage/config error.
 Set PQFL_LOG={error,info,debug} for log verbosity.
 """
 
@@ -66,28 +68,37 @@ def parse_attack(text: str) -> channel.AttackConfig:
     return channel.AttackConfig(**kwargs)
 
 
-def _hidden_dims(text: str) -> tuple[int, ...]:
-    return tuple(int(d) for d in text.split(",") if d.strip())
+# The flag converters raise ArgumentTypeError, which argparse reports after the flag's name.
+def _ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(item) for item in text.split(",") if item.strip())
+    except ValueError as exc:  # it names the item: "invalid literal for int() ...: 'abc'"
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     """The `pqfl` parser and its `run` sub-parser, which `--config` parses again."""
+    # A bad value raises ArgumentError, which `main` reports; an unknown flag still exits.
     parser = argparse.ArgumentParser(
         prog="pqfl",
         description="Federated averaging with post-quantum signatures.",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_key = sub.add_parser("keygen", help="generate key files for all participants")
-    p_key.add_argument("--scheme", default="dilithium")
+    p_key = sub.add_parser("keygen", help="generate key files for all participants",
+                           exit_on_error=False)
+    p_key.add_argument("--scheme", type=_scheme, default="dilithium")
     p_key.add_argument("--clients", type=int, default=10)
     p_key.add_argument("--out-dir", required=True)
     p_key.add_argument("--seed", type=int, default=None)
 
     p_run = sub.add_parser("run", help="run a federated training experiment",
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+                           exit_on_error=False)
     p_run.add_argument("--config", help="key = value config file; flags override it")
-    p_run.add_argument("--scheme", default="dilithium",
+    p_run.add_argument("--scheme", type=lambda text: _schemes(text, sig.ALL_SCHEMES),
+                       default="dilithium",
                        help="scheme name, comma list, or `all`")
     p_run.add_argument("--clients", type=int, default=10, help="number of clients")
     p_run.add_argument("--rounds", type=int, default=10, help="number of rounds")
@@ -104,22 +115,27 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_run.add_argument("--classes", type=int, default=5, help="synthetic classes")
     p_run.add_argument("--separation", type=float, default=3.0,
                        help="synthetic class-centre spread")
-    p_run.add_argument("--hidden", type=_hidden_dims, default="32",
+    p_run.add_argument("--hidden", type=_ints, default="32",
                        help="comma list of hidden dims; empty for logistic")
     p_run.add_argument("--idx-images", help="IDX image file")
     p_run.add_argument("--idx-labels", help="IDX label file")
     p_run.add_argument("--idx-limit", type=int, help="use only the first N IDX samples")
-    p_run.add_argument("--attack", help="kind:key=value:... e.g. bitflip:target=1:p=1.0")
-    p_run.add_argument("--transport", default="inprocess", help="inprocess or tcp[:host[:port]]")
+    p_run.add_argument("--attack", type=_attack,
+                       help="kind:key=value:... e.g. bitflip:target=1:p=1.0")
+    p_run.add_argument("--transport", type=_tcp_address, default="inprocess",
+                       help="inprocess or tcp[:host[:port]]")
     p_run.add_argument("--strict", action="store_true", help="refuse the non-PQC test scheme")
     p_run.add_argument("--no-verify", action="store_true",
                        help="baseline mode: skip all signature verification")
     p_run.add_argument("--out", help="metrics CSV path")
     p_run.add_argument("--seed", type=int, help="master seed; required")
 
-    p_bench = sub.add_parser("bench", help="microbenchmark sign/verify/keygen")
-    p_bench.add_argument("--schemes", default="all", help="`all` (the 3 PQC schemes) or comma list")
-    p_bench.add_argument("--sizes", default="1024,1048576", help="payload sizes in bytes")
+    p_bench = sub.add_parser("bench", help="microbenchmark sign/verify/keygen",
+                             exit_on_error=False)
+    p_bench.add_argument("--schemes", type=lambda text: _schemes(text, sig.PQC_SCHEMES),
+                         default="all", help="`all` (the 3 PQC schemes) or comma list")
+    p_bench.add_argument("--sizes", type=_ints, default="1024,1048576",
+                         help="payload sizes in bytes")
     p_bench.add_argument("--iters", type=int, default=30)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", help="microbench CSV path")
@@ -137,8 +153,6 @@ def _parse_run_with_config(
     the command line's. Blank lines and #-comments are ignored."""
     settings = vars(run_parser.parse_args([]))
     del settings["config"]
-    # While the file is read, a bad value raises ArgumentError instead of exiting.
-    run_parser.exit_on_error = False
     file_argv = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -151,11 +165,6 @@ def _parse_run_with_config(
         if key not in settings:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         flag = "--" + key.replace("_", "-")
-        if key in _CONVERTERS:  # so that a bad value names the file, as argparse's checks do
-            try:
-                _CONVERTERS[key](value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not isinstance(settings[key], bool):  # only the store_true flags default to bools
             file_argv.append(f"{flag}={value}")
             try:  # alone, so that a bad value names its line
@@ -164,29 +173,27 @@ def _parse_run_with_config(
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
         elif value.lower() in ("1", "true", "yes", "on"):
             file_argv.append(flag)
-    # the command line's own errors exit as they do without --config
-    run_parser.exit_on_error = True
     return run_parser.parse_args(file_argv + run_argv, argparse.Namespace(command="run"))
 
 
-def _scheme(label: str, flag: str) -> SchemeId:
+def _scheme(label: str) -> SchemeId:
     try:
         return SchemeId.from_label(label)
     except UnsupportedScheme as exc:  # a usage error, unlike strict mode's refusal
-        raise ValueError(f"{flag}: {exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _schemes(text: str, every: tuple[SchemeId, ...], flag: str) -> list[SchemeId]:
+def _schemes(text: str, every: tuple[SchemeId, ...]) -> list[SchemeId]:
     if text.lower() == "all":
         return list(every)
-    return [_scheme(s, flag) for s in text.split(",") if s]
+    return [_scheme(s) for s in text.split(",") if s]
 
 
-def _attack(text: str | None) -> channel.AttackConfig | None:
+def _attack(text: str) -> channel.AttackConfig | None:
     try:
         return parse_attack(text) if text else None
     except ValueError as exc:
-        raise ValueError(f"--attack: {exc}") from None
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _tcp_address(transport: str) -> tuple[str, int] | None:
@@ -196,31 +203,22 @@ def _tcp_address(transport: str) -> tuple[str, int] | None:
     parts = transport.lower().split(":")
     kind, host, port = (parts + ["", ""])[:3]
     if kind != "tcp" or len(parts) > 3:
-        raise ValueError(f"--transport: unknown transport {transport!r}")
+        raise argparse.ArgumentTypeError(f"unknown transport {transport!r}")
     if port and not (port.isdigit() and int(port) <= 65535):
-        raise ValueError(f"--transport: port {port!r} is not a number from 0 to 65535")
+        raise argparse.ArgumentTypeError(f"port {port!r} is not a number from 0 to 65535")
     return host or "127.0.0.1", int(port or 0)
-
-
-# The `run` settings that `cmd_run` converts itself; each names its flag in its errors.
-_CONVERTERS = {
-    "scheme": lambda text: _schemes(text, sig.ALL_SCHEMES, "--scheme"),
-    "attack": _attack,
-    "transport": _tcp_address,
-}
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
     if args.clients < 1:
         raise ValueError(f"--clients must be at least 1, got {args.clients}")
-    scheme = _scheme(args.scheme, "--scheme")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = sig.metadata(scheme)
+    meta = sig.metadata(args.scheme)
     manifest_lines = []
     for pid in range(args.clients + 1):
         seed = None if args.seed is None else fedcore.derive_seed(args.seed, "key", pid)
-        kp = sig.keygen(scheme, seed)
+        kp = sig.keygen(args.scheme, seed)
         stem = "server" if pid == protocol.SERVER_ID else f"client_{pid:03d}"
         pk_path = out_dir / f"{stem}.pk"
         sk_path = out_dir / f"{stem}.sk"
@@ -230,7 +228,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
             os.fchmod(f.fileno(), 0o600)
             f.write(kp.secret_key)
         manifest_lines.append(
-            f"scheme={scheme.label} parameter_set={meta.parameter_set} id={pid} "
+            f"scheme={args.scheme.label} parameter_set={meta.parameter_set} id={pid} "
             f"pk_len={len(kp.public_key)} sk_len={len(kp.secret_key)} "
             f"pk_file={pk_path.name} sk_file={sk_path.name}"
         )
@@ -240,8 +238,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 
 
 def run_one_scheme(
-    args: argparse.Namespace, scheme: SchemeId, cfg: TrainConfig,
-    attack: channel.AttackConfig | None, tcp_address: tuple[str, int] | None,
+    args: argparse.Namespace, scheme: SchemeId, cfg: TrainConfig
 ) -> list[bench.RoundMetrics]:
     """Execute one full training run and return its per-round metrics."""
     if args.dataset == "idx":
@@ -266,11 +263,11 @@ def run_one_scheme(
     server, clients, _registry = protocol.setup_keys(
         cfg, scheme, cfg.seed, model, shards, options, eval_data=data
     )
-    chan = channel.Channel(attack)
-    if tcp_address is None:
+    chan = channel.Channel(args.attack)
+    if args.transport is None:
         result = protocol.run_training(server, clients, chan)
     else:
-        result = protocol.run_training_tcp(server, clients, chan, *tcp_address)
+        result = protocol.run_training_tcp(server, clients, chan, *args.transport)
 
     metrics = []
     for outcome in result.outcomes:
@@ -289,7 +286,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Every input is checked here, before the first scheme's run starts.
     if args.seed is None:
         raise ValueError("--seed is required (no wall-clock seeding)")
-    schemes = _CONVERTERS["scheme"](args.scheme)
     cfg = TrainConfig(
         num_clients=args.clients,
         num_rounds=args.rounds,
@@ -299,16 +295,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         optimizer=args.optimizer,
         seed=args.seed,
     )
-    attack = _CONVERTERS["attack"](args.attack)
-    tcp_address = _CONVERTERS["transport"](args.transport)
+    target = args.attack and args.attack.target_client
+    if target is not None and not 1 <= target <= args.clients:
+        raise ValueError(f"--attack: target {target} is not a client id from 1 to {args.clients}")
     if args.dataset == "idx":
         for flag, path in (("--idx-images", args.idx_images), ("--idx-labels", args.idx_labels)):
             if not path or not Path(path).exists():
                 raise ValueError(f"{flag} must name an existing file")
+    if args.strict and SchemeId.TEST_SCHEME in args.scheme:
+        raise UnsupportedScheme("TestScheme is not allowed in strict mode")
 
     records = [
-        record for scheme in schemes
-        for record in run_one_scheme(args, scheme, cfg, attack, tcp_address)
+        record for scheme in args.scheme for record in run_one_scheme(args, scheme, cfg)
     ]
     if args.out:
         bench.emit_round_csv(records, args.out)
@@ -317,9 +315,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    schemes = _schemes(args.schemes, sig.PQC_SCHEMES, "--schemes")
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    records = bench.microbench(schemes, sizes, args.iters, seed=args.seed)
+    records = bench.microbench(args.schemes, args.sizes, args.iters, seed=args.seed)
     print(bench.summarize_microbench(records))
     if args.out:
         bench.emit_microbench_csv(records, args.out)
@@ -337,14 +333,14 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, run_parser = _build_parser()
-    args = parser.parse_args(argv)
     commands = {"keygen": cmd_keygen, "run": cmd_run, "bench": cmd_bench, "report": cmd_report}
     try:
+        args = parser.parse_args(argv)
         if args.command == "run" and args.config:
             # argv[0] is the command: `pqfl` itself takes no option but --help.
             args = _parse_run_with_config(run_parser, args.config, argv[1:])
         return commands[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (argparse.ArgumentError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PqflError, OSError) as exc:

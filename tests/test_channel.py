@@ -1,5 +1,6 @@
 """Attack injection semantics, channel stats, and the framed TCP transport."""
 
+import contextlib
 import hashlib
 import socket
 import struct
@@ -311,13 +312,39 @@ def test_send_to_peer_that_reads_nothing_fails_within_deadline():
         server_fs.close()
 
 
-def test_connect_to_closed_port_fails():
+def test_connect_to_closed_port_fails(monkeypatch):
+    monkeypatch.setattr(channel, "IO_TIMEOUT_S", 1.0)
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     free_port = probe.getsockname()[1]
     probe.close()
     with pytest.raises(ConnectionFailed):
-        tcp_connect("127.0.0.1", free_port, timeout=1.0)
+        tcp_connect("127.0.0.1", free_port)
+
+
+def test_connected_socket_waits_for_silent_peer_at_most_io_timeout(monkeypatch):
+    monkeypatch.setattr(channel, "IO_TIMEOUT_S", 0.2)
+    listener = tcp_listen("127.0.0.1", 0)
+    box = {}
+
+    def receive():
+        fs = tcp_connect("127.0.0.1", listener.getsockname()[1])
+        try:
+            fs.recv_frame()
+        except Exception as exc:
+            box["error"] = exc
+        finally:
+            fs.close()
+
+    th = threading.Thread(target=receive, daemon=True)
+    try:
+        th.start()
+        with contextlib.closing(tcp_accept(listener)):  # accepted, then sends nothing
+            th.join(2.0)
+            assert not th.is_alive(), "recv_frame still waiting after 2 s"
+    finally:
+        listener.close()
+    assert isinstance(box.get("error"), ConnectionFailed)
 
 
 # --- TCP training equivalence -----------------------------------------------------

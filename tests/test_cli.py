@@ -167,7 +167,9 @@ def test_run_bad_attack_spec(tmp_path, capsys):
     ("--transport", "tcp:127.0.0.1:notaport"),
     ("--dataset", "idx", "--idx-images", "nope.idx", "--idx-labels", "nope2.idx"),
     ("--attack", "meteor:p=1.0"),
-], ids=["udp", "bad-port", "missing-idx", "bad-attack"])
+    ("--attack", "bitflip:target=3"),
+    ("--attack", "bitflip:target=0"),
+], ids=["udp", "bad-port", "missing-idx", "bad-attack", "target-past-clients", "target-server"])
 def test_bad_run_input_exits_before_any_run(tmp_path, capsys, extra):
     args = ("run", "--scheme", "all", "--clients", "2", "--rounds", "1", "--seed", "3",
             "--out", str(tmp_path / "x.csv"), *extra)
@@ -182,9 +184,12 @@ def test_run_over_tcp(tmp_path):
     assert len(records) == 3 and all(r.verified_count == 4 for r in records)
 
 
-def test_run_strict_rejects_test_scheme(tmp_path, capsys):
-    assert run_cli(*run_args(tmp_path, "--strict")) == 1
-    assert "strict" in capsys.readouterr().err
+@pytest.mark.parametrize("schemes", ["testscheme", "dilithium,testscheme"])
+def test_run_strict_rejects_test_scheme(tmp_path, capsys, schemes):
+    assert run_cli(*run_args(tmp_path, "--strict", "--scheme", schemes)) == 1
+    out, err = capsys.readouterr()
+    assert "strict" in err
+    assert "round" not in out and not (tmp_path / "m.csv").exists()
 
 
 def test_run_scheme_all_covers_every_scheme(tmp_path):
@@ -363,12 +368,13 @@ def test_keygen_rejects_fewer_than_one_client(tmp_path, capsys, clients):
     (["run", "--scheme", "foo", "--seed", "1"], ["--scheme", "'foo'"]),
     (["keygen", "--scheme", "foo", "--out-dir", "keys"], ["--scheme", "'foo'"]),
     (["bench", "--schemes", "dilithium,foo"], ["--schemes", "'foo'"]),
+    (["bench", "--sizes", "1,abc"], ["--sizes", "abc"]),
     (["run", "--transport", "tcp:127.0.0.1:notaport", "--seed", "1"], ["--transport", "'notaport'"]),
     (["run", "--transport", "tcp::70000", "--seed", "1"], ["--transport", "'70000'"]),
     (["run", "--transport", "tcp:127.0.0.1:0:9", "--seed", "1"], ["--transport", "'tcp:127.0.0.1:0:9'"]),
     (["run", "--config", "tcp.cfg"], ["tcp.cfg:2:", "--transport", "'notaport'"]),
-], ids=["run-scheme", "keygen-scheme", "bench-schemes", "port", "port-range", "extra-field",
-        "config-port"])
+], ids=["run-scheme", "keygen-scheme", "bench-schemes", "bench-sizes", "port", "port-range",
+        "extra-field", "config-port"])
 def test_bad_scheme_or_transport_names_its_flag(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tcp.cfg").write_text("seed = 1\ntransport = tcp:127.0.0.1:notaport\n")
