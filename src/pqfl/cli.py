@@ -184,9 +184,10 @@ def _scheme(label: str) -> SchemeId:
 
 
 def _schemes(text: str, every: tuple[SchemeId, ...]) -> list[SchemeId]:
-    if text.lower() == "all":
-        return list(every)
-    return [_scheme(s) for s in text.split(",") if s]
+    schemes = list(every) if text.lower() == "all" else [_scheme(s) for s in text.split(",") if s]
+    if not schemes:
+        raise argparse.ArgumentTypeError(f"no scheme named in {text!r}")
+    return schemes
 
 
 def _attack(text: str) -> channel.AttackConfig | None:
@@ -217,8 +218,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     meta = sig.metadata(args.scheme)
     manifest_lines = []
     for pid in range(args.clients + 1):
-        seed = None if args.seed is None else fedcore.derive_seed(args.seed, "key", pid)
-        kp = sig.keygen(args.scheme, seed)
+        kp = protocol.derive_keypair(args.scheme, args.seed, pid)
         stem = "server" if pid == protocol.SERVER_ID else f"client_{pid:03d}"
         pk_path = out_dir / f"{stem}.pk"
         sk_path = out_dir / f"{stem}.sk"
@@ -315,6 +315,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if not args.sizes or min(args.sizes) < 1:
+        raise ValueError(f"--sizes must list payload sizes of at least 1 byte, got {args.sizes}")
     records = bench.microbench(args.schemes, args.sizes, args.iters, seed=args.seed)
     print(bench.summarize_microbench(records))
     if args.out:

@@ -5,10 +5,12 @@ parameters; each client verifies, trains locally, and submits a signed
 delta; the server verifies every submission against the trusted key
 registry; only the verified set is averaged into the next global model.
 
-Round number and sender id live inside the signed bytes, so replayed or
-re-labelled envelopes fail verification or the freshness checks. Rejected
-updates are dropped for the round (no retry); a round whose verified set
-is empty leaves the parameters unchanged.
+Every signed envelope, broadcast, upload or TCP key announce, is admitted by
+one rule: the expected type, a sender with a registered key, a round the
+receiver expects and a signature that verifies under that key; only then is
+a payload decoded. Round and sender id are signed, so replayed or re-labelled
+envelopes fail. Rejected updates are dropped for the round (no retry); a
+round whose verified set is empty leaves the parameters unchanged.
 
 One round driver serves both transports and alone passes messages through
 the channel. They differ only in the exchange that carries the broadcasts
@@ -34,7 +36,7 @@ import queue
 import threading
 import time
 import types
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,6 +50,7 @@ from pqfl.errors import (
     MalformedEnvelope,
     MalformedPayload,
     NonFiniteValue,
+    PeerClosed,
     ReplayDetected,
     SignatureInvalid,
     UnsupportedScheme,
@@ -156,10 +159,6 @@ class ServerState:
         default_factory=codec.ReusedBuffer, repr=False, compare=False
     )
 
-    @property
-    def round(self) -> int:
-        return self.model.round
-
 
 @dataclass
 class ClientState:
@@ -172,6 +171,12 @@ class ClientState:
     cfg: TrainConfig
     options: ProtocolOptions = field(default_factory=ProtocolOptions)
     last_accepted_round: int = -1
+
+
+def derive_keypair(scheme: sig.SchemeId, seed: int | None, participant_id: int) -> sig.KeyPair:
+    """A participant's key pair: derived from `seed` and its id, or random when `seed` is None."""
+    seed = None if seed is None else fedcore.derive_seed(seed, "key", participant_id)
+    return sig.keygen(scheme, seed)
 
 
 def setup_keys(
@@ -193,11 +198,8 @@ def setup_keys(
             f"{len(client_datasets)} shards for {cfg.num_clients} clients"
         )
 
-    def key_seed(participant_id: int) -> int | None:
-        return None if seed is None else fedcore.derive_seed(seed, "key", participant_id)
-
-    server_kp = sig.keygen(scheme, key_seed(SERVER_ID))
-    client_kps = [sig.keygen(scheme, key_seed(i)) for i in range(1, cfg.num_clients + 1)]
+    server_kp = derive_keypair(scheme, seed, SERVER_ID)
+    client_kps = [derive_keypair(scheme, seed, i) for i in range(1, cfg.num_clients + 1)]
 
     # the server's id, 0, comes first, then the clients' 1..M
     registry = KeyRegistry(
@@ -272,44 +274,78 @@ def distribute_model(server: ServerState, spans: list[Span] | None = None) -> Si
     )
 
 
-def client_receive_model(
-    client: ClientState, env: SignedEnvelope, spans: list[Span] | None = None
-) -> GlobalModel:
-    """Validate and accept a model distribution envelope.
+# --- admission: one rule for broadcasts, uploads and announces ----------------
 
-    Raises MalformedEnvelope / WrongSender / ReplayDetected /
-    SignatureInvalid, each distinct; on success advances the client's
-    accepted-round watermark.
-    """
-    if spans is None:
-        spans = []
-    if env.header.msg_type != MsgType.MODEL_DISTRIBUTION:
-        raise MalformedEnvelope(f"expected model distribution, got {env.header.msg_type!r}")
-    if env.header.sender_id != SERVER_ID:
-        raise WrongSender(f"model distribution from sender {env.header.sender_id}")
-    if env.header.round <= client.last_accepted_round:
-        raise ReplayDetected(
-            f"round {env.header.round} not newer than {client.last_accepted_round}"
-        )
-    if client.options.verify_models:
+class _Refused(Exception):
+    """An envelope failed an admission check; `reason` says which."""
+
+    def __init__(self, reason: RejectReason, detail: str):
+        super().__init__(f"{reason.value}: {detail}")
+        self.reason, self.detail = reason, detail
+
+
+def _authenticate(
+    env: SignedEnvelope, msg_type: MsgType, keys: Mapping[int, tuple[sig.SchemeId, bytes]],
+    rounds: range, verify: bool, party: int, spans: list[Span],
+) -> None:
+    """Raise _Refused unless `env` has type `msg_type`, a sender other than the
+    receiving `party` with an entry in `keys` and a round in `rounds`, and, when
+    `verify` is set, a signature that verifies under that sender's key, timed
+    as `party`'s VERIFY span."""
+    header = env.header
+    if header.msg_type != msg_type:
+        raise _Refused(RejectReason.MALFORMED, f"{header.msg_type!r}, expected {msg_type!r}")
+    if header.sender_id not in keys or header.sender_id == party:
+        raise _Refused(RejectReason.UNKNOWN_SENDER, f"sender {header.sender_id} is not a peer")
+    if header.round not in rounds:
+        expected = rounds.start if len(rounds) == 1 else f"{rounds.start} or later"
+        raise _Refused(RejectReason.STALE_ROUND, f"round {header.round}, expected {expected}")
+    if verify:
+        scheme, public_key = keys[header.sender_id]
         t0 = time.perf_counter()
-        ok = sig.verify(client.server_public_key, client.scheme, env.signed, env.signature)
-        spans.append((client.client_id, Phase.VERIFY, t0, time.perf_counter() - t0))
+        ok = sig.verify(public_key, scheme, env.signed, env.signature)
+        spans.append((party, Phase.VERIFY, t0, time.perf_counter() - t0))
         if not ok:
-            raise SignatureInvalid("model distribution signature rejected")
+            raise _Refused(RejectReason.SIGNATURE_INVALID, f"under sender {header.sender_id}'s key")
+
+
+def _decode_params(env: SignedEnvelope, shape: tuple[int, ...], party: int,
+                   spans: list[Span]) -> codec.ParameterVector:
+    """The finite parameters of `shape` in `env`'s payload, or _Refused; the
+    decode is timed as one of `party`'s SERIALIZE spans."""
     t0 = time.perf_counter()
     try:
         params = codec.decode_params(env.payload)
-    except (MalformedPayload, NonFiniteValue) as exc:
-        raise MalformedEnvelope(f"model payload: {exc}") from exc
-    spans.append((client.client_id, Phase.SERIALIZE, t0, time.perf_counter() - t0))
-    if params.shape != (client.architecture.param_count,):
-        raise MalformedEnvelope(
-            f"model payload has shape {params.shape}, expected ({client.architecture.param_count},)"
-        )
-    model = GlobalModel(params=params, architecture=client.architecture, round=env.header.round)
+    except NonFiniteValue as exc:
+        raise _Refused(RejectReason.NON_FINITE, str(exc)) from None
+    except MalformedPayload as exc:
+        raise _Refused(RejectReason.MALFORMED, str(exc)) from None
+    finally:
+        spans.append((party, Phase.SERIALIZE, t0, time.perf_counter() - t0))
+    if params.shape != shape:
+        raise _Refused(RejectReason.MALFORMED, f"shape {params.shape}, expected {shape}")
+    return params
+
+
+def client_receive_model(
+    client: ClientState, env: SignedEnvelope, spans: list[Span] | None = None
+) -> GlobalModel:
+    """Admit a model distribution envelope and advance the client's
+    accepted-round watermark, or raise MalformedEnvelope / WrongSender /
+    ReplayDetected / SignatureInvalid."""
+    spans = [] if spans is None else spans
+    server_key = {SERVER_ID: (client.scheme, client.server_public_key)}
+    try:
+        _authenticate(env, MsgType.MODEL_DISTRIBUTION, server_key,
+                      range(client.last_accepted_round + 1, 2**32),
+                      client.options.verify_models, client.client_id, spans)
+        params = _decode_params(env, (client.architecture.param_count,), client.client_id, spans)
+    except _Refused as exc:
+        kind = {RejectReason.UNKNOWN_SENDER: WrongSender, RejectReason.STALE_ROUND: ReplayDetected,
+                RejectReason.SIGNATURE_INVALID: SignatureInvalid}.get(exc.reason, MalformedEnvelope)
+        raise kind(f"model distribution refused: {exc}") from None
     client.last_accepted_round = env.header.round
-    return model
+    return GlobalModel(params=params, architecture=client.architecture, round=env.header.round)
 
 
 def client_submit_update(
@@ -354,11 +390,7 @@ def client_process_round(
     t0 = time.perf_counter()
     try:
         env = codec.decode_envelope(env_blob)
-    except MalformedEnvelope as exc:
-        return ClientRoundResult(reply=None, spans=spans, skipped=f"malformed: {exc}")
-    spans.append((client.client_id, Phase.SERIALIZE, t0, time.perf_counter() - t0))
-
-    try:
+        spans.append((client.client_id, Phase.SERIALIZE, t0, time.perf_counter() - t0))
         model = client_receive_model(client, env, spans)
     except (MalformedEnvelope, WrongSender, ReplayDetected, SignatureInvalid) as exc:
         log.info("client %d sitting out: %s", client.client_id, exc)
@@ -392,79 +424,35 @@ def server_collect_and_verify(
     rejection is data, never an exception. At most one update per client
     enters the set (first valid wins). The server's spans go to `spans`.
     """
-    if spans is None:
-        spans = []
+    spans = [] if spans is None else spans
     verified: list[ModelUpdate] = []
     rejections: list[Rejection] = []
     accepted_ids: set[int] = set()
-    payload_bytes = 0
-    signature_bytes = 0
-
+    payload_bytes = signature_bytes = 0
+    this_round = range(server.model.round, server.model.round + 1)
     for blob in envelope_blobs:
         t0 = time.perf_counter()
         try:
             env = codec.decode_envelope(blob)
         except MalformedEnvelope as exc:
-            spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
             rejections.append(Rejection(None, RejectReason.MALFORMED, str(exc)))
-            continue
-        spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
-        payload_bytes += len(env.payload)
-        signature_bytes += len(env.signature.data)
-        sender = env.header.sender_id
-
-        if env.header.msg_type != MsgType.UPDATE_SUBMISSION:
-            rejections.append(
-                Rejection(sender, RejectReason.MALFORMED, f"msg_type {env.header.msg_type!r}")
-            )
-            continue
-        if sender == SERVER_ID or sender not in server.registry:
-            rejections.append(Rejection(sender, RejectReason.UNKNOWN_SENDER))
-            continue
-        if env.header.round != server.model.round:
-            rejections.append(
-                Rejection(
-                    sender,
-                    RejectReason.STALE_ROUND,
-                    f"round {env.header.round} != {server.model.round}",
-                )
-            )
-            continue
-
-        if server.options.verify_updates:
-            scheme, public_key = server.registry[sender]
-            t0 = time.perf_counter()
-            ok = sig.verify(public_key, scheme, env.signed, env.signature)
-            spans.append((SERVER_ID, Phase.VERIFY, t0, time.perf_counter() - t0))
-            if not ok:
-                rejections.append(Rejection(sender, RejectReason.SIGNATURE_INVALID))
-                continue
-
-        if sender in accepted_ids:
-            rejections.append(Rejection(sender, RejectReason.DUPLICATE))
-            continue
-
-        t0 = time.perf_counter()
-        try:
-            delta = codec.decode_params(env.payload)
-        except NonFiniteValue as exc:
-            rejections.append(Rejection(sender, RejectReason.NON_FINITE, str(exc)))
-            continue
-        except MalformedPayload as exc:
-            rejections.append(Rejection(sender, RejectReason.MALFORMED, str(exc)))
             continue
         finally:
             spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
-        if delta.shape != server.model.params.shape:
-            rejections.append(
-                Rejection(sender, RejectReason.MALFORMED, f"delta shape {delta.shape}")
-            )
+        payload_bytes += len(env.payload)
+        signature_bytes += len(env.signature.data)
+        sender = env.header.sender_id
+        try:
+            _authenticate(env, MsgType.UPDATE_SUBMISSION, server.registry, this_round,
+                          server.options.verify_updates, SERVER_ID, spans)
+            if sender in accepted_ids:
+                raise _Refused(RejectReason.DUPLICATE, f"second update from client {sender}")
+            delta = _decode_params(env, server.model.params.shape, SERVER_ID, spans)
+        except _Refused as exc:
+            rejections.append(Rejection(sender, exc.reason, exc.detail))
             continue
-
         accepted_ids.add(sender)
-        verified.append(
-            ModelUpdate(delta=delta, client_id=sender, round=env.header.round)
-        )
+        verified.append(ModelUpdate(delta=delta, client_id=sender, round=env.header.round))
 
     return verified, rejections, payload_bytes, signature_bytes
 
@@ -589,34 +577,24 @@ def run_training(
 
 # --- loopback / network TCP execution -----------------------------------------
 
-def _make_announce(client: ClientState) -> SignedEnvelope:
-    return _sign_envelope(
-        client.keypair,
-        MsgType.PUBLIC_KEY_ANNOUNCE,
-        0,
-        client.client_id,
-        client.keypair.public_key,
-        [],
-    )
-
-
 def _check_announce(server: ServerState, blob: codec.Wire) -> int:
     """Map an incoming connection to a registered client id, or fail the run.
 
-    The registry is the trust anchor: the announced key must byte-match it.
+    The registry is the trust anchor: the announced key must byte-match it,
+    which is tested before the signature.
     """
     try:
         env = codec.decode_envelope(blob)
     except MalformedEnvelope as exc:
         raise ConnectionFailed(f"bad announce: {exc}") from exc
     sender = env.header.sender_id
-    if env.header.msg_type != MsgType.PUBLIC_KEY_ANNOUNCE or sender not in server.registry:
-        raise ConnectionFailed(f"announce from unknown participant {sender}")
-    scheme, registered_pk = server.registry[sender]
-    if env.payload != registered_pk:
+    if sender in server.registry and env.payload != server.registry[sender][1]:
         raise ConnectionFailed(f"announced key for client {sender} does not match registry")
-    if not sig.verify(registered_pk, scheme, env.signed, env.signature):
-        raise ConnectionFailed(f"announce signature from client {sender} rejected")
+    try:
+        _authenticate(env, MsgType.PUBLIC_KEY_ANNOUNCE, server.registry, range(1), True,
+                      SERVER_ID, [])
+    except _Refused as exc:
+        raise ConnectionFailed(f"announce from participant {sender} refused: {exc}") from None
     return sender
 
 
@@ -625,19 +603,23 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState],
                   host: str, port: int) -> Iterator[Exchange]:
     """Connect each client on its own thread and socket, admit each announce
     once, and yield the TCP exchange. The listener and every accepted socket
-    are closed on every exit path, which releases the client threads at once;
-    a client thread's failure is raised on a clean exit."""
+    are closed on every exit path, which releases the client threads at once.
+    Once they are joined, the failure of the lowest client id that failed on
+    its own, not on a closed socket, is raised ahead of the server's error."""
     listener = _channel.tcp_listen(host, port)
     address = listener.getsockname()[:2]
     # Each client puts its spans here once a round, before it sends its reply,
     # so they are all in once the server has every reply of the round.
     client_spans: queue.SimpleQueue[list[Span]] = queue.SimpleQueue()
-    failures: list[Exception] = []  # appended by client threads, read after join
+    failures: dict[int, Exception] = {}  # by client id, set by client threads, read after join
 
     def client_main(client: ClientState) -> None:
         try:
             with contextlib.closing(_channel.tcp_connect(*address)) as fs:
-                fs.send_frame(codec.encode_envelope(_make_announce(client)))
+                kp = client.keypair
+                announce = _sign_envelope(kp, MsgType.PUBLIC_KEY_ANNOUNCE, 0, client.client_id,
+                                          kp.public_key, [])
+                fs.send_frame(codec.encode_envelope(announce))
                 uploads = codec.ReusedBuffer()  # this thread's, free again once a reply is sent
                 for _ in range(server.cfg.num_rounds):
                     result = client_process_round(client, fs.recv_frame(), uploads)
@@ -645,7 +627,7 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState],
                     fs.send_frame(result.reply or b"")
                     del result  # so that the next upload reuses `uploads`
         except Exception as exc:  # surfaced after join
-            failures.append(exc)
+            failures[client.client_id] = exc
 
     accepted: list[_channel.FrameSocket] = []
     conns: dict[int, _channel.FrameSocket] = {}
@@ -659,6 +641,7 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState],
         return replies
 
     threads = [threading.Thread(target=client_main, args=(c,), daemon=True) for c in clients]
+    error = None
     try:
         for th in threads:
             th.start()
@@ -670,14 +653,22 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState],
             conns[cid] = accepted[-1]
         listener.close()
         yield exchange
+    except Exception as exc:
+        error = exc
     finally:
         listener.close()
         for fs in accepted:
             fs.close()
         for th in threads:
             th.join(timeout=60)
-    if failures:
-        raise failures[0]
+    # A client that fails closes its socket, so the server's error and the other
+    # clients' transport errors may only echo that client's own failure.
+    own = [exc for _, exc in sorted(failures.items())
+           if not isinstance(exc, (ConnectionFailed, PeerClosed, OSError))]
+    if own:
+        raise own[0] from error
+    if error is not None or failures:
+        raise error or failures[min(failures)]
 
 
 def run_training_tcp(

@@ -1,6 +1,7 @@
 """Attack injection semantics, channel stats, and the framed TCP transport."""
 
 import contextlib
+import dataclasses
 import hashlib
 import socket
 import struct
@@ -24,7 +25,7 @@ from pqfl.channel import (
     tcp_listen,
 )
 from pqfl.codec import ParameterVector
-from pqfl.errors import ConnectionFailed, FrameTooLarge, PeerClosed
+from pqfl.errors import ConnectionFailed, FrameTooLarge, NonFiniteGradient, PeerClosed
 from pqfl.fedcore import TrainConfig, derive_seed
 from pqfl.protocol import ProtocolOptions, RejectReason, run_training, run_training_tcp
 from pqfl.sig import SchemeId
@@ -557,3 +558,53 @@ def test_tcp_second_announce_for_connected_client_fails(monkeypatch):
             extra[0].close()
     assert isinstance(error, ConnectionFailed)
     assert "second announce" in str(error)
+
+
+def announce_from_unregistered_id(clients, monkeypatch):
+    clients[2].client_id = 99
+
+
+def announce_signed_with_another_secret_key(clients, monkeypatch):
+    registered = clients[2].keypair.public_key
+    stranger = sig.keygen(SchemeId.TEST_SCHEME, 777)
+    clients[2].keypair = sig.KeyPair(SchemeId.TEST_SCHEME, registered, stranger.secret_key)
+
+
+def garbage_announce(clients, monkeypatch):
+    real_connect = channel.tcp_connect
+
+    def connect(host, port, *args, **kwargs):
+        fs = real_connect(host, port, *args, **kwargs)
+        send = fs.send_frame
+
+        def send_garbage_first(frame):
+            fs.send_frame = send
+            send(b"not an envelope")
+
+        fs.send_frame = send_garbage_first
+        return fs
+
+    monkeypatch.setattr(channel, "tcp_connect", connect)
+
+
+@pytest.mark.parametrize("tamper, named", [
+    (announce_from_unregistered_id, "unknown_sender"),
+    (announce_signed_with_another_secret_key, "signature_invalid"),
+    (garbage_announce, "bad announce"),
+], ids=["unregistered-id", "other-secret-key", "garbage"])
+def test_tcp_refused_announce_fails_the_run(monkeypatch, tamper, named):
+    server, clients, *_ = build_sim()
+    tamper(clients, monkeypatch)
+    error, _ = run_tcp_bounded(server, clients, deadline=5.0)
+    assert isinstance(error, ConnectionFailed)
+    assert named in str(error)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_tcp_run_raises_the_diverging_clients_own_failure():
+    # the client closes its socket as it fails, so the server sees only PeerClosed
+    server, clients, *_ = build_sim()
+    clients[0].cfg = dataclasses.replace(clients[0].cfg, learning_rate=1e30)
+    error, _ = run_tcp_bounded(server, clients, deadline=10.0)
+    assert isinstance(error, NonFiniteGradient)
+    assert "client 1 diverged" in str(error)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from pqfl import bench, channel, sig
+from pqfl import bench, channel, fedcore, protocol, sig
 from pqfl.cli import main, parse_attack
 from pqfl.sig import SchemeId
 
@@ -84,6 +84,20 @@ def test_keygen_sphincsplus_deterministic_with_seed(tmp_path):
     for name in ("server.pk", "server.sk", "client_001.pk", "client_001.sk", "manifest.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     assert (a / "server.pk").read_bytes() != (a / "client_001.pk").read_bytes()
+
+
+def test_keygen_writes_the_keys_a_seeded_run_registers(tmp_path):
+    assert run_cli("keygen", "--scheme", "testscheme", "--clients", "3",
+                   "--out-dir", str(tmp_path), "--seed", "5") == 0
+    data = fedcore.generate_synthetic(30, 4, 2, seed=1)
+    model = fedcore.init_model(fedcore.ModelArchitecture(4, (), 2), seed=1)
+    cfg = fedcore.TrainConfig(num_clients=3, seed=5)
+    _, _, registry = protocol.setup_keys(
+        cfg, SchemeId.TEST_SCHEME, 5, model, fedcore.split_iid(data, 3, seed=1)
+    )
+    written = {pid: (tmp_path / name).read_bytes() for pid, name in
+               enumerate(["server.pk", "client_001.pk", "client_002.pk", "client_003.pk"])}
+    assert written == {pid: pk for pid, (_, pk) in registry.items()}
 
 
 # --- run -------------------------------------------------------------------------
@@ -373,8 +387,13 @@ def test_keygen_rejects_fewer_than_one_client(tmp_path, capsys, clients):
     (["run", "--transport", "tcp::70000", "--seed", "1"], ["--transport", "'70000'"]),
     (["run", "--transport", "tcp:127.0.0.1:0:9", "--seed", "1"], ["--transport", "'tcp:127.0.0.1:0:9'"]),
     (["run", "--config", "tcp.cfg"], ["tcp.cfg:2:", "--transport", "'notaport'"]),
+    (["run", "--scheme", ",", "--seed", "1"], ["--scheme", "','"]),
+    (["bench", "--schemes", ","], ["--schemes", "','"]),
+    (["bench", "--sizes", ","], ["--sizes", "()"]),
+    (["bench", "--sizes", "0,-1"], ["--sizes", "(0, -1)"]),
 ], ids=["run-scheme", "keygen-scheme", "bench-schemes", "bench-sizes", "port", "port-range",
-        "extra-field", "config-port"])
+        "extra-field", "config-port", "run-no-scheme", "bench-no-scheme", "bench-no-size",
+        "bench-size-below-1"])
 def test_bad_scheme_or_transport_names_its_flag(tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tcp.cfg").write_text("seed = 1\ntransport = tcp:127.0.0.1:notaport\n")

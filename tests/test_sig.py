@@ -180,10 +180,12 @@ def test_verify_never_raises_on_fuzzed_signatures(keypairs, scheme):
 
 
 def test_verify_rejects_scheme_mismatch(keypairs):
+    # the right key, message and bytes: only the signature's scheme tag is wrong
     kp = keypairs[SchemeId.TEST_SCHEME]
     signature = sig.sign(kp, b"hello")
+    assert sig.verify(kp.public_key, SchemeId.TEST_SCHEME, b"hello", signature)
     relabeled = SignatureBytes(SchemeId.DILITHIUM, signature.data)
-    assert not sig.verify(kp.public_key, SchemeId.DILITHIUM, b"hello", relabeled)
+    assert not sig.verify(kp.public_key, SchemeId.TEST_SCHEME, b"hello", relabeled)
 
 
 def test_unknown_wire_code_raises():
