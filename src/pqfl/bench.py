@@ -54,7 +54,6 @@ class MicrobenchRecord:
 
 
 ROUND_CSV_COLUMNS = [f.name for f in fields(RoundMetrics)]
-MICROBENCH_CSV_COLUMNS = [f.name for f in fields(MicrobenchRecord)]
 
 
 def round_metrics(scheme: SchemeId, outcome: RoundOutcome) -> RoundMetrics:

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Verification failures on the server side are rejection *data*, not
-exceptions; the classes here cover programming errors, malformed inputs,
-and client-side protocol violations that abort the current operation.
+The classes here cover programming errors and malformed inputs that abort
+the current operation. An envelope refused at admission, on either side, is
+`protocol.Refused`, which carries its `protocol.Rejection`.
 """
 
 
@@ -58,20 +58,6 @@ class EmptyVerifiedSet(PqflError):
 
 class RoundMismatch(PqflError):
     """An update's round does not match the aggregation round."""
-
-
-# --- protocol (client side) ---
-
-class SignatureInvalid(PqflError):
-    """Envelope signature does not verify under the expected key."""
-
-
-class ReplayDetected(PqflError):
-    """Envelope round is not newer than the last accepted round."""
-
-
-class WrongSender(PqflError):
-    """Envelope sender id is not the expected participant."""
 
 
 # --- transport ---

@@ -467,18 +467,20 @@ def local_train(
     # a shard's batches are gathered straight from its parent's rows
     features, labels, rows = data._features, data._labels, data._rows
 
-    for _ in range(cfg.local_epochs):
-        perm = rng.permutation(data.num_samples)
-        if rows is not None:
-            perm = rows[perm]
-        for lo in range(0, data.num_samples, cfg.batch_size):
-            idx = perm[lo : lo + cfg.batch_size]
-            _backprop(layers, grad_layers, features[idx], labels[idx])
-            if adamw is not None:
-                adamw.step(theta, grad)
-            else:
-                grad *= cfg.learning_rate
-                theta -= grad
+    # a diverging run overflows here; the finite check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.local_epochs):
+            perm = rng.permutation(data.num_samples)
+            if rows is not None:
+                perm = rows[perm]
+            for lo in range(0, data.num_samples, cfg.batch_size):
+                idx = perm[lo : lo + cfg.batch_size]
+                _backprop(layers, grad_layers, features[idx], labels[idx])
+                if adamw is not None:
+                    adamw.step(theta, grad)
+                else:
+                    grad *= cfg.learning_rate
+                    theta -= grad
 
     if not all_finite(theta):
         raise NonFiniteGradient(f"client {client_id} diverged (non-finite parameters)")

@@ -9,8 +9,9 @@ Every signed envelope, broadcast, upload or TCP key announce, is admitted by
 one rule: the expected type, a sender with a registered key, a round the
 receiver expects and a signature that verifies under that key; only then is
 a payload decoded. Round and sender id are signed, so replayed or re-labelled
-envelopes fail. Rejected updates are dropped for the round (no retry); a
-round whose verified set is empty leaves the parameters unchanged.
+envelopes fail. A refusal raises `Refused`, which carries a `Rejection`: the
+server drops that update for the round (no retry), a client sits the round
+out. A round whose verified set is empty leaves the parameters unchanged.
 
 One round driver serves both transports and alone passes messages through
 the channel. They differ only in the exchange that carries the broadcasts
@@ -36,7 +37,7 @@ import queue
 import threading
 import time
 import types
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Container, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,10 +52,9 @@ from pqfl.errors import (
     MalformedPayload,
     NonFiniteValue,
     PeerClosed,
-    ReplayDetected,
-    SignatureInvalid,
+    PqflError,
+    RoundMismatch,
     UnsupportedScheme,
-    WrongSender,
 )
 from pqfl.fedcore import (
     ClientDataset,
@@ -276,54 +276,70 @@ def distribute_model(server: ServerState, spans: list[Span] | None = None) -> Si
 
 # --- admission: one rule for broadcasts, uploads and announces ----------------
 
-class _Refused(Exception):
-    """An envelope failed an admission check; `reason` says which."""
+class Refused(PqflError):
+    """An envelope failed admission; `rejection` says whose, which check and why."""
 
-    def __init__(self, reason: RejectReason, detail: str):
+    def __init__(self, sender_id: int | None, reason: RejectReason, detail: str):
         super().__init__(f"{reason.value}: {detail}")
-        self.reason, self.detail = reason, detail
+        self.rejection = Rejection(sender_id, reason, detail)
+
+
+def _decode_envelope(blob: codec.Wire, party: int, spans: list[Span]) -> SignedEnvelope:
+    """The envelope in `blob`, or Refused with no sender; the decode is timed
+    as one of `party`'s SERIALIZE spans, refused or not."""
+    t0 = time.perf_counter()
+    try:
+        return codec.decode_envelope(blob)
+    except MalformedEnvelope as exc:
+        raise Refused(None, RejectReason.MALFORMED, str(exc)) from None
+    finally:
+        spans.append((party, Phase.SERIALIZE, t0, time.perf_counter() - t0))
 
 
 def _authenticate(
     env: SignedEnvelope, msg_type: MsgType, keys: Mapping[int, tuple[sig.SchemeId, bytes]],
     rounds: range, verify: bool, party: int, spans: list[Span],
 ) -> None:
-    """Raise _Refused unless `env` has type `msg_type`, a sender other than the
+    """Raise Refused unless `env` has type `msg_type`, a sender other than the
     receiving `party` with an entry in `keys` and a round in `rounds`, and, when
     `verify` is set, a signature that verifies under that sender's key, timed
     as `party`'s VERIFY span."""
     header = env.header
+    sender = header.sender_id
     if header.msg_type != msg_type:
-        raise _Refused(RejectReason.MALFORMED, f"{header.msg_type!r}, expected {msg_type!r}")
-    if header.sender_id not in keys or header.sender_id == party:
-        raise _Refused(RejectReason.UNKNOWN_SENDER, f"sender {header.sender_id} is not a peer")
+        raise Refused(sender, RejectReason.MALFORMED,
+                      f"{header.msg_type!r}, expected {msg_type!r}")
+    if sender not in keys or sender == party:
+        raise Refused(sender, RejectReason.UNKNOWN_SENDER, f"sender {sender} is not a peer")
     if header.round not in rounds:
         expected = rounds.start if len(rounds) == 1 else f"{rounds.start} or later"
-        raise _Refused(RejectReason.STALE_ROUND, f"round {header.round}, expected {expected}")
+        raise Refused(sender, RejectReason.STALE_ROUND,
+                      f"round {header.round}, expected {expected}")
     if verify:
-        scheme, public_key = keys[header.sender_id]
+        scheme, public_key = keys[sender]
         t0 = time.perf_counter()
         ok = sig.verify(public_key, scheme, env.signed, env.signature)
         spans.append((party, Phase.VERIFY, t0, time.perf_counter() - t0))
         if not ok:
-            raise _Refused(RejectReason.SIGNATURE_INVALID, f"under sender {header.sender_id}'s key")
+            raise Refused(sender, RejectReason.SIGNATURE_INVALID, f"under sender {sender}'s key")
 
 
 def _decode_params(env: SignedEnvelope, shape: tuple[int, ...], party: int,
                    spans: list[Span]) -> codec.ParameterVector:
-    """The finite parameters of `shape` in `env`'s payload, or _Refused; the
+    """The finite parameters of `shape` in `env`'s payload, or Refused; the
     decode is timed as one of `party`'s SERIALIZE spans."""
+    sender = env.header.sender_id
     t0 = time.perf_counter()
     try:
         params = codec.decode_params(env.payload)
     except NonFiniteValue as exc:
-        raise _Refused(RejectReason.NON_FINITE, str(exc)) from None
+        raise Refused(sender, RejectReason.NON_FINITE, str(exc)) from None
     except MalformedPayload as exc:
-        raise _Refused(RejectReason.MALFORMED, str(exc)) from None
+        raise Refused(sender, RejectReason.MALFORMED, str(exc)) from None
     finally:
         spans.append((party, Phase.SERIALIZE, t0, time.perf_counter() - t0))
     if params.shape != shape:
-        raise _Refused(RejectReason.MALFORMED, f"shape {params.shape}, expected {shape}")
+        raise Refused(sender, RejectReason.MALFORMED, f"shape {params.shape}, expected {shape}")
     return params
 
 
@@ -331,19 +347,13 @@ def client_receive_model(
     client: ClientState, env: SignedEnvelope, spans: list[Span] | None = None
 ) -> GlobalModel:
     """Admit a model distribution envelope and advance the client's
-    accepted-round watermark, or raise MalformedEnvelope / WrongSender /
-    ReplayDetected / SignatureInvalid."""
+    accepted-round watermark, or raise Refused and leave it where it was."""
     spans = [] if spans is None else spans
     server_key = {SERVER_ID: (client.scheme, client.server_public_key)}
-    try:
-        _authenticate(env, MsgType.MODEL_DISTRIBUTION, server_key,
-                      range(client.last_accepted_round + 1, 2**32),
-                      client.options.verify_models, client.client_id, spans)
-        params = _decode_params(env, (client.architecture.param_count,), client.client_id, spans)
-    except _Refused as exc:
-        kind = {RejectReason.UNKNOWN_SENDER: WrongSender, RejectReason.STALE_ROUND: ReplayDetected,
-                RejectReason.SIGNATURE_INVALID: SignatureInvalid}.get(exc.reason, MalformedEnvelope)
-        raise kind(f"model distribution refused: {exc}") from None
+    _authenticate(env, MsgType.MODEL_DISTRIBUTION, server_key,
+                  range(client.last_accepted_round + 1, 2**32),
+                  client.options.verify_models, client.client_id, spans)
+    params = _decode_params(env, (client.architecture.param_count,), client.client_id, spans)
     client.last_accepted_round = env.header.round
     return GlobalModel(params=params, architecture=client.architecture, round=env.header.round)
 
@@ -356,9 +366,7 @@ def client_submit_update(
 ) -> SignedEnvelope:
     """Wrap a local update in a signed submission envelope laid out in `buffer`."""
     if update.round != client.last_accepted_round:
-        raise ReplayDetected(
-            f"update round {update.round} != current round {client.last_accepted_round}"
-        )
+        raise RoundMismatch(f"update round {update.round}, current {client.last_accepted_round}")
     return _sign_envelope(
         client.keypair,
         MsgType.UPDATE_SUBMISSION,
@@ -374,7 +382,7 @@ def client_submit_update(
 class ClientRoundResult:
     reply: codec.Wire | None
     spans: list[Span]  # this client's spans of the round
-    skipped: str | None = None  # reason text when the client sat out
+    skipped: Rejection | None = None  # why the client sat out, if it did
 
 
 def client_process_round(
@@ -383,18 +391,16 @@ def client_process_round(
     """One full client round over wire bytes: decode, verify, train, submit
     an upload laid out in `buffer`.
 
-    A client that cannot validate the incoming model sits the round out
-    and reports why instead of raising.
+    A client that refuses the incoming model sits the round out and reports
+    the `Rejection` instead of raising.
     """
     spans: list[Span] = []
-    t0 = time.perf_counter()
     try:
-        env = codec.decode_envelope(env_blob)
-        spans.append((client.client_id, Phase.SERIALIZE, t0, time.perf_counter() - t0))
+        env = _decode_envelope(env_blob, client.client_id, spans)
         model = client_receive_model(client, env, spans)
-    except (MalformedEnvelope, WrongSender, ReplayDetected, SignatureInvalid) as exc:
+    except Refused as exc:
         log.info("client %d sitting out: %s", client.client_id, exc)
-        return ClientRoundResult(reply=None, spans=spans, skipped=str(exc))
+        return ClientRoundResult(reply=None, spans=spans, skipped=exc.rejection)
 
     t0 = time.perf_counter()
     update = fedcore.local_train(
@@ -431,25 +437,18 @@ def server_collect_and_verify(
     payload_bytes = signature_bytes = 0
     this_round = range(server.model.round, server.model.round + 1)
     for blob in envelope_blobs:
-        t0 = time.perf_counter()
         try:
-            env = codec.decode_envelope(blob)
-        except MalformedEnvelope as exc:
-            rejections.append(Rejection(None, RejectReason.MALFORMED, str(exc)))
-            continue
-        finally:
-            spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
-        payload_bytes += len(env.payload)
-        signature_bytes += len(env.signature.data)
-        sender = env.header.sender_id
-        try:
+            env = _decode_envelope(blob, SERVER_ID, spans)
+            payload_bytes += len(env.payload)
+            signature_bytes += len(env.signature.data)
+            sender = env.header.sender_id
             _authenticate(env, MsgType.UPDATE_SUBMISSION, server.registry, this_round,
                           server.options.verify_updates, SERVER_ID, spans)
             if sender in accepted_ids:
-                raise _Refused(RejectReason.DUPLICATE, f"second update from client {sender}")
+                raise Refused(sender, RejectReason.DUPLICATE, f"second update from client {sender}")
             delta = _decode_params(env, server.model.params.shape, SERVER_ID, spans)
-        except _Refused as exc:
-            rejections.append(Rejection(sender, exc.reason, exc.detail))
+        except Refused as exc:
+            rejections.append(exc.rejection)
             continue
         accepted_ids.add(sender)
         verified.append(ModelUpdate(delta=delta, client_id=sender, round=env.header.round))
@@ -577,24 +576,25 @@ def run_training(
 
 # --- loopback / network TCP execution -----------------------------------------
 
-def _check_announce(server: ServerState, blob: codec.Wire) -> int:
-    """Map an incoming connection to a registered client id, or fail the run.
+def _check_announce(server: ServerState, blob: codec.Wire, connected: Container[int]) -> int:
+    """Map an incoming connection to a registered client id not yet
+    `connected`, or fail the run with a ConnectionFailed caused by Refused.
 
     The registry is the trust anchor: the announced key must byte-match it,
     which is tested before the signature.
     """
     try:
-        env = codec.decode_envelope(blob)
-    except MalformedEnvelope as exc:
-        raise ConnectionFailed(f"bad announce: {exc}") from exc
-    sender = env.header.sender_id
-    if sender in server.registry and env.payload != server.registry[sender][1]:
-        raise ConnectionFailed(f"announced key for client {sender} does not match registry")
-    try:
+        env = _decode_envelope(blob, SERVER_ID, [])
+        sender = env.header.sender_id
+        if sender in server.registry and env.payload != server.registry[sender][1]:
+            raise Refused(sender, RejectReason.UNKNOWN_SENDER,
+                          f"announced key for client {sender} does not match registry")
         _authenticate(env, MsgType.PUBLIC_KEY_ANNOUNCE, server.registry, range(1), True,
                       SERVER_ID, [])
-    except _Refused as exc:
-        raise ConnectionFailed(f"announce from participant {sender} refused: {exc}") from None
+        if sender in connected:  # an announce carries no freshness: it may be a replay
+            raise Refused(sender, RejectReason.DUPLICATE, f"second announce for client {sender}")
+    except Refused as exc:
+        raise ConnectionFailed(f"bad announce: {exc}") from exc
     return sender
 
 
@@ -647,9 +647,7 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState],
             th.start()
         for _ in clients:
             accepted.append(_channel.tcp_accept(listener))
-            cid = _check_announce(server, accepted[-1].recv_frame())
-            if cid in conns:  # an announce carries no freshness: it may be a replay
-                raise ConnectionFailed(f"second announce for connected client {cid}")
+            cid = _check_announce(server, accepted[-1].recv_frame(), conns)
             conns[cid] = accepted[-1]
         listener.close()
         yield exchange

@@ -11,7 +11,6 @@ import pytest
 from pqfl import bench, codec, fedcore, protocol, sig
 from pqfl.channel import AttackConfig, AttackKind, Channel, Direction
 from pqfl.codec import ParameterVector, decode_params, encode_params
-from pqfl.errors import ReplayDetected
 from pqfl.fedcore import TrainConfig, derive_seed
 from pqfl.protocol import (
     ProtocolOptions,
@@ -226,13 +225,14 @@ def test_criterion_07_replay_defense():
             for idx in rng.integers(0, len(prior_dists), size=6):
                 collected.append(prior_dists[int(idx)])
                 injected += 1
-            # client-side replays: stale distributions must raise ReplayDetected
+            # client-side replays: stale distributions must be refused as stale
             for idx in rng.integers(0, len(prior_dists), size=6):
                 client = clients[int(rng.integers(0, len(clients)))]
-                with pytest.raises(ReplayDetected):
+                with pytest.raises(protocol.Refused) as refused:
                     protocol.client_receive_model(
                         client, codec.decode_envelope(prior_dists[int(idx)])
                     )
+                assert refused.value.rejection.reason == RejectReason.STALE_ROUND
                 client_replay_rejections += 1
                 injected += 1
         replayed_total += injected
@@ -249,7 +249,7 @@ def test_criterion_07_replay_defense():
 
     print(f"\nreplay campaign: {replayed_total} replayed messages, "
           f"{stale_rejections} stale-round rejections, "
-          f"{client_replay_rejections} client-side ReplayDetected, 0 entered S")
+          f"{client_replay_rejections} client-side stale-round refusals, 0 entered S")
     assert replayed_total >= 1000
     assert stale_rejections == 9 * 100
     assert client_replay_rejections == 9 * 6

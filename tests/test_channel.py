@@ -600,7 +600,6 @@ def test_tcp_refused_announce_fails_the_run(monkeypatch, tamper, named):
     assert named in str(error)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_tcp_run_raises_the_diverging_clients_own_failure():
     # the client closes its socket as it fails, so the server sees only PeerClosed
     server, clients, *_ = build_sim()

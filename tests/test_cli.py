@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -190,6 +191,16 @@ def test_bad_run_input_exits_before_any_run(tmp_path, capsys, extra):
     assert run_cli(*args) == 2
     assert "round" not in capsys.readouterr().out
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_diverging_run_prints_only_its_error(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--scheme", "testscheme", "--seed", "1", "--rounds", "1",
+                       "--clients", "3", "--lr", "1e30", "--out", str(tmp_path / "d.csv"))
+    assert code == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "client 1 diverged" in capsys.readouterr().err
 
 
 def test_run_over_tcp(tmp_path):

@@ -352,7 +352,7 @@ def test_adamw_runs_and_differs_from_sgd():
 def test_divergence_raises_non_finite():
     model = init_model(ModelArchitecture(8, (16,), 3), seed=0)
     cfg = TrainConfig(num_clients=1, num_rounds=1, local_epochs=3, learning_rate=1e38, seed=0)
-    with np.errstate(all="ignore"), pytest.raises(NonFiniteGradient):
+    with pytest.raises(NonFiniteGradient):
         local_train(model, small_data(), cfg, client_rng_seed=1, client_id=1)
 
 

@@ -6,21 +6,16 @@ import time
 import numpy as np
 import pytest
 
-from pqfl import codec, fedcore, sig
+from pqfl import codec, fedcore, protocol, sig
 from pqfl.channel import AttackConfig, AttackKind, Channel, Direction
 from pqfl.codec import MsgType, ParameterVector, SignedEnvelope, build_header, signed_bytes
-from pqfl.errors import (
-    MalformedEnvelope,
-    ReplayDetected,
-    SignatureInvalid,
-    UnsupportedScheme,
-    WrongSender,
-)
+from pqfl.errors import ConnectionFailed, RoundMismatch, UnsupportedScheme
 from pqfl.fedcore import TrainConfig, derive_seed, train_seed
 from pqfl.protocol import (
     SERVER_ID,
     Phase,
     ProtocolOptions,
+    Refused,
     RejectReason,
     client_process_round,
     client_receive_model,
@@ -141,40 +136,70 @@ def test_client_receive_honest_model():
     assert clients[0].last_accepted_round == 0
 
 
-def test_client_receive_replay_rejected():
-    server, clients, *_ = build_sim()
+def broadcast(server, payload, round=0, keypair=None):
+    """A model distribution of `payload` for `round`, signed with `keypair`,
+    the server's by default."""
+    keypair = keypair or server.keypair
+    header = build_header(MsgType.MODEL_DISTRIBUTION, keypair.scheme, round, SERVER_ID, payload)
+    signature = sig.sign(keypair, signed_bytes(header, payload))
+    return SignedEnvelope(header=header, payload=payload, signature=signature)
+
+
+def relabeled(env, msg_type, sender_id):
+    header = build_header(msg_type, env.header.scheme, env.header.round, sender_id, env.payload)
+    return SignedEnvelope(header=header, payload=env.payload, signature=env.signature)
+
+
+def wrong_msg_type(server, clients):
+    return relabeled(distribute_model(server), MsgType.UPDATE_SUBMISSION, SERVER_ID)
+
+
+def foreign_sender(server, clients):
+    return relabeled(distribute_model(server), MsgType.MODEL_DISTRIBUTION, 3)
+
+
+def replayed(server, clients):
     env = distribute_model(server)
     client_receive_model(clients[0], env)
-    with pytest.raises(ReplayDetected):
+    return env
+
+
+def signed_by_client_key(server, clients):
+    return broadcast(server, codec.encode_params(server.model.params), keypair=clients[1].keypair)
+
+
+def reshaped(server, clients):
+    params = server.model.params
+    return broadcast(server, codec.encode_params(ParameterVector(params.values, (params.size, 1))))
+
+
+@pytest.mark.parametrize("forge, reason, sender_id", [
+    (wrong_msg_type, RejectReason.MALFORMED, SERVER_ID),
+    (foreign_sender, RejectReason.UNKNOWN_SENDER, 3),
+    (replayed, RejectReason.STALE_ROUND, SERVER_ID),
+    (signed_by_client_key, RejectReason.SIGNATURE_INVALID, SERVER_ID),
+    (reshaped, RejectReason.MALFORMED, SERVER_ID),
+], ids=["wrong-msg-type", "foreign-sender", "replayed", "signed-by-client-key", "reshaped"])
+def test_client_refuses_broadcast(forge, reason, sender_id):
+    server, clients, *_ = build_sim()
+    env = forge(server, clients)
+    watermark = clients[0].last_accepted_round
+    with pytest.raises(Refused) as refused:
         client_receive_model(clients[0], env)
+    rejection = refused.value.rejection
+    assert (rejection.sender_id, rejection.reason) == (sender_id, reason)
+    assert clients[0].last_accepted_round == watermark
 
 
-def test_client_receive_wrong_sender():
+def test_badly_signed_last_round_broadcast_does_not_lock_the_client_out():
     server, clients, *_ = build_sim()
-    env = distribute_model(server)
-    forged_header = build_header(MsgType.MODEL_DISTRIBUTION, env.header.scheme, 0, 3, env.payload)
-    forged = SignedEnvelope(header=forged_header, payload=env.payload, signature=env.signature)
-    with pytest.raises(WrongSender):
+    payload = codec.encode_params(server.model.params)
+    forged = broadcast(server, payload, round=2**32 - 1, keypair=clients[1].keypair)
+    with pytest.raises(Refused) as refused:
         client_receive_model(clients[0], forged)
-
-
-def test_client_receive_wrong_msg_type():
-    server, clients, *_ = build_sim()
-    env = distribute_model(server)
-    relabeled_header = build_header(MsgType.UPDATE_SUBMISSION, env.header.scheme, 0, 0, env.payload)
-    relabeled = SignedEnvelope(header=relabeled_header, payload=env.payload, signature=env.signature)
-    with pytest.raises(MalformedEnvelope):
-        client_receive_model(clients[0], relabeled)
-
-
-def test_client_rejects_model_signed_by_client_key():
-    server, clients, *_ = build_sim()
-    env = distribute_model(server)
-    imposter = clients[1]
-    resigned = sig.sign(imposter.keypair, signed_bytes(env.header, env.payload))
-    forged = SignedEnvelope(header=env.header, payload=env.payload, signature=resigned)
-    with pytest.raises(SignatureInvalid):
-        client_receive_model(clients[0], forged)
+    assert refused.value.rejection.reason == RejectReason.SIGNATURE_INVALID
+    model = client_receive_model(clients[0], distribute_model(server))
+    assert model.round == 0 and clients[0].last_accepted_round == 0
 
 
 def test_client_receive_skips_verification_in_baseline_mode():
@@ -207,7 +232,7 @@ def test_submission_round_must_match_current():
         model, clients[0].dataset, clients[0].cfg, 1, clients[0].client_id
     )
     stale = fedcore.ModelUpdate(delta=update.delta, client_id=update.client_id, round=7)
-    with pytest.raises(ReplayDetected):
+    with pytest.raises(RoundMismatch):
         client_submit_update(clients[0], stale)
 
 
@@ -299,14 +324,10 @@ def test_reshaped_upload_rejected_and_the_round_goes_on():
 
 def test_client_sits_out_a_reshaped_broadcast():
     server, clients, *_ = build_sim()
-    params = server.model.params
-    payload = codec.encode_params(ParameterVector(params.values, (params.size, 1)))
-    header = build_header(MsgType.MODEL_DISTRIBUTION, server.keypair.scheme, 0, SERVER_ID, payload)
-    signature = sig.sign(server.keypair, signed_bytes(header, payload))
-    blob = codec.encode_envelope(SignedEnvelope(header=header, payload=payload, signature=signature))
-    result = client_process_round(clients[0], blob)
+    result = client_process_round(clients[0], codec.encode_envelope(reshaped(server, clients)))
     assert result.reply is None
-    assert "shape" in result.skipped
+    assert result.skipped.reason == RejectReason.MALFORMED
+    assert "shape" in result.skipped.detail
 
 
 def test_garbage_bytes_rejected_as_malformed():
@@ -315,6 +336,32 @@ def test_garbage_bytes_rejected_as_malformed():
     assert verified == []
     assert [r.reason for r in rejections] == [RejectReason.MALFORMED]
     assert rejections[0].sender_id is None
+
+
+def announce_blob(client, sender_id, key):
+    """A key announce claiming `sender_id` and `key`, signed with `client`'s secret key."""
+    env = protocol._sign_envelope(client.keypair, MsgType.PUBLIC_KEY_ANNOUNCE, 0, sender_id, key, [])
+    return codec.encode_envelope(env)
+
+
+# client 1 signs an announce claiming `sender_id` and client `key_of`'s public key
+@pytest.mark.parametrize("sender_id, key_of, connected, reason", [
+    (None, None, (), RejectReason.MALFORMED),
+    (1, 2, (), RejectReason.UNKNOWN_SENDER),
+    (99, 1, (), RejectReason.UNKNOWN_SENDER),
+    (2, 2, (), RejectReason.SIGNATURE_INVALID),
+    (1, 1, (1,), RejectReason.DUPLICATE),
+], ids=["garbage", "key-not-registered", "unknown-id", "signed-by-another-client", "second"])
+def test_refused_announce_fails_with_its_rejection(sender_id, key_of, connected, reason):
+    server, clients, *_ = build_sim()
+    honest = announce_blob(clients[0], 1, clients[0].keypair.public_key)
+    assert protocol._check_announce(server, honest, ()) == 1
+    blob = (b"not an envelope" if sender_id is None
+            else announce_blob(clients[0], sender_id, clients[key_of - 1].keypair.public_key))
+    with pytest.raises(ConnectionFailed) as failed:
+        protocol._check_announce(server, blob, connected)
+    rejection = failed.value.__cause__.rejection
+    assert (rejection.sender_id, rejection.reason) == (sender_id, reason)
 
 
 def test_non_finite_payload_rejected_in_baseline_mode():
@@ -415,7 +462,9 @@ def test_client_process_round_sits_out_on_malformed_blob():
     _, clients, *_ = build_sim()
     result = client_process_round(clients[0], b"\x00" * 40)
     assert result.reply is None
-    assert result.skipped is not None
+    assert (result.skipped.sender_id, result.skipped.reason) == (None, RejectReason.MALFORMED)
+    # the failed decode is timed like a successful one
+    assert [(p, phase) for p, phase, *_ in result.spans] == [(clients[0].client_id, Phase.SERIALIZE)]
 
 
 def test_soundness_under_randomized_bitflip_campaign():
