@@ -6,17 +6,20 @@ host platform:
 
     parameter payload   u32 rank | u64 dim * rank | f32 values (row-major)
     envelope            header | payload | u32 signature_len | signature
-    header (23 bytes)   "PQFL" | u8 version=1 | u8 msg_type | u8 scheme |
+    header (23 bytes)   "PQFL" | u8 version=2 | u8 msg_type | u8 scheme |
                         u32 round | u32 sender_id | u64 payload_len
 
-The signature covers exactly header || payload, which binds message type,
-round, and sender identity: re-labelling an envelope invalidates its
-signature. NaN/Inf values are rejected in both directions so a poisoned
-payload cannot corrupt aggregation silently.
+The signature covers header || digest(payload) (`signed_message`), where the
+digest is the one the header scheme's parameter set names
+(`sig.SchemeMetadata.digest`): 55 bytes with SHA-256, 87 with SHA-512. It
+binds message type, round, sender identity and every payload byte:
+re-labelling an envelope invalidates its signature. Version 1 signed
+header || payload itself and is refused. NaN/Inf values are rejected in both
+directions so a poisoned payload cannot corrupt aggregation silently.
 
 An envelope lives in one buffer. `signed_bytes` lays out header || payload
 once, writing parameter values straight into it, with room behind them for
-the signature; the signer reads a read-only view of that prefix, and `seal`
+the signature; the signer hashes the payload in place, and `seal`
 appends u32 signature_len || signature in place. Decoding takes views into
 the wire bytes instead of slices. Wire bytes are handed out as read-only
 buffers that nothing else writes to; a writable buffer given to a decoder is
@@ -26,6 +29,7 @@ copied once first, so nothing decoded aliases memory that can still change.
 from __future__ import annotations
 
 import enum
+import hashlib
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -33,10 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pqfl.errors import MalformedEnvelope, MalformedPayload, NonFiniteValue, UnsupportedScheme
-from pqfl.sig import SchemeId, SignatureBytes
+from pqfl.sig import SchemeId, SignatureBytes, metadata
 
 MAGIC = b"PQFL"
-VERSION = 1
+VERSION = 2
 HEADER_LEN = 23
 _HEADER_FMT = "<4sBBBIIQ"
 _MAX_RANK = 64
@@ -261,12 +265,9 @@ class SignedEnvelope:
             raise MalformedEnvelope("signature scheme differs from header scheme")
 
     @property
-    def signed(self) -> Wire:
-        """header || payload, the bytes the signature covers: a view into the
-        wire bytes when the envelope has them."""
-        if self.wire is None:
-            return signed_bytes(self.header, self.payload)
-        return self.wire[: HEADER_LEN + self.header.payload_len]
+    def signed(self) -> bytes:
+        """The message the signature covers, `signed_message(header, payload)`."""
+        return signed_message(self.header, self.payload)
 
 
 def build_header(
@@ -286,13 +287,20 @@ def build_header(
     )
 
 
+def signed_message(header: MessageHeader, payload: Wire) -> bytes:
+    """What a signature covers: header || digest(payload), with the digest
+    the header scheme's parameter set names, hashed from `payload` in place."""
+    return header.encode() + hashlib.new(metadata(header.scheme).digest, payload).digest()
+
+
 def signed_bytes(
     header: MessageHeader,
     payload: Wire | ParameterVector,
     max_signature_len: int = 0,
     buffer: ReusedBuffer | None = None,
 ) -> memoryview:
-    """The exact bytes signatures are computed over: header || payload.
+    """The envelope's header || payload, which `seal` completes. Not what is
+    signed: a signature covers `signed_message(header, payload)`.
 
     They are laid out once at the start of a buffer taken from `buffer` (a
     new one when it is None) that leaves room behind them for
@@ -300,8 +308,8 @@ def signed_bytes(
     which `seal` fills. A ParameterVector payload is encoded straight into
     the buffer. Returns a read-only view.
     """
-    signed_len = HEADER_LEN + header.payload_len
-    buf = (buffer or ReusedBuffer()).take(signed_len + 4 + max_signature_len)
+    payload_end = HEADER_LEN + header.payload_len
+    buf = (buffer or ReusedBuffer()).take(payload_end + 4 + max_signature_len)
     buf[:HEADER_LEN] = header.encode()
     if isinstance(payload, ParameterVector):
         if payload.encoded_len != header.payload_len:
@@ -310,28 +318,28 @@ def signed_bytes(
     else:
         if len(payload) != header.payload_len:
             raise MalformedEnvelope(f"payload_len {header.payload_len} != {len(payload)}")
-        buf[HEADER_LEN:signed_len] = payload
-    return buf[:signed_len].toreadonly()
+        buf[HEADER_LEN:payload_end] = payload
+    return buf[:payload_end].toreadonly()
 
 
-def seal(header: MessageHeader, to_sign: memoryview, signature: SignatureBytes) -> SignedEnvelope:
+def seal(header: MessageHeader, laid_out: memoryview, signature: SignatureBytes) -> SignedEnvelope:
     """Append u32 signature_len || signature in place behind the header ||
-    payload that `signed_bytes` returned as `to_sign`, and return the
+    payload that `signed_bytes` returned as `laid_out`, and return the
     envelope, whose payload and wire bytes are views into that one buffer."""
     sig = signature.data
-    signed_len = len(to_sign)
-    end = signed_len + 4 + len(sig)
+    payload_end = len(laid_out)
+    end = payload_end + 4 + len(sig)
     if len(sig) >= 2**32:
         raise MalformedEnvelope("signature too long for u32 length field")
-    if not isinstance(to_sign.obj, np.ndarray) or signed_len != HEADER_LEN + header.payload_len:
-        raise ValueError("to_sign is not a view returned by signed_bytes()")
-    buf = memoryview(to_sign.obj)[BUFFER_LEAD:]
+    if not isinstance(laid_out.obj, np.ndarray) or payload_end != HEADER_LEN + header.payload_len:
+        raise ValueError("laid_out is not a view returned by signed_bytes()")
+    buf = memoryview(laid_out.obj)[BUFFER_LEAD:]
     if end > len(buf):
         raise ValueError(f"no room for a {len(sig)}-byte signature")
-    struct.pack_into("<I", buf, signed_len, len(sig))
-    buf[signed_len + 4 : end] = sig
+    struct.pack_into("<I", buf, payload_end, len(sig))
+    buf[payload_end + 4 : end] = sig
     wire = buf[:end].toreadonly()
-    env = SignedEnvelope(header=header, payload=wire[HEADER_LEN:signed_len], signature=signature)
+    env = SignedEnvelope(header=header, payload=wire[HEADER_LEN:payload_end], signature=signature)
     object.__setattr__(env, "wire", wire)
     return env
 
@@ -341,8 +349,8 @@ def encode_envelope(e: SignedEnvelope) -> Wire:
     else a new `bytes` laid out by the same writer."""
     if e.wire is not None:
         return e.wire
-    to_sign = signed_bytes(e.header, e.payload, len(e.signature.data))
-    return bytes(seal(e.header, to_sign, e.signature).wire)
+    laid_out = signed_bytes(e.header, e.payload, len(e.signature.data))
+    return bytes(seal(e.header, laid_out, e.signature).wire)
 
 
 def decode_envelope(b: Wire | bytearray) -> SignedEnvelope:

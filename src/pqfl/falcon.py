@@ -56,6 +56,7 @@ class _Params:
     beta_sq: int
     fg_bits: int
     signature_max_len: int
+    digest: str
 
     @property
     def n(self) -> int:
@@ -63,10 +64,11 @@ class _Params:
 
 
 # Falcon specification v1.2, Table 3.3; maximum signature lengths are those
-# of the variable-length ("compressed") format.
+# of the variable-length ("compressed") format. The digest is the payload's
+# (SchemeMetadata.digest): SHA-256 for category 1, SHA-512 for category 5.
 PARAMS = {
-    "falcon-512": _Params("Falcon-512", 9, 165.7366171829776, 1.2778336969128337, 34034726, 6, 752),
-    "falcon-1024": _Params("Falcon-1024", 10, 168.38857144654395, 1.298280334344292, 70265242, 5, 1462),
+    "falcon-512": _Params("Falcon-512", 9, 165.7366171829776, 1.2778336969128337, 34034726, 6, 752, "sha256"),
+    "falcon-1024": _Params("Falcon-1024", 10, 168.38857144654395, 1.298280334344292, 70265242, 5, 1462, "sha512"),
 }
 
 
@@ -504,6 +506,7 @@ class Falcon:
             public_key_len=1 + 14 * n // 8,
             secret_key_len=1 + 2 * p.fg_bits * n // 8 + n,
             signature_max_len=p.signature_max_len,
+            digest=p.digest,
             parameter_set=p.name,
         )
         self._ntt = _Ntt(n)

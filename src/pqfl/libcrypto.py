@@ -34,14 +34,15 @@ from pqfl.sig import SchemeMetadata
 MIN_VERSION = 0x30500000
 
 # parameter set -> its SchemeMetadata: scheme name, then public key, secret key and
-# signature lengths (FIPS 204 and FIPS 205 Table 2). An ML-DSA secret key is the
-# 32-byte seed it is expanded from.
+# signature lengths (FIPS 204 and FIPS 205 Table 2), then the payload digest, whose
+# collision strength reaches the set's security category. An ML-DSA secret key is
+# the 32-byte seed it is expanded from.
 PARAMETER_SETS = {
-    "ML-DSA-44": ("Dilithium", 1312, 32, 2420),
-    "ML-DSA-65": ("Dilithium", 1952, 32, 3309),
-    "ML-DSA-87": ("Dilithium", 2592, 32, 4627),
-    "SLH-DSA-SHA2-128s": ("SPHINCS+", 32, 64, 7856),
-    "SLH-DSA-SHA2-128f": ("SPHINCS+", 32, 64, 17088),
+    "ML-DSA-44": ("Dilithium", 1312, 32, 2420, "sha256"),
+    "ML-DSA-65": ("Dilithium", 1952, 32, 3309, "sha512"),
+    "ML-DSA-87": ("Dilithium", 2592, 32, 4627, "sha512"),
+    "SLH-DSA-SHA2-128s": ("SPHINCS+", 32, 64, 7856, "sha256"),
+    "SLH-DSA-SHA2-128f": ("SPHINCS+", 32, 64, 17088, "sha256"),
 }
 
 def _candidates() -> list[str]:

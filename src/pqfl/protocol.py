@@ -241,16 +241,17 @@ def _sign_envelope(
     spans: list[Span],
     buffer: codec.ReusedBuffer | None = None,
 ) -> SignedEnvelope:
-    """Lay out header ‖ payload once, sign a view of it and seal the
-    signature in behind it, all in one buffer taken from `buffer`."""
+    """Lay out header ‖ payload once, sign header ‖ digest(payload) with the
+    payload hashed in place, and seal the signature in behind it, all in one
+    buffer taken from `buffer`. The digest pass is timed as the SIGN span."""
     t0 = time.perf_counter()
     header = codec.build_header(msg_type, keypair.scheme, round, sender_id, payload)
     max_len = sig.metadata(keypair.scheme).signature_max_len
-    to_sign = codec.signed_bytes(header, payload, max_len, buffer)
+    laid_out = codec.signed_bytes(header, payload, max_len, buffer)
     t1 = time.perf_counter()
-    signature = sig.sign(keypair, to_sign)
+    signature = sig.sign(keypair, codec.signed_message(header, laid_out[codec.HEADER_LEN :]))
     t2 = time.perf_counter()
-    env = codec.seal(header, to_sign, signature)
+    env = codec.seal(header, laid_out, signature)
     t3 = time.perf_counter()
     spans += [
         (sender_id, Phase.SERIALIZE, t0, t1 - t0),
@@ -318,7 +319,8 @@ def _authenticate(
     if verify:
         scheme, public_key = keys[sender]
         t0 = time.perf_counter()
-        ok = sig.verify(public_key, scheme, env.signed, env.signature)
+        # a header naming another scheme is refused before its digest is taken
+        ok = header.scheme == scheme and sig.verify(public_key, scheme, env.signed, env.signature)
         spans.append((party, Phase.VERIFY, t0, time.perf_counter() - t0))
         if not ok:
             raise Refused(sender, RejectReason.SIGNATURE_INVALID, f"under sender {sender}'s key")

@@ -1,5 +1,6 @@
 """Wire format: canonical layouts, bit-exact round trips, malformed input."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from pqfl import sig
+from pqfl import falcon, libcrypto, sig
 from pqfl.codec import (
     HEADER_LEN,
+    VERSION,
     MsgType,
     ParameterVector,
     SignedEnvelope,
@@ -20,8 +22,9 @@ from pqfl.codec import (
     encode_envelope,
     encode_params,
     signed_bytes,
+    signed_message,
 )
-from pqfl.errors import MalformedEnvelope, MalformedPayload, NonFiniteValue
+from pqfl.errors import MalformedEnvelope, MalformedPayload, NonFiniteValue, UnsupportedScheme
 from pqfl.sig import SchemeId, SignatureBytes
 
 
@@ -152,8 +155,16 @@ def test_envelope_bad_magic():
 
 def test_envelope_bad_version():
     blob = bytearray(encode_envelope(make_envelope()))
-    blob[4] = 2
+    blob[4] = VERSION + 1
     with pytest.raises(MalformedEnvelope):
+        decode_envelope(bytes(blob))
+
+
+def test_version_1_envelope_is_refused():
+    # version 1 signed header || payload itself; no path verifies it any more
+    blob = bytearray(encode_envelope(make_envelope()))
+    blob[4] = 1
+    with pytest.raises(MalformedEnvelope, match="unsupported version 1"):
         decode_envelope(bytes(blob))
 
 
@@ -196,33 +207,77 @@ def test_signed_bytes_length():
     assert len(signed_bytes(header, payload)) == HEADER_LEN + 57
 
 
+# (scheme, parameter set, security category in bits of classical strength);
+# category 2 (ML-DSA-44) is set by collision search on SHA-256, so 128 bits
+CATEGORY_BITS = [
+    (SchemeId.DILITHIUM, "ML-DSA-44", 128),
+    (SchemeId.DILITHIUM, "ML-DSA-65", 192),
+    (SchemeId.DILITHIUM, "ML-DSA-87", 256),
+    (SchemeId.SPHINCS_PLUS, "SLH-DSA-SHA2-128s", 128),
+    (SchemeId.SPHINCS_PLUS, "SLH-DSA-SHA2-128f", 128),
+    (SchemeId.FALCON, "falcon-512", 128),
+    (SchemeId.FALCON, "falcon-1024", 256),
+    (SchemeId.TEST_SCHEME, "HMAC-SHA256 (test only)", 128),
+]
+
+
+def test_every_parameter_set_has_a_category():
+    listed = {name for _, name, _ in CATEGORY_BITS}
+    assert listed >= set(libcrypto.PARAMETER_SETS) | set(falcon.PARAMS)
+
+
+@pytest.mark.parametrize("scheme, parameter_set, bits", CATEGORY_BITS, ids=[n for _, n, _ in CATEGORY_BITS])
+def test_each_parameter_sets_digest_reaches_its_category(scheme, parameter_set, bits):
+    if scheme == SchemeId.FALCON:
+        meta = falcon.Falcon(parameter_set).metadata
+    elif scheme == SchemeId.TEST_SCHEME:
+        meta = sig.metadata(scheme)
+    else:
+        meta = sig.SchemeMetadata(*libcrypto.PARAMETER_SETS[parameter_set], parameter_set)
+    # collision search on an n-bit digest takes 2^(n/2) work
+    assert 8 * hashlib.new(meta.digest).digest_size >= 2 * bits
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=[s.label for s in SchemeId])
+def test_signed_message_is_header_and_the_configured_sets_digest(scheme):
+    try:
+        meta = sig.metadata(scheme)
+    except UnsupportedScheme as exc:
+        pytest.skip(str(exc))
+    payload = memoryview(np.arange(1000, dtype=np.uint8)).toreadonly()
+    header = build_header(MsgType.UPDATE_SUBMISSION, scheme, 1, 2, payload)
+    message = signed_message(header, payload)
+    assert len(message) == HEADER_LEN + hashlib.new(meta.digest).digest_size
+    assert message == header.encode() + hashlib.new(meta.digest, bytes(payload)).digest()
+
+
 def test_round_change_invalidates_signature():
     kp = sig.keygen(SchemeId.TEST_SCHEME, seed=0)
     payload = b"model delta"
     header = build_header(MsgType.UPDATE_SUBMISSION, kp.scheme, 1, 2, payload)
-    signature = sig.sign(kp, signed_bytes(header, payload))
-    assert sig.verify(kp.public_key, kp.scheme, signed_bytes(header, payload), signature)
+    signature = sig.sign(kp, signed_message(header, payload))
+    assert sig.verify(kp.public_key, kp.scheme, signed_message(header, payload), signature)
 
     moved = build_header(MsgType.UPDATE_SUBMISSION, kp.scheme, 2, 2, payload)
-    assert not sig.verify(kp.public_key, kp.scheme, signed_bytes(moved, payload), signature)
+    assert not sig.verify(kp.public_key, kp.scheme, signed_message(moved, payload), signature)
 
 
 def test_sender_change_invalidates_signature():
     kp = sig.keygen(SchemeId.TEST_SCHEME, seed=0)
     payload = b"model delta"
     header = build_header(MsgType.UPDATE_SUBMISSION, kp.scheme, 1, 2, payload)
-    signature = sig.sign(kp, signed_bytes(header, payload))
+    signature = sig.sign(kp, signed_message(header, payload))
     forged = build_header(MsgType.UPDATE_SUBMISSION, kp.scheme, 1, 3, payload)
-    assert not sig.verify(kp.public_key, kp.scheme, signed_bytes(forged, payload), signature)
+    assert not sig.verify(kp.public_key, kp.scheme, signed_message(forged, payload), signature)
 
 
 def test_msg_type_change_invalidates_signature():
     kp = sig.keygen(SchemeId.TEST_SCHEME, seed=0)
     payload = b"model delta"
     header = build_header(MsgType.UPDATE_SUBMISSION, kp.scheme, 1, 2, payload)
-    signature = sig.sign(kp, signed_bytes(header, payload))
+    signature = sig.sign(kp, signed_message(header, payload))
     relabeled = build_header(MsgType.MODEL_DISTRIBUTION, kp.scheme, 1, 2, payload)
-    assert not sig.verify(kp.public_key, kp.scheme, signed_bytes(relabeled, payload), signature)
+    assert not sig.verify(kp.public_key, kp.scheme, signed_message(relabeled, payload), signature)
 
 
 def test_parameter_vector_equality_is_bitwise():

@@ -2,7 +2,7 @@
 them, splitting copies no sample, evaluation holds one hidden activation, a
 run holds at most one round's uploads, a replay run's memory does not grow
 with its rounds, round spans are kept packed, and SLH-DSA reads each message
-in place.
+in place, as does the digest of a sealed upload's payload.
 
 Sizes are the `train-large` benchmark's: 4000 samples of 784 features and
 the 784-256-5 MLP (202,245 parameters, an 808,992-byte payload).
@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from pqfl import channel, fedcore, protocol, sig
+from pqfl import channel, codec, fedcore, protocol, sig
 from pqfl.errors import UnsupportedScheme
 from pqfl.fedcore import ModelArchitecture, TrainConfig
 from pqfl.sig import SchemeId
@@ -145,11 +145,15 @@ def test_slhdsa_signs_and_verifies_a_sealed_update_in_place():
         last_accepted_round=0,
     )
     update = fedcore.ModelUpdate(model.params, client_id=1, round=0)
-    signed = protocol.client_submit_update(client, update).signed
-    assert signed.readonly
+    env = protocol.client_submit_update(client, update)
+    laid_out = env.wire[: codec.HEADER_LEN + env.header.payload_len]
+    assert laid_out.readonly
 
     def sign_and_verify():
-        return sig.verify(keypair.public_key, keypair.scheme, signed, sig.sign(keypair, signed))
+        # the scheme over the whole 809 KB view, as `pqfl bench` signs raw payloads
+        whole = sig.verify(keypair.public_key, keypair.scheme, laid_out, sig.sign(keypair, laid_out))
+        signed = env.signed  # header || digest, hashed from the sealed buffer
+        return whole and sig.verify(keypair.public_key, keypair.scheme, signed, sig.sign(keypair, signed))
 
     peak, ok = traced_peak(sign_and_verify)
     assert ok

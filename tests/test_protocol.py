@@ -1,6 +1,7 @@
 """Protocol state machines: key setup, signed distribution, verification
 gates, replay defenses, and oracle equivalence of full runs."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from pqfl import codec, fedcore, protocol, sig
 from pqfl.channel import AttackConfig, AttackKind, Channel, Direction
-from pqfl.codec import MsgType, ParameterVector, SignedEnvelope, build_header, signed_bytes
+from pqfl.codec import HEADER_LEN, MsgType, ParameterVector, SignedEnvelope, build_header, signed_message
 from pqfl.errors import ConnectionFailed, RoundMismatch, UnsupportedScheme
 from pqfl.fedcore import TrainConfig, derive_seed, train_seed
 from pqfl.protocol import (
@@ -116,7 +117,8 @@ def test_distribute_model_payload_and_signature():
     assert env.header.round == 0
     assert codec.decode_params(env.payload) == model.params
     scheme, pk = registry[0]
-    assert sig.verify(pk, scheme, signed_bytes(env.header, env.payload), env.signature)
+    assert env.signed == env.header.encode() + hashlib.sha256(env.payload).digest()
+    assert sig.verify(pk, scheme, signed_message(env.header, env.payload), env.signature)
 
 
 def test_distribute_model_tamper_detected():
@@ -125,7 +127,7 @@ def test_distribute_model_tamper_detected():
     tampered = bytearray(env.payload)
     tampered[20] ^= 0x01
     scheme, pk = registry[0]
-    assert not sig.verify(pk, scheme, signed_bytes(env.header, bytes(tampered)), env.signature)
+    assert not sig.verify(pk, scheme, signed_message(env.header, bytes(tampered)), env.signature)
 
 
 def test_client_receive_honest_model():
@@ -141,7 +143,7 @@ def broadcast(server, payload, round=0, keypair=None):
     the server's by default."""
     keypair = keypair or server.keypair
     header = build_header(MsgType.MODEL_DISTRIBUTION, keypair.scheme, round, SERVER_ID, payload)
-    signature = sig.sign(keypair, signed_bytes(header, payload))
+    signature = sig.sign(keypair, signed_message(header, payload))
     return SignedEnvelope(header=header, payload=payload, signature=signature)
 
 
@@ -191,6 +193,52 @@ def test_client_refuses_broadcast(forge, reason, sender_id):
     assert clients[0].last_accepted_round == watermark
 
 
+def test_client_admits_a_broadcast_signed_with_the_servers_key():
+    # the control for the forgeries above: each is refused for what it changes
+    server, clients, *_ = build_sim()
+    model = client_receive_model(clients[0], broadcast(server, codec.encode_params(server.model.params)))
+    assert model.params == server.model.params and clients[0].last_accepted_round == 0
+
+
+# header offsets of the u32 round and u32 sender_id fields
+ROUND_AT, SENDER_AT = 7, 11
+
+
+def flip_bit(env, offset, bit):
+    raw = bytearray(codec.encode_envelope(env))
+    raw[offset] ^= 1 << bit
+    return bytes(raw)
+
+
+# Each flip leaves a header that passes every check before the signature: an
+# upload signed for round 1 becomes round 0, the server's; a broadcast's round
+# 0 becomes 1, in a fresh client's window; sender 1 becomes 3, a registered
+# client. A broadcast's sender has no flip that a client admits: only the
+# server's key is registered there.
+@pytest.mark.parametrize("direction, signed_round, offset, bit", [
+    ("upload", 0, HEADER_LEN + 40, 0),
+    ("upload", 1, ROUND_AT, 0),
+    ("upload", 0, SENDER_AT, 1),
+    ("broadcast", 0, HEADER_LEN + 40, 0),
+    ("broadcast", 0, ROUND_AT, 0),
+], ids=["upload-payload", "upload-round", "upload-sender", "broadcast-payload", "broadcast-round"])
+def test_one_bit_flip_is_refused_as_signature_invalid(direction, signed_round, offset, bit):
+    server, clients, *_ = build_sim()
+    if direction == "upload":
+        env = protocol._sign_envelope(
+            clients[0].keypair, MsgType.UPDATE_SUBMISSION, signed_round, 1, server.model.params, []
+        )
+        verified, rejections, _, _ = server_collect_and_verify(server, [flip_bit(env, offset, bit)])
+        assert verified == []
+        (rejection,) = rejections
+    else:
+        env = broadcast(server, codec.encode_params(server.model.params), round=signed_round)
+        result = client_process_round(clients[0], flip_bit(env, offset, bit))
+        assert result.reply is None
+        rejection = result.skipped
+    assert rejection.reason == RejectReason.SIGNATURE_INVALID
+
+
 def test_badly_signed_last_round_broadcast_does_not_lock_the_client_out():
     server, clients, *_ = build_sim()
     payload = codec.encode_params(server.model.params)
@@ -206,7 +254,7 @@ def test_client_receive_skips_verification_in_baseline_mode():
     options = ProtocolOptions(verify_models=False, verify_updates=False)
     server, clients, *_ = build_sim(options=options)
     env = distribute_model(server)
-    resigned = sig.sign(clients[1].keypair, signed_bytes(env.header, env.payload))
+    resigned = sig.sign(clients[1].keypair, signed_message(env.header, env.payload))
     forged = SignedEnvelope(header=env.header, payload=env.payload, signature=resigned)
     model = client_receive_model(clients[0], forged)  # accepted: nothing checked
     assert model.params == server.model.params
@@ -274,12 +322,30 @@ def test_forged_sender_id_rejected():
     payload = codec.encode_params(update.delta)
     # client 1 signs an envelope claiming to be client 2
     header = build_header(MsgType.UPDATE_SUBMISSION, clients[0].scheme, 0, 2, payload)
-    signature = sig.sign(clients[0].keypair, signed_bytes(header, payload))
+    signature = sig.sign(clients[0].keypair, signed_message(header, payload))
     blob = codec.encode_envelope(SignedEnvelope(header=header, payload=payload, signature=signature))
     verified, rejections, _, _ = server_collect_and_verify(server, [blob])
     assert verified == []
     assert [r.reason for r in rejections] == [RejectReason.SIGNATURE_INVALID]
     assert rejections[0].sender_id == 2
+
+
+def test_upload_naming_another_scheme_is_refused_before_its_digest(monkeypatch):
+    # the digest depends on the header's scheme, whose backend the receiver
+    # may not have; the registered scheme is checked first
+    server, clients, *_ = build_sim()
+    keypair = sig.keygen(SchemeId.DILITHIUM, 1)
+    env = protocol._sign_envelope(keypair, MsgType.UPDATE_SUBMISSION, 0, 1, server.model.params, [])
+
+    class Missing:
+        @property
+        def metadata(self):
+            raise UnsupportedScheme("no ML-DSA backend here")
+
+    monkeypatch.setitem(sig._adapters, SchemeId.DILITHIUM, Missing())
+    verified, rejections, _, _ = server_collect_and_verify(server, [codec.encode_envelope(env)])
+    assert verified == []
+    assert [(r.sender_id, r.reason) for r in rejections] == [(1, RejectReason.SIGNATURE_INVALID)]
 
 
 def test_unknown_sender_rejected():

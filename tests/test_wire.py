@@ -6,6 +6,7 @@ an 808,992-byte payload), where one stray copy of a payload dwarfs everything
 else a message allocates.
 """
 
+import hashlib
 import socket
 import threading
 import tracemalloc
@@ -49,13 +50,30 @@ def reference_envelope(update: ModelUpdate, signature: sig.SignatureBytes) -> by
 
 # --- sealing keeps the canonical bytes ----------------------------------------------
 
+# the version 2 message a signature covers: the header, version byte 2, then
+# the payload's digest under each default parameter set
+SIGNED_DIGEST = {
+    SchemeId.DILITHIUM: ("sha256", 55),  # ML-DSA-44
+    SchemeId.FALCON: ("sha512", 87),  # Falcon-1024
+    SchemeId.SPHINCS_PLUS: ("sha256", 55),  # SLH-DSA-SHA2-128s
+    SchemeId.TEST_SCHEME: ("sha256", 55),
+}
+
+
+def reference_message(header: codec.MessageHeader, payload: bytes) -> bytes:
+    digest, length = SIGNED_DIGEST[header.scheme]
+    message = header.encode() + hashlib.new(digest, payload).digest()
+    assert message[4] == 2 and len(message) == length
+    return message
+
+
 def test_sealed_update_matches_reference_bytes():
     _, client, update = parties(SchemeId.TEST_SCHEME, SMALL)
     blob = codec.encode_envelope(protocol.client_submit_update(client, update))
 
     payload = codec.encode_params(update.delta)
     header = codec.build_header(MsgType.UPDATE_SUBMISSION, SchemeId.TEST_SCHEME, 0, 1, payload)
-    signature = sig.sign(client.keypair, header.encode() + payload)
+    signature = sig.sign(client.keypair, reference_message(header, payload))
     expected = codec.encode_envelope(
         SignedEnvelope(header=header, payload=payload, signature=signature)
     )
@@ -72,7 +90,9 @@ def test_sealed_update_with_pq_scheme_matches_and_verifies(scheme):
     # signing is hedged, so the signature is the one part that cannot be
     # predicted; given it, every byte is the reference layout's
     assert bytes(blob) == reference_envelope(update, env.signature)
-    assert bytes(env.signed) == env.header.encode() + codec.encode_params(update.delta)
+    message = reference_message(env.header, codec.encode_params(update.delta))
+    assert env.signed == message
+    assert sig.verify(client.keypair.public_key, scheme, message, env.signature)
     verified, rejections, _, _ = protocol.server_collect_and_verify(server, [blob])
     assert rejections == [] and [u.client_id for u in verified] == [1]
     assert verified[0].delta == update.delta
