@@ -147,13 +147,6 @@ def generate_synthetic(
     return ClientDataset(features=feats, labels=labels)
 
 
-def concat_datasets(datasets: list[ClientDataset]) -> ClientDataset:
-    return ClientDataset(
-        features=np.concatenate([d.features for d in datasets], axis=0),
-        labels=np.concatenate([d.labels for d in datasets], axis=0),
-    )
-
-
 def split_iid(dataset: ClientDataset, num_clients: int, seed: int) -> list[ClientDataset]:
     """Shuffle with the seeded PRNG, then partition into near-equal shards
     (sizes differ by at most one, larger shards first). Each shard is a row
@@ -277,11 +270,6 @@ def init_model(arch: ModelArchitecture, seed: int) -> GlobalModel:
         for lo, normals in _normal_blocks(rng, w.shape):
             normals *= np.sqrt(2.0 / d_in)
             w[lo : lo + normals.shape[0]] = normals
-    return GlobalModel(params=ParameterVector(flat, (flat.size,)), architecture=arch, round=0)
-
-
-def zero_model(arch: ModelArchitecture) -> GlobalModel:
-    flat = np.zeros(arch.param_count, dtype=np.float32)
     return GlobalModel(params=ParameterVector(flat, (flat.size,)), architecture=arch, round=0)
 
 

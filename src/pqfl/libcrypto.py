@@ -112,6 +112,16 @@ def load_libcrypto() -> tuple[ctypes.CDLL, str]:
     )
 
 
+def _by_address(message: bytes | memoryview) -> tuple[bytes | int, int]:
+    """`message` as a void * argument and its length, without a copy: ctypes
+    passes a `bytes` by address itself, and any other buffer goes through a
+    numpy view of it."""
+    if isinstance(message, bytes):
+        return message, len(message)
+    data = np.frombuffer(message, dtype=np.uint8)
+    return data.ctypes.data, data.size
+
+
 class _Key:
     """An owned EVP_PKEY *, freed once, when the last reference to it goes."""
 
@@ -197,7 +207,7 @@ class EvpSigner:
         )
 
     def sign(self, secret_key: bytes, message: bytes | memoryview) -> bytes:
-        data = np.frombuffer(message, dtype=np.uint8)  # the message in place, passed by address
+        data, size = _by_address(message)
         meta = self.metadata
         if len(secret_key) != meta.secret_key_len:
             raise AdapterFailure(
@@ -209,20 +219,20 @@ class EvpSigner:
         ctx = lib.EVP_MD_CTX_new()
         try:
             out = ctypes.create_string_buffer(meta.signature_max_len)
-            size = ctypes.c_size_t(meta.signature_max_len)
+            out_len = ctypes.c_size_t(meta.signature_max_len)
             if not (
                 ctx
                 and lib.EVP_DigestSignInit_ex(ctx, None, None, None, None, key.pointer, None) == 1
-                and lib.EVP_DigestSign(ctx, out, ctypes.byref(size), data.ctypes.data, data.size) == 1
+                and lib.EVP_DigestSign(ctx, out, ctypes.byref(out_len), data, size) == 1
             ):
                 lib.ERR_clear_error()
                 raise AdapterFailure(f"{meta.parameter_set} sign failed")
-            return out.raw[: size.value]
+            return out.raw[: out_len.value]
         finally:
             lib.EVP_MD_CTX_free(ctx)
 
     def verify(self, public_key: bytes, message: bytes | memoryview, signature: bytes) -> bool:
-        data = np.frombuffer(message, dtype=np.uint8)  # the message in place, passed by address
+        data, size = _by_address(message)
         meta = self.metadata
         if len(public_key) != meta.public_key_len or len(signature) != meta.signature_max_len:
             return False
@@ -233,7 +243,7 @@ class EvpSigner:
             ok = bool(
                 ctx
                 and lib.EVP_DigestVerifyInit_ex(ctx, None, None, None, None, key.pointer, None) == 1
-                and lib.EVP_DigestVerify(ctx, signature, len(signature), data.ctypes.data, data.size)
+                and lib.EVP_DigestVerify(ctx, signature, len(signature), data, size)
                 == 1
             )
             if not ok:

@@ -14,10 +14,12 @@ server drops that update for the round (no retry), a client sits the round
 out. A round whose verified set is empty leaves the parameters unchanged.
 
 One round driver serves both transports and alone passes messages through
-the channel. They differ only in the exchange that carries the broadcasts
-out and the replies back: a loop over the clients in process, or, over TCP,
-one socket and thread per client after a signed key announce, with every
-socket on both sides waiting at most `channel.IO_TIMEOUT_S` (30 s).
+the channel, on its own thread. They differ only in the exchange that
+carries the broadcasts out and the replies back. In process, the clients
+run on a pool of one thread per usable CPU (`client_workers`), which the
+process keeps from round to round; over TCP, each client has its own socket
+and thread after a signed key announce, with every socket on both sides
+waiting at most `channel.IO_TIMEOUT_S` (30 s).
 
 The server lays its broadcasts out in one `codec.ReusedBuffer`,
 `ServerState.broadcasts`, and each TCP client thread lays its uploads out in
@@ -25,19 +27,23 @@ one of its own. An envelope and every view or array decoded from it keep
 that buffer, so the next envelope reuses it only once they are gone: a
 broadcast once its round is over, an upload once it is sent. In process,
 each upload is held in `collected` until `finish_round` has aggregated it,
-so every client's upload there takes a new buffer.
+so every client's upload there takes a new buffer, which the driver's
+thread allocates.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import logging
+import os
 import queue
 import threading
 import time
 import types
 from collections.abc import Callable, Container, Iterator, Mapping
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,8 +122,9 @@ SPAN_DTYPE = np.dtype([("party", "<u4"), ("phase", "u1"), ("start", "<f8"), ("du
 @dataclass
 class PhaseTimings:
     """Per-phase sums over every party's spans of one round. Clients' times
-    are included, and over TCP they ran concurrently, so a sum can exceed
-    `wall_s`; the server's own spans are its critical path."""
+    are included, and clients run concurrently, on the in-process pool's
+    threads or over TCP on their own, so a sum can exceed `wall_s`; the
+    server's own spans are its critical path."""
 
     train_s: float = 0.0
     sign_s: float = 0.0
@@ -557,18 +564,92 @@ def _run_rounds(
     return TrainingResult(model=server.model, outcomes=outcomes)
 
 
+def client_workers(num_clients: int) -> int:
+    """How many threads run `num_clients` in-process clients: one per CPU
+    this process may run on, and no more than there are clients."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, num_clients))
+
+
+@functools.cache
+def _client_pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of `workers` client threads. It is never shut down,
+    and each thread starts on the first task that finds none idle, so no
+    run_training call starts or joins a thread outside its rounds."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="pqfl-client")
+
+
+class _DriverBuffer(codec.ReusedBuffer):
+    """A pool thread's upload buffer, allocated on the driver's thread.
+
+    An upload outlives its client's task; allocated on a pool thread, it
+    would come from that thread's malloc arena, which keeps the memory once
+    the driver frees the upload. `take` asks the driver, which answers in
+    `_serve_buffers`. The client asks as it signs, so the buffer is not held
+    while it trains.
+    """
+
+    def __init__(self, requests: queue.SimpleQueue) -> None:
+        super().__init__()
+        self._requests = requests
+
+    def take(self, n: int) -> memoryview:
+        allocated: Future[memoryview] = Future()
+        self._requests.put((n, allocated))
+        return allocated.result()
+
+
+def _serve_buffers(requests: queue.SimpleQueue, running: int, limit: int) -> int:
+    """Allocate each buffer that a task asks for through `requests` until at
+    most `limit` of the `running` tasks still run, each putting None there
+    as it finishes; return how many do."""
+    while running > limit:
+        request = requests.get()
+        if request is None:
+            running -= 1
+        else:
+            n, allocated = request
+            try:
+                allocated.set_result(codec.ReusedBuffer().take(n))
+            except Exception as exc:  # the task raises it
+                allocated.set_exception(exc)
+    return running
+
+
 def run_training(
     server: ServerState,
     clients: list[ClientState],
     chan: _channel.Channel | None = None,
 ) -> TrainingResult:
-    """Run the configured number of rounds over the in-process channel."""
+    """Run the configured number of rounds over the in-process channel, the
+    clients of each round on `client_workers(len(clients))` threads."""
     by_id = {c.client_id: c for c in clients}
+    workers = client_workers(len(clients))
+    pool = _client_pool(workers)
 
     def exchange(frames: Iterator[Addressed], spans: list[Span]) -> list[Addressed]:
+        # Each frame is delivered here, on the driver's thread, as it is taken,
+        # and taken once fewer than 2 * workers clients are queued or running:
+        # a worker that finishes finds the next client queued, and tampered
+        # broadcasts are not all held at once.
+        requests: queue.SimpleQueue = queue.SimpleQueue()
+        tasks: dict[int, Future[ClientRoundResult]] = {}
+        running = 0
+        try:
+            for cid, frame in frames:
+                task = tasks[cid] = pool.submit(
+                    client_process_round, by_id[cid], frame, _DriverBuffer(requests)
+                )
+                task.add_done_callback(lambda _: requests.put(None))
+                running = _serve_buffers(requests, running + 1, 2 * workers - 1)
+        finally:  # no task of this round outlives it
+            _serve_buffers(requests, running, 0)
         replies = []
-        for cid, frame in frames:
-            result = client_process_round(by_id[cid], frame)
+        for cid, task in tasks.items():  # in ascending id: the lowest failing client raises
+            result = task.result()
             spans += result.spans
             replies.append((cid, result.reply or b""))
         return replies

@@ -17,11 +17,11 @@ from pqfl.errors import (
 )
 from pqfl.fedcore import (
     ClientDataset,
+    GlobalModel,
     ModelArchitecture,
     ModelUpdate,
     TrainConfig,
     aggregate,
-    concat_datasets,
     derive_seed,
     forward_loss,
     generate_synthetic,
@@ -34,7 +34,6 @@ from pqfl.fedcore import (
     run_plain_fedavg,
     split_iid,
     train_seed,
-    zero_model,
 )
 
 
@@ -97,13 +96,6 @@ def test_split_preserves_union():
 def test_split_too_few_samples():
     with pytest.raises(TooFewSamples):
         split_iid(small_data(3), 4, seed=0)
-
-
-def test_concat_datasets_round_trip():
-    data = small_data(30)
-    shards = split_iid(data, 3, seed=0)
-    merged = concat_datasets(shards)
-    assert merged.num_samples == data.num_samples
 
 
 # The split as it was before shards became row views: a fancy-index copy of
@@ -234,7 +226,8 @@ def test_param_count():
 
 def test_uniform_model_loss_is_log_num_classes():
     arch = ModelArchitecture(6, (), 10)
-    model = zero_model(arch)
+    flat = np.zeros(arch.param_count, dtype=np.float32)
+    model = GlobalModel(params=ParameterVector(flat, (flat.size,)), architecture=arch, round=0)
     data = generate_synthetic(64, 6, 10, seed=2)
     assert forward_loss(model, data) == pytest.approx(math.log(10), rel=1e-6)
 

@@ -1,13 +1,15 @@
 """Memory bounds: set-up builds its float32 outputs without float64 copies of
 them, splitting copies no sample, evaluation holds one hidden activation, a
-run holds at most one round's uploads, a replay run's memory does not grow
-with its rounds, round spans are kept packed, and SLH-DSA reads each message
-in place, as does the digest of a sealed upload's payload.
+run holds at most one round's uploads and each client worker's working
+vectors, a replay run's memory does not grow with its rounds, round spans
+are kept packed, and SLH-DSA reads each message in place, as does the
+digest of a sealed upload's payload.
 
 Sizes are the `train-large` benchmark's: 4000 samples of 784 features and
 the 784-256-5 MLP (202,245 parameters, an 808,992-byte payload).
 """
 
+import os
 import tracemalloc
 
 import pytest
@@ -61,24 +63,30 @@ def test_forward_loss_holds_one_hidden_activation():
     assert peak <= 1.25 * activation, f"forward_loss peaked at {peak / activation:.2f}x one activation"
 
 
-def test_run_holds_at_most_one_round_of_uploads():
+def test_run_holds_at_most_one_round_of_uploads(monkeypatch):
     clients = 8
-    data = fedcore.generate_synthetic(16 * clients, 784, 5, seed=2)
-    shards = fedcore.split_iid(data, clients, seed=3)
-    model = fedcore.init_model(LARGE, seed=1)
-    cfg = TrainConfig(num_clients=clients, num_rounds=3, batch_size=16, seed=1)
-    server, parties, _ = protocol.setup_keys(
-        cfg, SchemeId.TEST_SCHEME, 1, model, shards, eval_data=data
-    )
-    peak, result = traced_peak(lambda: protocol.run_training(server, parties))
-    assert [o.verified_count for o in result.outcomes] == [clients] * 3
-    # Beyond one round's uploads: the broadcast, the previous global model and
-    # two working vectors (a client's parameters and gradient, or the sum that
-    # aggregation builds). Holding the previous round's uploads too would add
-    # `clients` more.
-    payload = model.params.encoded_len
-    allowed = (clients + 4) * payload
-    assert peak <= allowed, f"a 3-round run peaked at {peak / payload:.2f} payloads"
+    for cpus in 1, 2:  # the CPUs the process may run on, one client worker each
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        workers = protocol.client_workers(clients)
+        assert workers == cpus
+        data = fedcore.generate_synthetic(16 * clients, 784, 5, seed=2)
+        shards = fedcore.split_iid(data, clients, seed=3)
+        model = fedcore.init_model(LARGE, seed=1)
+        cfg = TrainConfig(num_clients=clients, num_rounds=3, batch_size=16, seed=1)
+        server, parties, _ = protocol.setup_keys(
+            cfg, SchemeId.TEST_SCHEME, 1, model, shards, eval_data=data
+        )
+        peak, result = traced_peak(lambda: protocol.run_training(server, parties))
+        assert [o.verified_count for o in result.outcomes] == [clients] * 3
+        # Beyond one round's uploads: the broadcast, the previous global model
+        # and two working vectors per worker (a client's parameters and
+        # gradient, or the sum that aggregation builds). Holding the previous
+        # round's uploads too would add `clients` more.
+        payload = model.params.encoded_len
+        allowed = (clients + 2 + 2 * workers) * payload
+        assert peak <= allowed, (
+            f"a 3-round run on {workers} workers peaked at {peak / payload:.2f} payloads"
+        )
 
 
 def test_replay_run_memory_is_flat_in_rounds():

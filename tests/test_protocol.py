@@ -584,8 +584,11 @@ def test_phase_timings_are_sums_of_round_spans():
         for phase in Phase:
             durations = spans["duration"][spans["phase"] == phase].tolist()
             assert getattr(t, f"{phase.name.lower()}_s") == sum(durations)
-        assert_sequential(spans)  # in process, every party runs on one thread
-        assert spans["duration"].sum() <= t.wall_s
+        # clients may run at once, on the pool's threads, but each party's
+        # own spans are sequential, and the server's are its critical path
+        for party in set(spans["party"].tolist()):
+            assert_sequential(spans[spans["party"] == party])
+        assert spans["duration"][spans["party"] == SERVER_ID].sum() <= t.wall_s
         trained = spans["party"][spans["phase"] == Phase.TRAIN]
         assert sorted(trained.tolist()) == [c.client_id for c in clients]
 
