@@ -84,14 +84,15 @@ def microbench(
     """Measure keygen/sign/verify medians per scheme and payload size.
 
     Three untimed warm-up calls precede each series; the monotonic clock
-    times each call individually.
+    times each call individually. `seed` fixes the payloads and the key
+    pair each scheme signs them under.
     """
     if iterations < 30:
         raise ValueError("microbench medians need at least 30 iterations")
     rng = np.random.default_rng(seed)
     records: list[MicrobenchRecord] = []
     for scheme in schemes:
-        keypair = sig.keygen(scheme)
+        keypair = sig.keygen(scheme, seed)
         for size in payload_sizes:
             payload = rng.bytes(size)
             signature = sig.sign(keypair, payload)

@@ -29,6 +29,8 @@ from pqfl.sig import SchemeId
 
 # SGD wants a larger constant step than AdamW on the small desk-scale model.
 _DEFAULT_LR = {"sgd": 1e-2, "adamw": 1e-5}
+# one name per parameter set, in wire-code order
+_SET_NAMES = ", ".join(scheme.label for scheme in SchemeId)
 
 
 def _setup_logging() -> None:
@@ -99,7 +101,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_run.add_argument("--config", help="key = value config file; flags override it")
     p_run.add_argument("--scheme", type=lambda text: _schemes(text, sig.ALL_SCHEMES),
                        default="dilithium",
-                       help="scheme name, comma list, or `all`")
+                       help=f"comma list of {_SET_NAMES}, or `all` (the first four)")
     p_run.add_argument("--clients", type=int, default=10, help="number of clients")
     p_run.add_argument("--rounds", type=int, default=10, help="number of rounds")
     p_run.add_argument("--local-epochs", type=int, default=1, help="local epochs per round")
@@ -133,7 +135,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_bench = sub.add_parser("bench", help="microbenchmark sign/verify/keygen",
                              exit_on_error=False)
     p_bench.add_argument("--schemes", type=lambda text: _schemes(text, sig.PQC_SCHEMES),
-                         default="all", help="`all` (the 3 PQC schemes) or comma list")
+                         default="all",
+                         help=f"comma list of {_SET_NAMES}, or `all` (the first three)")
     p_bench.add_argument("--sizes", type=_ints, default="1024,1048576",
                          help="payload sizes in bytes")
     p_bench.add_argument("--iters", type=int, default=30)

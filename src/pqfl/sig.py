@@ -1,18 +1,25 @@
 """Pluggable digital-signature schemes.
 
 Three quantum-resistant schemes are exposed behind one keygen/sign/verify
-interface, plus a deterministic keyed-hash scheme for fast tests:
+interface, plus a deterministic keyed-hash scheme for fast tests. ML-DSA
+(FIPS 204) and SLH-DSA (FIPS 205) run in an OpenSSL >= 3.5 libcrypto
+(pqfl.libcrypto), FN-DSA (Falcon spec v1.2) in Python/numpy (pqfl.falcon),
+and TestScheme is HMAC-SHA256 presented through the same API. Each
+parameter set is its own `SchemeId`, so its wire code names the set:
 
-    wire code 1  Dilithium    ML-DSA (FIPS 204), via an OpenSSL >= 3.5 libcrypto (pqfl.libcrypto)
-    wire code 2  Falcon       FN-DSA (Falcon spec v1.2), in Python/numpy (pqfl.falcon)
-    wire code 3  SPHINCS+     SLH-DSA (FIPS 205), via the same libcrypto (pqfl.libcrypto)
-    wire code 4  TestScheme   HMAC-SHA256 presented through the same API
+    code  --scheme name        parameter set            digest
+    1     dilithium            ML-DSA-44                sha256
+    2     falcon               Falcon-1024              sha512
+    3     sphincsplus          SLH-DSA-SHA2-128s        sha256
+    4     testscheme           HMAC-SHA256 (test only)  sha256
+    5     ml-dsa-65            ML-DSA-65                sha512
+    6     ml-dsa-87            ML-DSA-87                sha512
+    7     falcon-512           Falcon-512               sha256
+    8     slh-dsa-sha2-128f    SLH-DSA-SHA2-128f        sha256
 
-Parameter sets are fixed per process at import time (env vars
-PQFL_DILITHIUM_SET, PQFL_FALCON_SET, PQFL_SPHINCS_SET), so metadata is
-constant for the process lifetime. Defaults: ML-DSA-44, Falcon-1024,
-SLH-DSA-SHA2-128s. Keys and signatures of the round-3 SPHINCS+ (as in
-PQClean) do not verify under FIPS 205 SLH-DSA.
+`--scheme` also takes `ml-dsa-44`, `falcon-1024` and `slh-dsa-sha2-128s`
+for codes 1-3, ignoring case, `-`, `_` and `+`. Keys and signatures of the
+round-3 SPHINCS+ (as in PQClean) do not verify under FIPS 205 SLH-DSA.
 
 Each parameter set names a digest (`SchemeMetadata.digest`) whose collision
 strength reaches the set's security category, the rule FIPS 204 §5.4 and
@@ -31,6 +38,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import hmac
+import importlib
 import os
 from dataclasses import dataclass
 
@@ -38,12 +46,16 @@ from pqfl.errors import AdapterFailure, UnsupportedScheme
 
 
 class SchemeId(enum.IntEnum):
-    """Signature scheme identifier; the numeric value is the wire code."""
+    """Signature parameter set identifier; the numeric value is the wire code."""
 
     DILITHIUM = 1
     FALCON = 2
     SPHINCS_PLUS = 3
     TEST_SCHEME = 4
+    ML_DSA_65 = 5
+    ML_DSA_87 = 6
+    FALCON_512 = 7
+    SLH_DSA_SHA2_128F = 8
 
     @property
     def wire_code(self) -> int:
@@ -51,7 +63,7 @@ class SchemeId(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return _LABELS[self]
+        return _SETS[self].names[0]
 
     @classmethod
     def from_wire(cls, code: int) -> "SchemeId":
@@ -62,40 +74,44 @@ class SchemeId(enum.IntEnum):
 
     @classmethod
     def from_label(cls, text: str) -> "SchemeId":
-        key = text.strip().lower().replace("-", "").replace("_", "").replace("+", "")
-        try:
-            return _PARSE[key]
-        except KeyError:
-            raise UnsupportedScheme(f"unknown scheme name {text!r}") from None
+        for scheme, entry in _SETS.items():
+            if _name_key(text) in map(_name_key, entry.names):
+                return scheme
+        raise UnsupportedScheme(f"unknown scheme name {text!r}")
 
 
-_LABELS = {
-    SchemeId.DILITHIUM: "dilithium",
-    SchemeId.FALCON: "falcon",
-    SchemeId.SPHINCS_PLUS: "sphincsplus",
-    SchemeId.TEST_SCHEME: "testscheme",
+def _name_key(text: str) -> str:
+    return text.strip().lower().replace("-", "").replace("_", "").replace("+", "")
+
+
+@dataclass(frozen=True)
+class _Set:
+    names: tuple[str, ...]  # the names `from_label` accepts; the first is the label
+    backend: str  # the adapter class, imported when the set is first used
+    parameter_set: str  # the name the backend knows the set by
+
+
+_LIBCRYPTO = "pqfl.libcrypto.EvpSigner"
+_FALCON = "pqfl.falcon.Falcon"
+
+_SETS = {
+    SchemeId.DILITHIUM: _Set(("dilithium", "ml-dsa", "ml-dsa-44"), _LIBCRYPTO, "ML-DSA-44"),
+    SchemeId.FALCON: _Set(("falcon", "fn-dsa", "falcon-1024"), _FALCON, "falcon-1024"),
+    SchemeId.SPHINCS_PLUS: _Set(
+        ("sphincsplus", "sphincs", "slh-dsa", "slh-dsa-sha2-128s"), _LIBCRYPTO, "SLH-DSA-SHA2-128s"
+    ),
+    SchemeId.TEST_SCHEME: _Set(
+        ("testscheme", "test"), "pqfl.sig._TestSchemeAdapter", "HMAC-SHA256 (test only)"
+    ),
+    SchemeId.ML_DSA_65: _Set(("ml-dsa-65",), _LIBCRYPTO, "ML-DSA-65"),
+    SchemeId.ML_DSA_87: _Set(("ml-dsa-87",), _LIBCRYPTO, "ML-DSA-87"),
+    SchemeId.FALCON_512: _Set(("falcon-512",), _FALCON, "falcon-512"),
+    SchemeId.SLH_DSA_SHA2_128F: _Set(("slh-dsa-sha2-128f",), _LIBCRYPTO, "SLH-DSA-SHA2-128f"),
 }
 
-_PARSE = {
-    "dilithium": SchemeId.DILITHIUM,
-    "mldsa": SchemeId.DILITHIUM,
-    "falcon": SchemeId.FALCON,
-    "fndsa": SchemeId.FALCON,
-    "sphincs": SchemeId.SPHINCS_PLUS,
-    "sphincsplus": SchemeId.SPHINCS_PLUS,
-    "slhdsa": SchemeId.SPHINCS_PLUS,
-    "testscheme": SchemeId.TEST_SCHEME,
-    "test": SchemeId.TEST_SCHEME,
-}
-
-ALL_SCHEMES = (
-    SchemeId.DILITHIUM,
-    SchemeId.FALCON,
-    SchemeId.SPHINCS_PLUS,
-    SchemeId.TEST_SCHEME,
-)
-
+# each scheme's default set: what `all` names on the command line
 PQC_SCHEMES = (SchemeId.DILITHIUM, SchemeId.FALCON, SchemeId.SPHINCS_PLUS)
+ALL_SCHEMES = (*PQC_SCHEMES, SchemeId.TEST_SCHEME)
 
 
 @dataclass(frozen=True)
@@ -148,14 +164,8 @@ class _TestSchemeAdapter:
     fast and deterministic; strict protocol mode rejects it.
     """
 
-    metadata = SchemeMetadata(
-        name="TestScheme",
-        public_key_len=32,
-        secret_key_len=32,
-        signature_max_len=32,
-        digest="sha256",
-        parameter_set="HMAC-SHA256 (test only)",
-    )
+    def __init__(self, parameter_set: str):
+        self.metadata = SchemeMetadata("TestScheme", 32, 32, 32, "sha256", parameter_set)
 
     def keygen(self, seed: bytes | None) -> tuple[bytes, bytes]:
         if seed is not None:
@@ -174,49 +184,23 @@ class _TestSchemeAdapter:
 
 # --- adapter registry ------------------------------------------------------
 
-_DILITHIUM_SET = os.environ.get("PQFL_DILITHIUM_SET", "ml-dsa-44").lower()
-_FALCON_SET = os.environ.get("PQFL_FALCON_SET", "falcon-1024").lower()
-_SPHINCS_SET = os.environ.get("PQFL_SPHINCS_SET", "sha2-128s").lower()
-
-_SPHINCS_SETS = {
-    "sha2-128s": "SLH-DSA-SHA2-128s",
-    "sha2-128f": "SLH-DSA-SHA2-128f",
-}
-
 _adapters: dict[SchemeId, object] = {}
 
 
 def _adapter(scheme: SchemeId):
-    """The process-wide adapter for a scheme, built on first use.
+    """The process-wide adapter for a parameter set, built on first use.
 
     Falcon tables and the libcrypto that signs ML-DSA and SLH-DSA are only
     set up here, so importing this module stays cheap and a run sets up
-    only the backends of the schemes it uses.
+    only the backends of the sets it uses.
     """
     if not isinstance(scheme, SchemeId):
         raise UnsupportedScheme(f"not a scheme id: {scheme!r}")
     found = _adapters.get(scheme)
     if found is None:
-        if scheme == SchemeId.DILITHIUM:
-            from pqfl.libcrypto import EvpSigner
-
-            if _DILITHIUM_SET not in ("ml-dsa-44", "ml-dsa-65", "ml-dsa-87"):
-                raise UnsupportedScheme(f"unknown ML-DSA set {_DILITHIUM_SET!r}")
-            found = EvpSigner(_DILITHIUM_SET.upper())
-        elif scheme == SchemeId.FALCON:
-            from pqfl.falcon import PARAMS, Falcon
-
-            if _FALCON_SET not in PARAMS:
-                raise UnsupportedScheme(f"unknown Falcon set {_FALCON_SET!r}")
-            found = Falcon(_FALCON_SET)
-        elif scheme == SchemeId.SPHINCS_PLUS:
-            from pqfl.libcrypto import EvpSigner
-
-            if _SPHINCS_SET not in _SPHINCS_SETS:
-                raise UnsupportedScheme(f"unknown SLH-DSA set {_SPHINCS_SET!r}")
-            found = EvpSigner(_SPHINCS_SETS[_SPHINCS_SET])
-        else:
-            found = _TestSchemeAdapter()
+        entry = _SETS[scheme]
+        module, _, name = entry.backend.rpartition(".")
+        found = getattr(importlib.import_module(module), name)(entry.parameter_set)
         _adapters[scheme] = found
     return found
 
@@ -224,7 +208,7 @@ def _adapter(scheme: SchemeId):
 # --- public operations ------------------------------------------------------
 
 def metadata(scheme: SchemeId) -> SchemeMetadata:
-    """Constant size/name characteristics of the configured parameter set."""
+    """Constant size/name characteristics of the parameter set."""
     return _adapter(scheme).metadata
 
 

@@ -126,6 +126,27 @@ def test_microbench_csv_round_trip(tmp_path):
     assert read_microbench_csv(path) == records
 
 
+def test_microbench_signs_under_keys_derived_from_its_seed(monkeypatch):
+    signed_under = []
+    sign = sig.sign
+
+    def recording_sign(keypair, message):
+        signed_under.append(keypair.public_key)
+        return sign(keypair, message)
+
+    monkeypatch.setattr(sig, "sign", recording_sign)
+
+    def keys(seed):
+        signed_under.clear()
+        microbench([SchemeId.TEST_SCHEME, SchemeId.DILITHIUM], [64], iterations=30, seed=seed)
+        return list(dict.fromkeys(signed_under))  # distinct, in order of first use
+
+    first = keys(3)
+    assert len(first) == 2
+    assert keys(3) == first
+    assert set(keys(4)).isdisjoint(first)
+
+
 def test_sign_time_grows_sublinearly_with_payload():
     # fixed lattice work dominates hashing at these sizes, so doubling the
     # payload must far undershoot doubling the sign time. The two sizes are

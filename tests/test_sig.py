@@ -7,7 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from pqfl import sig
+from pqfl import protocol, sig
+from pqfl.codec import MsgType
 from pqfl.errors import AdapterFailure, UnsupportedScheme
 from pqfl.sig import SchemeId, SignatureBytes
 
@@ -196,7 +197,7 @@ def test_unknown_wire_code_raises():
 
 
 def test_wire_code_round_trip():
-    for scheme in SCHEMES:
+    for scheme in SchemeId:
         assert SchemeId.from_wire(scheme.wire_code) == scheme
         assert SchemeId.from_label(scheme.label) == scheme
 
@@ -205,6 +206,78 @@ def test_label_aliases():
     assert SchemeId.from_label("ML-DSA") == SchemeId.DILITHIUM
     assert SchemeId.from_label("sphincs+") == SchemeId.SPHINCS_PLUS
     assert SchemeId.from_label("SLH_DSA") == SchemeId.SPHINCS_PLUS
+    # every parameter set by its own name; codes 1-3 are each scheme's default set
+    codes = {
+        "ml-dsa-44": 1, "falcon-1024": 2, "slh-dsa-sha2-128s": 3, "ml-dsa-65": 5,
+        "ml-dsa-87": 6, "falcon-512": 7, "slh-dsa-sha2-128f": 8, "SLH_DSA_SHA2_128F": 8,
+    }
+    assert {name: SchemeId.from_label(name).wire_code for name in codes} == codes
+
+
+# code -> parameter set, digest, and the SHA-256 of the public and the secret
+# key that seed 1 gives. An ML-DSA secret key is its 32-byte seed, the same for
+# every ML-DSA set.
+WIRE_CODES = {
+    1: ("ML-DSA-44", "sha256",
+        "e21e4e98fd7b29e19d18477072bfe9d1fea61418f7a6be37a9c686848d6b062d",
+        "a224b6743f34fa027ebfb0797dd84e0441c36630093c7f761d2e30c15ad2b066"),
+    2: ("Falcon-1024", "sha512",
+        "2305434dcc3ec6fb180e2576d76654cdcf21ff03dac23ed47b6b0117b24dea4d",
+        "2feecd5c869eb61d0b9d2a56cd174c91d6d2fe15674c5dfba0b6cba985f054d5"),
+    3: ("SLH-DSA-SHA2-128s", "sha256",
+        "ed2cf983ce1cc01a9d128a192fd8d7f35392a5a0a0503ab9c944151bac37caed",
+        "289718858d67e1e1d42acd48652b6e2b9258427721c67d37b986e5185c608484"),
+    4: ("HMAC-SHA256 (test only)", "sha256",
+        "c336f1cc9d75ede2df18cca63bf025ac477258635d040e6728ad1bb1101ebf2a",
+        "c336f1cc9d75ede2df18cca63bf025ac477258635d040e6728ad1bb1101ebf2a"),
+    5: ("ML-DSA-65", "sha512",
+        "024e097667ae258cca1cf0d54d62e6ad3d608e05279121e26a852f1413f973c3",
+        "a224b6743f34fa027ebfb0797dd84e0441c36630093c7f761d2e30c15ad2b066"),
+    6: ("ML-DSA-87", "sha512",
+        "42bc94e6e617288cae30c5389edb3c7570324e9a0839360216678e34f45b3dce",
+        "a224b6743f34fa027ebfb0797dd84e0441c36630093c7f761d2e30c15ad2b066"),
+    7: ("Falcon-512", "sha256",
+        "b5172f4c5244a79c4f01366110467fa1557bafc2dab1df57f0ada3854df66736",
+        "bf8c6a930eb5a106edc1c50c84cde190599deafdb8f2cfff862b815579301cdc"),
+    8: ("SLH-DSA-SHA2-128f", "sha256",
+        "d9f6c18ffa542964eca5a0c921847571fb2973a9ad7d585d1def08f7692c8320",
+        "a139f8bea2df67a491ceb4d5339101e7be7c20088d6d54a0c6f79e1004005548"),
+}
+
+
+@pytest.fixture(scope="module")
+def seed_one_keys():
+    return SeededKeys(1)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId), ids=lambda s: s.label)
+def test_wire_code_pins_parameter_set_digest_and_seeded_keys(seed_one_keys, scheme):
+    parameter_set, digest, public_sha256, secret_sha256 = WIRE_CODES[scheme.wire_code]
+    meta = sig.metadata(scheme)
+    assert (meta.parameter_set, meta.digest) == (parameter_set, digest)
+    kp = seed_one_keys[scheme]
+    assert hashlib.sha256(kp.public_key).hexdigest() == public_sha256
+    assert hashlib.sha256(kp.secret_key).hexdigest() == secret_sha256
+
+
+def test_a_signature_is_refused_under_every_other_code(seed_one_keys):
+    # one process signs and verifies with every parameter set, and a signature
+    # is good only under the code that made it
+    for scheme in SchemeId:
+        kp = seed_one_keys[scheme]
+        env = protocol._sign_envelope(kp, MsgType.UPDATE_SUBMISSION, 0, 1, b"payload", [])
+        assert sig.verify(kp.public_key, scheme, env.signed, env.signature)
+        protocol._authenticate(env, MsgType.UPDATE_SUBMISSION, {1: (scheme, kp.public_key)},
+                               range(1), True, 0, [])
+        for other in SchemeId:
+            if other == scheme:
+                continue
+            relabeled = SignatureBytes(other, env.signature.data)
+            assert not sig.verify(kp.public_key, other, env.signed, relabeled)
+            with pytest.raises(protocol.Refused) as refused:
+                protocol._authenticate(env, MsgType.UPDATE_SUBMISSION, {1: (other, kp.public_key)},
+                                       range(1), True, 0, [])
+            assert refused.value.rejection.reason == protocol.RejectReason.SIGNATURE_INVALID
 
 
 def test_sign_empty_message_rejected(keypairs):
