@@ -15,8 +15,9 @@ bytes exactly as the codec produced them; the receiver enforces a maximum
 frame length, `DEFAULT_FRAME_CAP`. A zero-length frame is the "no message
 this round" marker. Message drops are out of scope: a closed connection is
 fatal for the run. Every socket, on either side, waits at most
-`IO_TIMEOUT_S` for a connection, for bytes or for room to send them;
-expiry is ConnectionFailed.
+`IO_TIMEOUT_S` for a connection, and sends or receives each whole frame
+within that time, so a peer that trickles bytes holds a frame no longer
+than a silent one; expiry is ConnectionFailed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 import enum
 import socket
 import struct
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -241,13 +244,11 @@ class FrameSocket:
         view = memoryview(data).cast("B")
         if len(view) > 0xFFFFFFFF:
             raise FrameTooLarge(f"frame of {len(view)} bytes cannot be length-prefixed")
+        wait = self._frame_deadline("peer took too few bytes")
         # one gather write sends prefix and data without joining them first
         parts = [struct.pack(">I", len(view)), view]
         while parts:
-            try:
-                sent = self._sock.sendmsg(parts)
-            except TimeoutError as exc:
-                raise ConnectionFailed(f"peer took no bytes for {self._sock.gettimeout()} s") from exc
+            sent = wait(self._sock.sendmsg, parts)
             while parts and sent >= len(parts[0]):
                 sent -= len(parts.pop(0))
             if parts:
@@ -258,24 +259,40 @@ class FrameSocket:
         connection's receive buffer, which a later frame reuses only once
         nothing refers to this one: not its views, the arrays decoded from
         it, nor a replay channel's history."""
+        wait = self._frame_deadline("no bytes from peer, or too few,")
         prefix = bytearray(4)
-        self._recv_into(memoryview(prefix))
+        self._recv_into(memoryview(prefix), wait)
         (length,) = struct.unpack(">I", prefix)
         if length > DEFAULT_FRAME_CAP:
             raise FrameTooLarge(f"incoming frame of {length} bytes exceeds cap {DEFAULT_FRAME_CAP}")
         if not length:
             return memoryview(b"")
         view = self._frames.take(length)
-        self._recv_into(view)
+        self._recv_into(view, wait)
         return view.toreadonly()
 
-    def _recv_into(self, view: memoryview) -> None:
+    def _frame_deadline(self, failure: str) -> Callable:
+        """`wait(method, *args)`, which calls a socket method that waits until
+        the socket's timeout from now at most, else raises ConnectionFailed."""
+        timeout = self._sock.gettimeout()
+        deadline = time.monotonic() + (timeout or 0)
+
+        def wait(method, *args):
+            # past the deadline, a call takes only the bytes already there
+            self._sock.settimeout(None if timeout is None else max(deadline - time.monotonic(), 1e-9))
+            try:
+                return method(*args)
+            except TimeoutError as exc:
+                raise ConnectionFailed(f"{failure} within {timeout} s") from exc
+            finally:
+                self._sock.settimeout(timeout)
+
+        return wait
+
+    def _recv_into(self, view: memoryview, wait: Callable) -> None:
         got = 0
         while got < len(view):
-            try:
-                count = self._sock.recv_into(view[got:])
-            except TimeoutError as exc:
-                raise ConnectionFailed(f"no bytes from peer for {self._sock.gettimeout()} s") from exc
+            count = wait(self._sock.recv_into, view[got:])
             if not count:
                 raise PeerClosed(f"connection closed with {len(view) - got} bytes outstanding")
             got += count

@@ -18,9 +18,10 @@ header || payload itself and is refused. NaN/Inf values are rejected in both
 directions so a poisoned payload cannot corrupt aggregation silently.
 
 An envelope lives in one buffer. `signed_bytes` lays out header || payload
-once, writing parameter values straight into it, with room behind them for
-the signature; the signer hashes the payload in place, and `seal`
-appends u32 signature_len || signature in place. Decoding takes views into
+once, writing parameter values straight into it (or around them, computed
+in its `values_slot`), with room behind them for the signature; the signer
+hashes the payload in place, and `seal` appends u32 signature_len ||
+signature in place. Decoding takes views into
 the wire bytes instead of slices. Wire bytes are handed out as read-only
 buffers that nothing else writes to; a writable buffer given to a decoder is
 copied once first, so nothing decoded aliases memory that can still change.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -107,10 +109,7 @@ class ParameterVector:
         shape = tuple(int(d) for d in self.shape)
         if len(shape) == 0 or any(d <= 0 for d in shape):
             raise MalformedPayload(f"invalid shape {shape}")
-        count = 1
-        for d in shape:
-            count *= d
-        if count != arr.size:
+        if math.prod(shape) != arr.size:
             raise MalformedPayload(f"shape {shape} does not match {arr.size} values")
         if not all_finite(arr):
             raise NonFiniteValue("parameter vector contains NaN or Inf")
@@ -150,13 +149,22 @@ def _readonly(b) -> memoryview:
     return view.cast("B")
 
 
+def values_slot(room: bytearray | memoryview, shape: tuple[int, ...], offset: int = HEADER_LEN) -> np.ndarray:
+    """The float32 values of a parameter payload of `shape` at `offset` in
+    `room`; by default, of an envelope's payload in a `ReusedBuffer` room,
+    where `signed_bytes` leaves values computed in this slot in place."""
+    return np.frombuffer(room, "<f4", math.prod(shape), offset + 4 + 8 * len(shape))
+
+
 def _put_params(buf: bytearray | memoryview, offset: int, p: ParameterVector) -> None:
-    """Write the canonical payload of `p` into `buf` at `offset`."""
+    """Write the canonical payload of `p` into `buf` at `offset`; values
+    already in their slot there are left in place."""
     if not all_finite(p.values):
         raise NonFiniteValue("parameter vector contains NaN or Inf")
     struct.pack_into(f"<I{len(p.shape)}Q", buf, offset, len(p.shape), *p.shape)
-    values_at = offset + 4 + 8 * len(p.shape)
-    np.frombuffer(buf, dtype="<f4", count=p.size, offset=values_at)[:] = p.values
+    slot = values_slot(buf, p.shape, offset)
+    if slot.ctypes.data != p.values.ctypes.data:
+        slot[:] = p.values
 
 
 def encode_params(p: ParameterVector) -> bytes:
@@ -297,19 +305,20 @@ def signed_bytes(
     header: MessageHeader,
     payload: Wire | ParameterVector,
     max_signature_len: int = 0,
-    buffer: ReusedBuffer | None = None,
+    buffer: ReusedBuffer | memoryview | None = None,
 ) -> memoryview:
     """The envelope's header || payload, which `seal` completes. Not what is
     signed: a signature covers `signed_message(header, payload)`.
 
-    They are laid out once at the start of a buffer taken from `buffer` (a
-    new one when it is None) that leaves room behind them for
-    u32 signature_len || a signature of up to `max_signature_len` bytes,
-    which `seal` fills. A ParameterVector payload is encoded straight into
-    the buffer. Returns a read-only view.
+    They are laid out at the start of a room (`buffer`, or one taken from
+    it or from a new ReusedBuffer) with space left for u32 signature_len ||
+    a signature of up to `max_signature_len` bytes, which `seal` fills. A
+    ParameterVector payload is encoded straight into the room, around values
+    already in its `values_slot`. Returns a read-only view.
     """
     payload_end = HEADER_LEN + header.payload_len
-    buf = (buffer or ReusedBuffer()).take(payload_end + 4 + max_signature_len)
+    size = payload_end + 4 + max_signature_len
+    buf = buffer[:size] if isinstance(buffer, memoryview) else (buffer or ReusedBuffer()).take(size)
     buf[:HEADER_LEN] = header.encode()
     if isinstance(payload, ParameterVector):
         if payload.encoded_len != header.payload_len:

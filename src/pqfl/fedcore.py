@@ -436,16 +436,19 @@ def local_train(
     cfg: TrainConfig,
     client_rng_seed: int,
     client_id: int = 0,
+    out: np.ndarray | None = None,
 ) -> ModelUpdate:
     """Run `local_epochs` of seeded mini-batch optimization from the global
     parameters and return the parameter delta. The input model is not
     mutated; identical seeds give bit-identical deltas.
 
+    Trains in the float32 vector `out` when given, which then holds the delta.
     Optimizer state (AdamW moments) starts fresh each call, i.e. per round.
     """
     _check_dims(global_model, data)
     start = global_model.params.values
-    theta = start.copy()
+    theta = np.empty_like(start) if out is None else out
+    theta[:] = start
     rng = np.random.default_rng(client_rng_seed)
     arch = global_model.architecture
     adamw = _AdamWState(theta.size, cfg) if cfg.optimizer == "adamw" else None

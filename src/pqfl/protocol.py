@@ -22,13 +22,14 @@ and thread after a signed key announce, with every socket on both sides
 waiting at most `channel.IO_TIMEOUT_S` (30 s).
 
 The server lays its broadcasts out in one `codec.ReusedBuffer`,
-`ServerState.broadcasts`, and each TCP client thread lays its uploads out in
-one of its own. An envelope and every view or array decoded from it keep
-that buffer, so the next envelope reuses it only once they are gone: a
-broadcast once its round is over, an upload once it is sent. In process,
-each upload is held in `collected` until `finish_round` has aggregated it,
-so every client's upload there takes a new buffer, which the driver's
-thread allocates.
+`ServerState.broadcasts`. A client trains its update in the room of its
+upload (`upload_room`), which is then signed around it. Each TCP client
+thread takes its rooms from a `ReusedBuffer` of its own. In process, each
+upload is held in `collected` until `finish_round` has aggregated it, so
+the driver's thread takes a new room for each client as it hands the client
+to the pool. An envelope and every view or array decoded from it keep its
+buffer, which the next envelope reuses only once they are gone: a broadcast
+once its round is over, an upload once it is sent.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import threading
 import time
 import types
 from collections.abc import Callable, Container, Iterator, Mapping
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -246,11 +247,12 @@ def _sign_envelope(
     sender_id: int,
     payload: bytes | codec.ParameterVector,
     spans: list[Span],
-    buffer: codec.ReusedBuffer | None = None,
+    buffer: codec.ReusedBuffer | memoryview | None = None,
 ) -> SignedEnvelope:
     """Lay out header ‖ payload once, sign header ‖ digest(payload) with the
     payload hashed in place, and seal the signature in behind it, all in one
-    buffer taken from `buffer`. The digest pass is timed as the SIGN span."""
+    room (`buffer`, see `codec.signed_bytes`). The digest pass is timed as
+    the SIGN span."""
     t0 = time.perf_counter()
     header = codec.build_header(msg_type, keypair.scheme, round, sender_id, payload)
     max_len = sig.metadata(keypair.scheme).signature_max_len
@@ -371,7 +373,7 @@ def client_submit_update(
     client: ClientState,
     update: ModelUpdate,
     spans: list[Span] | None = None,
-    buffer: codec.ReusedBuffer | None = None,
+    buffer: codec.ReusedBuffer | memoryview | None = None,
 ) -> SignedEnvelope:
     """Wrap a local update in a signed submission envelope laid out in `buffer`."""
     if update.round != client.last_accepted_round:
@@ -394,11 +396,18 @@ class ClientRoundResult:
     skipped: Rejection | None = None  # why the client sat out, if it did
 
 
+def upload_room(client: ClientState, buffer: codec.ReusedBuffer) -> memoryview:
+    """A room from `buffer` for one of `client`'s signed uploads."""
+    delta_len = 12 + 4 * client.architecture.param_count  # u32 rank 1, u64 size, f32 values
+    return buffer.take(codec.HEADER_LEN + delta_len + 4 + sig.metadata(client.scheme).signature_max_len)
+
+
 def client_process_round(
-    client: ClientState, env_blob: codec.Wire, buffer: codec.ReusedBuffer | None = None
+    client: ClientState, env_blob: codec.Wire, room: memoryview | None = None
 ) -> ClientRoundResult:
-    """One full client round over wire bytes: decode, verify, train, submit
-    an upload laid out in `buffer`.
+    """One full client round over wire bytes: decode, verify, train the
+    update in the `codec.values_slot` of `room`, an `upload_room`, and sign
+    the upload around it there (without `room`, in new memory).
 
     A client that refuses the incoming model sits the round out and reports
     the `Rejection` instead of raising.
@@ -412,16 +421,12 @@ def client_process_round(
         return ClientRoundResult(reply=None, spans=spans, skipped=exc.rejection)
 
     t0 = time.perf_counter()
-    update = fedcore.local_train(
-        model,
-        client.dataset,
-        client.cfg,
-        train_seed(client.cfg.seed, model.round, client.client_id),
-        client.client_id,
-    )
+    seed = train_seed(client.cfg.seed, model.round, client.client_id)
+    out = None if room is None else codec.values_slot(room, model.params.shape)
+    update = fedcore.local_train(model, client.dataset, client.cfg, seed, client.client_id, out)
     spans.append((client.client_id, Phase.TRAIN, t0, time.perf_counter() - t0))
 
-    env_out = client_submit_update(client, update, spans, buffer)
+    env_out = client_submit_update(client, update, spans, room)
     t0 = time.perf_counter()
     blob = codec.encode_envelope(env_out)
     spans.append((client.client_id, Phase.SERIALIZE, t0, time.perf_counter() - t0))
@@ -582,43 +587,6 @@ def _client_pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="pqfl-client")
 
 
-class _DriverBuffer(codec.ReusedBuffer):
-    """A pool thread's upload buffer, allocated on the driver's thread.
-
-    An upload outlives its client's task; allocated on a pool thread, it
-    would come from that thread's malloc arena, which keeps the memory once
-    the driver frees the upload. `take` asks the driver, which answers in
-    `_serve_buffers`. The client asks as it signs, so the buffer is not held
-    while it trains.
-    """
-
-    def __init__(self, requests: queue.SimpleQueue) -> None:
-        super().__init__()
-        self._requests = requests
-
-    def take(self, n: int) -> memoryview:
-        allocated: Future[memoryview] = Future()
-        self._requests.put((n, allocated))
-        return allocated.result()
-
-
-def _serve_buffers(requests: queue.SimpleQueue, running: int, limit: int) -> int:
-    """Allocate each buffer that a task asks for through `requests` until at
-    most `limit` of the `running` tasks still run, each putting None there
-    as it finishes; return how many do."""
-    while running > limit:
-        request = requests.get()
-        if request is None:
-            running -= 1
-        else:
-            n, allocated = request
-            try:
-                allocated.set_result(codec.ReusedBuffer().take(n))
-            except Exception as exc:  # the task raises it
-                allocated.set_exception(exc)
-    return running
-
-
 def run_training(
     server: ServerState,
     clients: list[ClientState],
@@ -634,19 +602,21 @@ def run_training(
         # Each frame is delivered here, on the driver's thread, as it is taken,
         # and taken once fewer than 2 * workers clients are queued or running:
         # a worker that finishes finds the next client queued, and tampered
-        # broadcasts are not all held at once.
-        requests: queue.SimpleQueue = queue.SimpleQueue()
+        # broadcasts are not all held at once. Each client's upload room is
+        # taken here too, as memory a pool thread allocated stays in its arena.
         tasks: dict[int, Future[ClientRoundResult]] = {}
-        running = 0
-        try:
-            for cid, frame in frames:
+        free: queue.SimpleQueue[None] = queue.SimpleQueue()  # a token for each client slot
+        for _ in range(2 * workers):
+            free.put(None)
+        try:  # zip takes a token before it takes, and so delivers, the next frame
+            for _, (cid, frame) in zip(iter(free.get, ...), frames):
+                client = by_id[cid]
                 task = tasks[cid] = pool.submit(
-                    client_process_round, by_id[cid], frame, _DriverBuffer(requests)
+                    client_process_round, client, frame, upload_room(client, codec.ReusedBuffer())
                 )
-                task.add_done_callback(lambda _: requests.put(None))
-                running = _serve_buffers(requests, running + 1, 2 * workers - 1)
+                task.add_done_callback(lambda _: free.put(None))
         finally:  # no task of this round outlives it
-            _serve_buffers(requests, running, 0)
+            wait(tasks.values())
         replies = []
         for cid, task in tasks.items():  # in ascending id: the lowest failing client raises
             result = task.result()
@@ -705,7 +675,7 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState],
                 fs.send_frame(codec.encode_envelope(announce))
                 uploads = codec.ReusedBuffer()  # this thread's, free again once a reply is sent
                 for _ in range(server.cfg.num_rounds):
-                    result = client_process_round(client, fs.recv_frame(), uploads)
+                    result = client_process_round(client, fs.recv_frame(), upload_room(client, uploads))
                     client_spans.put(result.spans)
                     fs.send_frame(result.reply or b"")
                     del result  # so that the next upload reuses `uploads`

@@ -348,6 +348,57 @@ def test_connected_socket_waits_for_silent_peer_at_most_io_timeout(monkeypatch):
     assert isinstance(box.get("error"), ConnectionFailed)
 
 
+def every_0_3_s(step):
+    """Run step() every 0.3 s on a thread until it raises or the returned event is set."""
+    stop = threading.Event()
+
+    def loop():
+        with contextlib.suppress(OSError):
+            while not stop.wait(0.3):
+                step()
+
+    threading.Thread(target=loop, daemon=True).start()
+    return stop
+
+
+def test_frame_from_a_trickling_peer_fails_within_one_deadline(monkeypatch):
+    # each byte comes well within the socket's timeout, the whole frame does not
+    monkeypatch.setattr(channel, "IO_TIMEOUT_S", 0.5)
+    client_fs, server_fs = socket_pair()
+    frame = iter(struct.pack(">I", 100) + bytes(100))
+    stop = every_0_3_s(lambda: client_fs._sock.sendall(bytes([next(frame)])))
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ConnectionFailed):
+            server_fs.recv_frame()
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        stop.set()
+        client_fs.close()
+        server_fs.close()
+
+
+def test_frame_to_a_slowly_reading_peer_fails_within_one_deadline(monkeypatch):
+    # The peer reads 2 MB every 0.3 s, 5 s for the whole frame, so each send
+    # call waits less than the socket's timeout. A sender is woken only once
+    # about a third of its send buffer (megabytes on Linux loopback) is free:
+    # a peer reading 64 KB at a time would time a single call out as well.
+    monkeypatch.setattr(channel, "IO_TIMEOUT_S", 0.5)
+    client_fs, server_fs = socket_pair()
+    server_fs._sock.settimeout(None)
+    chunk = bytearray(2 * 1024 * 1024)
+    stop = every_0_3_s(lambda: server_fs._sock.recv_into(chunk, len(chunk), socket.MSG_WAITALL))
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ConnectionFailed):
+            client_fs.send_frame(bytes(32 * 1024 * 1024))
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        stop.set()
+        client_fs.close()
+        server_fs.close()
+
+
 # --- TCP training equivalence -----------------------------------------------------
 
 def test_tcp_run_matches_in_process():

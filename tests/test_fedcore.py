@@ -131,6 +131,7 @@ def test_splitting_a_shard_splits_its_rows():
     ids=["sgd", "adamw", "ragged-last-batch"],
 )
 def test_local_train_on_shard_matches_copied_shard(optimizer, batch_size):
+    # and training in a given vector, as a client trains in its upload, matches too
     shard = split_iid(small_data(120, d=12, c=4), 3, seed=2)[0]
     copied = ClientDataset(shard.features.copy(), shard.labels.copy())
     # 40 samples: whole batches of 8, and batches of 16 with a short last one
@@ -143,6 +144,10 @@ def test_local_train_on_shard_matches_copied_shard(optimizer, batch_size):
     delta = local_train(model, shard, cfg, client_rng_seed=11, client_id=1).delta.values
     expected = local_train(model, copied, cfg, client_rng_seed=11, client_id=1).delta.values
     assert delta.tobytes() == expected.tobytes()
+    out = np.full(model.params.size, np.nan, dtype=np.float32)  # overwritten, never read
+    in_place = local_train(model, shard, cfg, 11, 1, out).delta.values
+    assert in_place.tobytes() == expected.tobytes()
+    assert in_place.ctypes.data == out.ctypes.data and in_place.base is out
 
 
 def test_dataset_arrays_are_read_only():

@@ -15,8 +15,8 @@ import weakref
 import numpy as np
 import pytest
 
-from pqfl import codec, fedcore, protocol, sig
-from pqfl.channel import FrameSocket
+from pqfl import channel, codec, fedcore, protocol, sig
+from pqfl.channel import Direction, FrameSocket
 from pqfl.codec import HEADER_LEN, MsgType, ParameterVector, SignedEnvelope
 from pqfl.fedcore import ModelArchitecture, ModelUpdate, TrainConfig
 from pqfl.sig import SchemeId
@@ -205,6 +205,38 @@ def test_signing_reuses_the_envelope_buffer_only_once_the_envelope_is_dropped():
     third = sign(update.delta)
     assert third.wire.obj is kept()
     assert bytes(third.wire) == expected
+
+
+def test_an_upload_is_laid_out_around_the_values_its_client_trained(monkeypatch):
+    cfg = TrainConfig(num_clients=2, num_rounds=1)
+    data = fedcore.generate_synthetic(16, SMALL.input_dim, SMALL.num_classes, 0)
+    server, clients, _ = protocol.setup_keys(
+        cfg, SchemeId.TEST_SCHEME, 1, fedcore.init_model(SMALL, 0), fedcore.split_iid(data, 2, 0)
+    )
+    trained, replies = {}, {}
+    local_train = fedcore.local_train
+
+    def recording(*args):  # args[4] is the client id
+        update = trained[args[4]] = local_train(*args)
+        return update
+
+    class Recording(channel.Channel):
+        def deliver(self, msg, direction, client_id):
+            if direction == Direction.CLIENT_TO_SERVER:
+                replies[client_id] = msg
+            return super().deliver(msg, direction, client_id)
+
+    monkeypatch.setattr(fedcore, "local_train", recording)
+    protocol.run_training(server, clients, Recording())
+    for client in clients:
+        cid = client.client_id
+        delta = codec.decode_params(codec.decode_envelope(replies[cid]).payload)
+        assert np.shares_memory(delta.values, trained[cid].delta.values)
+        # the bytes that the same delta, copied, is laid out and signed in
+        copied = ModelUpdate(ParameterVector(delta.values.copy(), delta.shape), cid, 0)
+        assert bytes(replies[cid]) == bytes(
+            codec.encode_envelope(protocol.client_submit_update(client, copied))
+        )
 
 
 # --- allocation guards ---------------------------------------------------------------------
