@@ -49,26 +49,22 @@ _NONCE_LEN = 40
 
 @dataclass(frozen=True)
 class _Params:
-    name: str
     logn: int
     sigma: float
     sigma_min: float
     beta_sq: int
     fg_bits: int
-    signature_max_len: int
-    digest: str
 
     @property
     def n(self) -> int:
         return 1 << self.logn
 
 
-# Falcon specification v1.2, Table 3.3; maximum signature lengths are those
-# of the variable-length ("compressed") format. The digest is the payload's
-# (SchemeMetadata.digest): SHA-256 for category 1, SHA-512 for category 5.
+# Falcon specification v1.2, Table 3.3, by parameter set name. Key and
+# signature sizes and the payload digest are the set's sig.SchemeMetadata.
 PARAMS = {
-    "falcon-512": _Params("Falcon-512", 9, 165.7366171829776, 1.2778336969128337, 34034726, 6, 752, "sha256"),
-    "falcon-1024": _Params("Falcon-1024", 10, 168.38857144654395, 1.298280334344292, 70265242, 5, 1462, "sha512"),
+    "Falcon-512": _Params(9, 165.7366171829776, 1.2778336969128337, 34034726, 6),
+    "Falcon-1024": _Params(10, 168.38857144654395, 1.298280334344292, 70265242, 5),
 }
 
 
@@ -498,17 +494,10 @@ class Falcon:
     _SIGNING_KEY_CACHE_BYTES = 64 << 20
     _EXPANDED_KEY_BYTES_PER_COEFF = 430
 
-    def __init__(self, parameter_set: str):
-        p = self._params = PARAMS[parameter_set]
+    def __init__(self, metadata: SchemeMetadata):
+        self.metadata = metadata
+        p = self._params = PARAMS[metadata.parameter_set]
         n = p.n
-        self.metadata = SchemeMetadata(
-            name="Falcon",
-            public_key_len=1 + 14 * n // 8,
-            secret_key_len=1 + 2 * p.fg_bits * n // 8 + n,
-            signature_max_len=p.signature_max_len,
-            digest=p.digest,
-            parameter_set=p.name,
-        )
         self._ntt = _Ntt(n)
         self._keygen_cdf = _gaussian_cdf(1.17 * math.sqrt(Q / (2 * n)))
         self._signing_key = functools.lru_cache(
@@ -614,7 +603,7 @@ class Falcon:
             s2 = np.rint(_ifft(-(d0 * key.f_fft + d1 * key.F_fft)))
             if s1 @ s1 + s2 @ s2 > p.beta_sq:
                 continue
-            body = _compress(s2.astype(np.int64).tolist(), p.signature_max_len - 1 - _NONCE_LEN)
+            body = _compress(s2.astype(np.int64).tolist(), self.metadata.signature_max_len - 1 - _NONCE_LEN)
             if body is not None:
                 return bytes([0x30 + p.logn]) + nonce + body
         raise AdapterFailure("Falcon signing found no short signature")
@@ -636,7 +625,7 @@ class Falcon:
         h_ntt = self._public_key(bytes(public_key))
         if (
             h_ntt is None
-            or not 1 + _NONCE_LEN < len(signature) <= p.signature_max_len
+            or not 1 + _NONCE_LEN < len(signature) <= self.metadata.signature_max_len
             or signature[0] != 0x30 + p.logn
         ):
             return False

@@ -10,6 +10,8 @@ schemes, so a suitable library is looked up and loaded by path on first use:
     4. lib/libcrypto.so* next to the `openssl` executable found on PATH
 
 The first library whose OpenSSL_version_num() is at least 3.5.0 wins.
+A signer is built from its parameter set's `sig.SchemeMetadata`, which
+holds the key and signature sizes; the set name is the EVP algorithm name.
 Signing uses pure mode with an empty context string; ML-DSA signing is
 hedged (randomized) as FIPS 204 recommends. ctypes releases the GIL for
 the duration of each native call, so signers in different threads overlap.
@@ -33,17 +35,6 @@ from pqfl.sig import SchemeMetadata
 
 MIN_VERSION = 0x30500000
 
-# parameter set -> its SchemeMetadata: scheme name, then public key, secret key and
-# signature lengths (FIPS 204 and FIPS 205 Table 2), then the payload digest, whose
-# collision strength reaches the set's security category. An ML-DSA secret key is
-# the 32-byte seed it is expanded from.
-PARAMETER_SETS = {
-    "ML-DSA-44": ("Dilithium", 1312, 32, 2420, "sha256"),
-    "ML-DSA-65": ("Dilithium", 1952, 32, 3309, "sha512"),
-    "ML-DSA-87": ("Dilithium", 2592, 32, 4627, "sha512"),
-    "SLH-DSA-SHA2-128s": ("SPHINCS+", 32, 64, 7856, "sha256"),
-    "SLH-DSA-SHA2-128f": ("SPHINCS+", 32, 64, 17088, "sha256"),
-}
 
 def _candidates() -> list[str]:
     found = [os.environ.get("PQFL_LIBCRYPTO", ""), ctypes.util.find_library("crypto") or ""]
@@ -142,11 +133,11 @@ class EvpSigner:
     of each kind, and freed when evicted.
     """
 
-    def __init__(self, parameter_set: str):
-        self.metadata = SchemeMetadata(*PARAMETER_SETS[parameter_set], parameter_set)
+    def __init__(self, metadata: SchemeMetadata):
+        self.metadata = metadata
         self._lib, self.library_version = load_libcrypto()
-        self._name = parameter_set.encode()
-        self._from_seed = parameter_set.startswith("ML-DSA")
+        self._name = metadata.parameter_set.encode()
+        self._from_seed = metadata.parameter_set.startswith("ML-DSA")
         self._private = functools.lru_cache(maxsize=256)(
             self._generate
             if self._from_seed

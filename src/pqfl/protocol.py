@@ -182,8 +182,9 @@ class ClientState:
 
 
 def derive_keypair(scheme: sig.SchemeId, seed: int | None, participant_id: int) -> sig.KeyPair:
-    """A participant's key pair: derived from `seed` and its id, or random when `seed` is None."""
-    seed = None if seed is None else fedcore.derive_seed(seed, "key", participant_id)
+    """A participant's key pair: derived from `seed`, the set's wire code (so that
+    no two sets share key material) and the participant's id, or random when `seed` is None."""
+    seed = None if seed is None else fedcore.derive_seed(seed, "key", scheme.wire_code, participant_id)
     return sig.keygen(scheme, seed)
 
 

@@ -4,28 +4,19 @@ Three quantum-resistant schemes are exposed behind one keygen/sign/verify
 interface, plus a deterministic keyed-hash scheme for fast tests. ML-DSA
 (FIPS 204) and SLH-DSA (FIPS 205) run in an OpenSSL >= 3.5 libcrypto
 (pqfl.libcrypto), FN-DSA (Falcon spec v1.2) in Python/numpy (pqfl.falcon),
-and TestScheme is HMAC-SHA256 presented through the same API. Each
-parameter set is its own `SchemeId`, so its wire code names the set:
+and TestScheme is HMAC-SHA256 presented through the same API.
 
-    code  --scheme name        parameter set            digest
-    1     dilithium            ML-DSA-44                sha256
-    2     falcon               Falcon-1024              sha512
-    3     sphincsplus          SLH-DSA-SHA2-128s        sha256
-    4     testscheme           HMAC-SHA256 (test only)  sha256
-    5     ml-dsa-65            ML-DSA-65                sha512
-    6     ml-dsa-87            ML-DSA-87                sha512
-    7     falcon-512           Falcon-512               sha256
-    8     slh-dsa-sha2-128f    SLH-DSA-SHA2-128f        sha256
-
-`--scheme` also takes `ml-dsa-44`, `falcon-1024` and `slh-dsa-sha2-128s`
-for codes 1-3, ignoring case, `-`, `_` and `+`. Keys and signatures of the
-round-3 SPHINCS+ (as in PQClean) do not verify under FIPS 205 SLH-DSA.
+Each parameter set is its own `SchemeId`, whose wire code names the set.
+`_SETS` below is the one description of each set: the names `--scheme`
+takes (ignoring case, `-`, `_` and `+`), its backend, and its sizes, digest
+and name (`SchemeMetadata`), which the backend is handed. Keys and signatures
+of the round-3 SPHINCS+ (as in PQClean) do not verify under FIPS 205 SLH-DSA.
 
 Each parameter set names a digest (`SchemeMetadata.digest`) whose collision
 strength reaches the set's security category, the rule FIPS 204 §5.4 and
-FIPS 205 §10.2 set for a pre-hash: SHA-512 for ML-DSA-65/87 and Falcon-1024,
-SHA-256 for the rest, which an x86-64 CPU with SHA extensions runs over 809 KB
-in 0.7 ms against SHA-512's 2.0 ms. The protocol signs a payload's digest
+FIPS 205 §10.2 set for a pre-hash: SHA-512 for categories 3 and 5, SHA-256
+below, which an x86-64 CPU with SHA extensions runs over 809 KB in 0.7 ms
+against SHA-512's 2.0 ms. The protocol signs a payload's digest
 (`codec.signed_message`); `sign` and `verify` here take any message as it is.
 
 Adapters hold no mutable protocol state (at most internal caches of
@@ -85,36 +76,6 @@ def _name_key(text: str) -> str:
 
 
 @dataclass(frozen=True)
-class _Set:
-    names: tuple[str, ...]  # the names `from_label` accepts; the first is the label
-    backend: str  # the adapter class, imported when the set is first used
-    parameter_set: str  # the name the backend knows the set by
-
-
-_LIBCRYPTO = "pqfl.libcrypto.EvpSigner"
-_FALCON = "pqfl.falcon.Falcon"
-
-_SETS = {
-    SchemeId.DILITHIUM: _Set(("dilithium", "ml-dsa", "ml-dsa-44"), _LIBCRYPTO, "ML-DSA-44"),
-    SchemeId.FALCON: _Set(("falcon", "fn-dsa", "falcon-1024"), _FALCON, "falcon-1024"),
-    SchemeId.SPHINCS_PLUS: _Set(
-        ("sphincsplus", "sphincs", "slh-dsa", "slh-dsa-sha2-128s"), _LIBCRYPTO, "SLH-DSA-SHA2-128s"
-    ),
-    SchemeId.TEST_SCHEME: _Set(
-        ("testscheme", "test"), "pqfl.sig._TestSchemeAdapter", "HMAC-SHA256 (test only)"
-    ),
-    SchemeId.ML_DSA_65: _Set(("ml-dsa-65",), _LIBCRYPTO, "ML-DSA-65"),
-    SchemeId.ML_DSA_87: _Set(("ml-dsa-87",), _LIBCRYPTO, "ML-DSA-87"),
-    SchemeId.FALCON_512: _Set(("falcon-512",), _FALCON, "falcon-512"),
-    SchemeId.SLH_DSA_SHA2_128F: _Set(("slh-dsa-sha2-128f",), _LIBCRYPTO, "SLH-DSA-SHA2-128f"),
-}
-
-# each scheme's default set: what `all` names on the command line
-PQC_SCHEMES = (SchemeId.DILITHIUM, SchemeId.FALCON, SchemeId.SPHINCS_PLUS)
-ALL_SCHEMES = (*PQC_SCHEMES, SchemeId.TEST_SCHEME)
-
-
-@dataclass(frozen=True)
 class SchemeMetadata:
     name: str
     public_key_len: int
@@ -123,6 +84,51 @@ class SchemeMetadata:
     # hashlib name of the digest a payload is signed through (codec.signed_message)
     digest: str
     parameter_set: str
+
+
+@dataclass(frozen=True)
+class _Set:
+    names: tuple[str, ...]  # the names `from_label` accepts; the first is the label
+    backend: str  # the adapter class, imported when the set is first used
+    metadata: SchemeMetadata
+
+
+_LIBCRYPTO = "pqfl.libcrypto.EvpSigner"
+_FALCON = "pqfl.falcon.Falcon"
+
+# Key and signature lengths are those of FIPS 204 and FIPS 205 Table 2 and of Falcon
+# v1.2 Table 3.3. An ML-DSA secret key is the 32-byte seed it is expanded from. A Falcon
+# signature's bound is the compressed format's (FALCON_SIG_COMPRESSED_MAXSIZE).
+_SETS = {
+    SchemeId.DILITHIUM: _Set(
+        ("dilithium", "ml-dsa", "ml-dsa-44"), _LIBCRYPTO,
+        SchemeMetadata("Dilithium", 1312, 32, 2420, "sha256", "ML-DSA-44")),
+    SchemeId.FALCON: _Set(
+        ("falcon", "fn-dsa", "falcon-1024"), _FALCON,
+        SchemeMetadata("Falcon", 1793, 2305, 1462, "sha512", "Falcon-1024")),
+    SchemeId.SPHINCS_PLUS: _Set(
+        ("sphincsplus", "sphincs", "slh-dsa", "slh-dsa-sha2-128s"), _LIBCRYPTO,
+        SchemeMetadata("SPHINCS+", 32, 64, 7856, "sha256", "SLH-DSA-SHA2-128s")),
+    SchemeId.TEST_SCHEME: _Set(
+        ("testscheme", "test"), "pqfl.sig._TestSchemeAdapter",
+        SchemeMetadata("TestScheme", 32, 32, 32, "sha256", "HMAC-SHA256 (test only)")),
+    SchemeId.ML_DSA_65: _Set(
+        ("ml-dsa-65",), _LIBCRYPTO,
+        SchemeMetadata("Dilithium", 1952, 32, 3309, "sha512", "ML-DSA-65")),
+    SchemeId.ML_DSA_87: _Set(
+        ("ml-dsa-87",), _LIBCRYPTO,
+        SchemeMetadata("Dilithium", 2592, 32, 4627, "sha512", "ML-DSA-87")),
+    SchemeId.FALCON_512: _Set(
+        ("falcon-512",), _FALCON,
+        SchemeMetadata("Falcon", 897, 1281, 752, "sha256", "Falcon-512")),
+    SchemeId.SLH_DSA_SHA2_128F: _Set(
+        ("slh-dsa-sha2-128f",), _LIBCRYPTO,
+        SchemeMetadata("SPHINCS+", 32, 64, 17088, "sha256", "SLH-DSA-SHA2-128f")),
+}
+
+# each scheme's default set: what `all` names on the command line
+PQC_SCHEMES = (SchemeId.DILITHIUM, SchemeId.FALCON, SchemeId.SPHINCS_PLUS)
+ALL_SCHEMES = (*PQC_SCHEMES, SchemeId.TEST_SCHEME)
 
 
 @dataclass(frozen=True)
@@ -164,8 +170,8 @@ class _TestSchemeAdapter:
     fast and deterministic; strict protocol mode rejects it.
     """
 
-    def __init__(self, parameter_set: str):
-        self.metadata = SchemeMetadata("TestScheme", 32, 32, 32, "sha256", parameter_set)
+    def __init__(self, metadata: SchemeMetadata):
+        self.metadata = metadata
 
     def keygen(self, seed: bytes | None) -> tuple[bytes, bytes]:
         if seed is not None:
@@ -187,6 +193,12 @@ class _TestSchemeAdapter:
 _adapters: dict[SchemeId, object] = {}
 
 
+def _entry(scheme: SchemeId) -> _Set:
+    if not isinstance(scheme, SchemeId):
+        raise UnsupportedScheme(f"not a scheme id: {scheme!r}")
+    return _SETS[scheme]
+
+
 def _adapter(scheme: SchemeId):
     """The process-wide adapter for a parameter set, built on first use.
 
@@ -194,13 +206,11 @@ def _adapter(scheme: SchemeId):
     set up here, so importing this module stays cheap and a run sets up
     only the backends of the sets it uses.
     """
-    if not isinstance(scheme, SchemeId):
-        raise UnsupportedScheme(f"not a scheme id: {scheme!r}")
+    entry = _entry(scheme)
     found = _adapters.get(scheme)
     if found is None:
-        entry = _SETS[scheme]
         module, _, name = entry.backend.rpartition(".")
-        found = getattr(importlib.import_module(module), name)(entry.parameter_set)
+        found = getattr(importlib.import_module(module), name)(entry.metadata)
         _adapters[scheme] = found
     return found
 
@@ -208,18 +218,18 @@ def _adapter(scheme: SchemeId):
 # --- public operations ------------------------------------------------------
 
 def metadata(scheme: SchemeId) -> SchemeMetadata:
-    """Constant size/name characteristics of the parameter set."""
-    return _adapter(scheme).metadata
+    """Constant size/name characteristics of the parameter set, read from
+    the table: no backend is loaded."""
+    return _entry(scheme).metadata
 
 
 def keygen(scheme: SchemeId, seed: int | bytes | None = None) -> KeyPair:
     """Generate a key pair; a seed makes key generation deterministic for every scheme."""
-    adapter = _adapter(scheme)
-    public_key, secret_key = adapter.keygen(_normalize_seed(seed))
-    meta = adapter.metadata
+    public_key, secret_key = _adapter(scheme).keygen(_normalize_seed(seed))
+    meta = metadata(scheme)
     if len(public_key) != meta.public_key_len or len(secret_key) != meta.secret_key_len:
         raise AdapterFailure(
-            f"{meta.name} keygen returned unexpected key lengths "
+            f"{meta.parameter_set} keygen returned unexpected key lengths "
             f"({len(public_key)}/{len(secret_key)})"
         )
     return KeyPair(scheme=scheme, public_key=public_key, secret_key=secret_key)

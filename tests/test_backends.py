@@ -68,7 +68,7 @@ def test_ntt_product_matches_schoolbook(n):
 
 
 def test_falcon_key_solves_ntru_equation_exactly():
-    backend = falcon.Falcon("falcon-1024")
+    backend = falcon.Falcon(sig.metadata(SchemeId.FALCON))
     _, secret_key = backend.keygen(bytes(range(32)))
     f, g, F = falcon_parts(backend, secret_key)
     G = np.rint(falcon._ifft(backend._signing_key(secret_key).G_fft)).astype(np.int64)
@@ -88,7 +88,7 @@ def test_falcon_keygen_honors_seed():
 
 
 def test_falcon_512_sizes_and_round_trip():
-    backend = falcon.Falcon("falcon-512")
+    backend = falcon.Falcon(sig.metadata(SchemeId.FALCON_512))
     meta = backend.metadata
     assert (meta.public_key_len, meta.secret_key_len, meta.signature_max_len) == (897, 1281, 752)
     public_key, secret_key = backend.keygen(b"\x07" * 32)
@@ -122,7 +122,7 @@ def test_falcon_tree_leaves_multiply_to_determinant():
     # the leaves are the squared Gram-Schmidt norms of the secret basis, each
     # standing for a real and an imaginary coordinate; their product is
     # |det B| = q^n, whatever the order the tree visits them in
-    backend = falcon.Falcon("falcon-512")
+    backend = falcon.Falcon(sig.metadata(SchemeId.FALCON_512))
     key = backend._signing_key(backend.keygen(b"\x05" * 32)[1])
     f, g, F, G = key.f_fft, key.g_fft, key.F_fft, key.G_fft
     g00 = g * np.conj(g) + f * np.conj(f)
@@ -143,7 +143,7 @@ def test_sampler_z_draws_the_discrete_gaussian(monkeypatch, mu, sigma):
     monkeypatch.setattr(falcon.os, "urandom", rng.bytes)
     sample = falcon._Sampler(4096)
     count = 100_000
-    ccs = falcon.PARAMS["falcon-512"].sigma_min / sigma
+    ccs = falcon.PARAMS["Falcon-512"].sigma_min / sigma
     draws = np.array([sample(mu, 1 / (2 * sigma * sigma), ccs) for _ in range(count)])
     support = np.arange(math.floor(mu) - 12, math.floor(mu) + 14)
     weights = np.exp(-((support - mu) ** 2) / (2 * sigma * sigma))
@@ -161,7 +161,7 @@ def test_sampler_z_draws_the_discrete_gaussian(monkeypatch, mu, sigma):
 
 
 def test_falcon_rejects_corrupt_secret_key():
-    backend = falcon.Falcon("falcon-512")
+    backend = falcon.Falcon(sig.metadata(SchemeId.FALCON_512))
     _, secret_key = backend.keygen(b"\x01" * 32)
     broken = bytearray(secret_key)
     broken[-1] ^= 0x01  # one coefficient of F: f*G - g*F = q no longer holds
@@ -183,7 +183,7 @@ def libcrypto():
 
 
 def test_slhdsa_wrong_length_keys(libcrypto):
-    backend = libcrypto.EvpSigner("SLH-DSA-SHA2-128s")
+    backend = libcrypto.EvpSigner(sig.metadata(SchemeId.SPHINCS_PLUS))
     public_key, secret_key = backend.keygen(None)
     assert (len(public_key), len(secret_key)) == (32, 64)
     signature = backend.sign(secret_key, b"message")
@@ -229,12 +229,15 @@ def test_slhdsa_library_search_order(monkeypatch, tmp_path):
 
 
 def test_importing_sig_loads_no_backend():
+    # every set's metadata comes from sig's table, and a keygen builds only its own backend
     code = (
-        "import sys; from pqfl import sig; sig.keygen(sig.SchemeId.DILITHIUM, seed=1); "
+        "import sys; from pqfl import sig; [sig.metadata(s) for s in sig.SchemeId]; "
+        "print('pqfl.falcon' in sys.modules, 'pqfl.libcrypto' in sys.modules, len(sig._adapters)); "
+        "sig.keygen(sig.SchemeId.DILITHIUM, seed=1); "
         "print('pqfl.falcon' in sys.modules, sig.SchemeId.SPHINCS_PLUS in sig._adapters)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "0", "False", "False"]
 
 
 def test_dilithium_run_needs_no_cryptography_package():
@@ -273,7 +276,7 @@ def test_mldsa_matches_pyca_cryptography(libcrypto, level):
     mldsa = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.mldsa")
     from cryptography.exceptions import InvalidSignature
 
-    backend = libcrypto.EvpSigner(f"ML-DSA-{level}")
+    backend = libcrypto.EvpSigner(sig.metadata(SchemeId.from_label(f"ml-dsa-{level}")))
     pyca = getattr(mldsa, f"MLDSA{level}PrivateKey")
     for i in range(20):
         seed = hashlib.sha256(b"mldsa compat %d" % i).digest()
@@ -294,7 +297,7 @@ def test_mldsa_matches_pyca_cryptography(libcrypto, level):
 
 
 def test_evicted_keys_are_freed_exactly_once(libcrypto, monkeypatch):
-    backend = libcrypto.EvpSigner("ML-DSA-44")
+    backend = libcrypto.EvpSigner(sig.metadata(SchemeId.DILITHIUM))
     free = backend._lib.EVP_PKEY_free
     freed = []
     monkeypatch.setattr(backend._lib, "EVP_PKEY_free", lambda key: (freed.append(key), free(key)))

@@ -66,6 +66,21 @@ def test_key_lengths_match_metadata(keypairs, scheme):
     assert meta.public_key_len > 0 and meta.secret_key_len > 0 and meta.signature_max_len > 0
 
 
+@pytest.mark.parametrize("short", ["public", "secret"])
+def test_keygen_refuses_a_key_one_byte_shorter_than_the_table(monkeypatch, short):
+    # the backend's keys are checked against sig's table, not its own numbers
+    meta = sig.metadata(SchemeId.TEST_SCHEME)
+    lengths = (meta.public_key_len - (short == "public"), meta.secret_key_len - (short == "secret"))
+
+    class Short:
+        def keygen(self, seed):
+            return tuple(bytes(n) for n in lengths)
+
+    monkeypatch.setitem(sig._adapters, SchemeId.TEST_SCHEME, Short())
+    with pytest.raises(AdapterFailure, match="unexpected key lengths"):
+        sig.keygen(SchemeId.TEST_SCHEME, 1)
+
+
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.label)
 def test_signature_length_within_declared_max(keypairs, scheme):
     kp = keypairs[scheme]
