@@ -484,15 +484,13 @@ class Falcon:
 
     Expanding a secret key (decoding, recomputing G, checking the NTRU
     equation, building the Falcon tree) is a third of the cost of a
-    Falcon-1024 signature, so the expanded keys most recently signed with
-    are kept within _SIGNING_KEY_CACHE_BYTES. An expanded key takes about
-    430 bytes per coefficient (numpy arrays plus the Python objects at the
-    leaves of the tree, measured with tracemalloc), so the budget holds
-    about 150 Falcon-1024 keys: one per party of a federation that size.
+    Falcon-1024 signature, so `signing_key` hands the expanded key to the
+    caller to keep: `sig.KeyPair` holds it from its first signature on. An
+    expanded key takes about 430 bytes per coefficient (numpy arrays plus
+    the Python objects at the leaves of the tree, measured with tracemalloc),
+    about 0.43 MB for Falcon-1024. Key generation builds none, so a pair
+    that never signs holds none.
     """
-
-    _SIGNING_KEY_CACHE_BYTES = 64 << 20
-    _EXPANDED_KEY_BYTES_PER_COEFF = 430
 
     def __init__(self, metadata: SchemeMetadata):
         self.metadata = metadata
@@ -500,9 +498,6 @@ class Falcon:
         n = p.n
         self._ntt = _Ntt(n)
         self._keygen_cdf = _gaussian_cdf(1.17 * math.sqrt(Q / (2 * n)))
-        self._signing_key = functools.lru_cache(
-            maxsize=self._SIGNING_KEY_CACHE_BYTES // (self._EXPANDED_KEY_BYTES_PER_COEFF * n)
-        )(self._expand_signing_key)
 
     # key generation
 
@@ -515,7 +510,7 @@ class Falcon:
         u = _uniform(np.frombuffer(stream, dtype="<u8"))
         return np.searchsorted(cdf, u, side="right").astype(np.int64) - bound
 
-    def keygen(self, seed: bytes | None) -> tuple[bytes, bytes]:
+    def keygen(self, seed: bytes | None) -> tuple[bytes, bytes, None]:
         p = self._params
         n = p.n
         seed = seed if seed is not None else os.urandom(32)
@@ -548,12 +543,12 @@ class Falcon:
                 + _pack_bits(g, p.fg_bits)
                 + _pack_bits(np.array(F), 8)
             )
-            return public_key, secret_key
+            return public_key, secret_key, None
         raise AdapterFailure("Falcon key generation did not converge")
 
     # signing
 
-    def _expand_signing_key(self, secret_key: bytes) -> _SigningKey:
+    def signing_key(self, secret_key: bytes) -> _SigningKey:
         p, meta = self._params, self.metadata
         n = p.n
         if len(secret_key) != meta.secret_key_len or secret_key[0] != 0x50 + p.logn:
@@ -587,10 +582,9 @@ class Falcon:
 
         return _SigningKey(f_fft, F_fft, g_fft, G_fft, _ffldl(g00, g01, g11, leaf))
 
-    def sign(self, secret_key: bytes, message: bytes) -> bytes:
+    def sign(self, key: _SigningKey, message: bytes) -> bytes:
         p = self._params
         n = p.n
-        key = self._signing_key(bytes(secret_key))
         nonce = os.urandom(_NONCE_LEN)
         c_fft = _fft(_hash_to_point(nonce, message, n))
         t0 = -c_fft * key.F_fft / Q

@@ -125,12 +125,16 @@ class _Key:
     def __del__(self) -> None:
         self._free(self.pointer)
 
+    def __reduce__(self):  # a copy would free the same pointer a second time
+        raise TypeError("an EVP_PKEY cannot be copied or pickled")
+
 
 class EvpSigner:
     """One ML-DSA or SLH-DSA parameter set over a loaded libcrypto.
 
-    Key objects are cached by their byte form, the 256 most recently used
-    of each kind, and freed when evicted.
+    A signing key is an owned EVP_PKEY (`_Key`) that the caller keeps, as
+    `sig.KeyPair` does. Public keys are cached by their byte form, the 256
+    most recently verified with, and freed when evicted.
     """
 
     def __init__(self, metadata: SchemeMetadata):
@@ -138,11 +142,6 @@ class EvpSigner:
         self._lib, self.library_version = load_libcrypto()
         self._name = metadata.parameter_set.encode()
         self._from_seed = metadata.parameter_set.startswith("ML-DSA")
-        self._private = functools.lru_cache(maxsize=256)(
-            self._generate
-            if self._from_seed
-            else functools.partial(self._import, self._lib.EVP_PKEY_new_raw_private_key_ex)
-        )
         self._public = functools.lru_cache(maxsize=256)(
             functools.partial(self._import, self._lib.EVP_PKEY_new_raw_public_key_ex)
         )
@@ -179,34 +178,42 @@ class EvpSigner:
             raise AdapterFailure(f"{self.metadata.parameter_set}: could not export a raw key")
         return out.raw
 
-    def keygen(self, seed: bytes | None) -> tuple[bytes, bytes]:
+    def keygen(self, seed: bytes | None) -> tuple[bytes, bytes, _Key]:
         """ML-DSA: the pair expanded from `seed` (fresh when None), with the seed
         as secret key. SLH-DSA: the pair FIPS 205 derives from SK.seed || SK.prf ||
         PK.seed, 3n bytes that SHAKE256 stretches `seed` to (fresh when None),
-        with the raw 4n-byte secret key."""
+        with the raw 4n-byte secret key. Either comes with the key it was read
+        from, which signs."""
         meta, lib = self.metadata, self._lib
         if self._from_seed:
             seed = seed if seed is not None else os.urandom(meta.secret_key_len)
-            key = self._private(seed)
-            return self._raw(lib.EVP_PKEY_get_raw_public_key, key, meta.public_key_len), seed
+            key = self._generate(seed)
+            return self._raw(lib.EVP_PKEY_get_raw_public_key, key, meta.public_key_len), seed, key
         if seed is not None:  # the public key is PK.seed || PK.root, so n is half its length
             seed = hashlib.shake_256(seed).digest(3 * meta.public_key_len // 2)
         key = self._generate(seed)
         return (
             self._raw(lib.EVP_PKEY_get_raw_public_key, key, meta.public_key_len),
             self._raw(lib.EVP_PKEY_get_raw_private_key, key, meta.secret_key_len),
+            key,
         )
 
-    def sign(self, secret_key: bytes, message: bytes | memoryview) -> bytes:
-        data, size = _by_address(message)
+    def signing_key(self, secret_key: bytes) -> _Key:
+        """The key that signs for `secret_key`: an ML-DSA seed expanded, or an
+        SLH-DSA secret key imported."""
         meta = self.metadata
         if len(secret_key) != meta.secret_key_len:
             raise AdapterFailure(
                 f"{meta.parameter_set} secret key must be {meta.secret_key_len} bytes, "
                 f"got {len(secret_key)}"
             )
-        key = self._private(bytes(secret_key))
-        lib = self._lib
+        if self._from_seed:
+            return self._generate(bytes(secret_key))
+        return self._import(self._lib.EVP_PKEY_new_raw_private_key_ex, bytes(secret_key))
+
+    def sign(self, key: _Key, message: bytes | memoryview) -> bytes:
+        data, size = _by_address(message)
+        meta, lib = self.metadata, self._lib
         ctx = lib.EVP_MD_CTX_new()
         try:
             out = ctypes.create_string_buffer(meta.signature_max_len)

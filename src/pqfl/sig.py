@@ -19,9 +19,12 @@ below, which an x86-64 CPU with SHA extensions runs over 809 KB in 0.7 ms
 against SHA-512's 2.0 ms. The protocol signs a payload's digest
 (`codec.signed_message`); `sign` and `verify` here take any message as it is.
 
-Adapters hold no mutable protocol state (at most internal caches of
-immutable key objects) and are safe to call concurrently; key pairs are
-immutable byte containers.
+A key pair is its scheme and key bytes. It also owns the signing key its
+backend prepares from them (an EVP_PKEY, Falcon's expanded basis and tree,
+or the MAC key): `keygen` attaches the one the backend built, and `sign`
+prepares one on first use otherwise. It is freed with the pair; a live pair
+holds about 20 KB for ML-DSA-44 and, once it has signed, 0.43 MB for
+Falcon-1024. Adapters hold no secret key and are safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import hashlib
 import hmac
 import importlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from pqfl.errors import AdapterFailure, UnsupportedScheme
 
@@ -136,6 +139,11 @@ class KeyPair:
     scheme: SchemeId
     public_key: bytes
     secret_key: bytes
+    # the backend's signing key, prepared from secret_key; no part of the pair's value
+    _prepared: object = field(default=None, init=False, compare=False)
+
+    def __getstate__(self) -> dict:  # copies and pickles carry the bytes alone
+        return {**vars(self), "_prepared": None}
 
     def __repr__(self) -> str:  # never leak key material into logs
         return f"KeyPair(scheme={self.scheme.label}, public_key=<{len(self.public_key)}B>, secret_key=<hidden>)"
@@ -173,15 +181,18 @@ class _TestSchemeAdapter:
     def __init__(self, metadata: SchemeMetadata):
         self.metadata = metadata
 
-    def keygen(self, seed: bytes | None) -> tuple[bytes, bytes]:
+    def keygen(self, seed: bytes | None) -> tuple[bytes, bytes, bytes]:
         if seed is not None:
             key = hashlib.sha256(b"pqfl.testscheme.v1:" + seed).digest()
         else:
             key = os.urandom(32)
-        return key, key
+        return key, key, key
 
-    def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        return hmac.new(secret_key, message, hashlib.sha256).digest()
+    def signing_key(self, secret_key: bytes) -> bytes:
+        return bytes(secret_key)
+
+    def sign(self, key: bytes, message: bytes) -> bytes:
+        return hmac.new(key, message, hashlib.sha256).digest()
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         expected = hmac.new(public_key, message, hashlib.sha256).digest()
@@ -224,15 +235,18 @@ def metadata(scheme: SchemeId) -> SchemeMetadata:
 
 
 def keygen(scheme: SchemeId, seed: int | bytes | None = None) -> KeyPair:
-    """Generate a key pair; a seed makes key generation deterministic for every scheme."""
-    public_key, secret_key = _adapter(scheme).keygen(_normalize_seed(seed))
+    """Generate a key pair; a seed makes key generation deterministic for every scheme.
+    The pair keeps the signing key the backend built, if it built one."""
+    public_key, secret_key, prepared = _adapter(scheme).keygen(_normalize_seed(seed))
     meta = metadata(scheme)
     if len(public_key) != meta.public_key_len or len(secret_key) != meta.secret_key_len:
         raise AdapterFailure(
             f"{meta.parameter_set} keygen returned unexpected key lengths "
             f"({len(public_key)}/{len(secret_key)})"
         )
-    return KeyPair(scheme=scheme, public_key=public_key, secret_key=secret_key)
+    pair = KeyPair(scheme=scheme, public_key=public_key, secret_key=secret_key)
+    object.__setattr__(pair, "_prepared", prepared)
+    return pair
 
 
 def sign(keypair: KeyPair, message: bytes | memoryview) -> SignatureBytes:
@@ -240,7 +254,12 @@ def sign(keypair: KeyPair, message: bytes | memoryview) -> SignatureBytes:
     contiguous byte buffer; it is passed through without a copy."""
     if not message:
         raise ValueError("refusing to sign an empty message")
-    data = _adapter(keypair.scheme).sign(keypair.secret_key, message)
+    adapter = _adapter(keypair.scheme)
+    key = keypair._prepared
+    if key is None:  # two threads may both prepare it; either key signs
+        key = adapter.signing_key(keypair.secret_key)
+        object.__setattr__(keypair, "_prepared", key)
+    data = adapter.sign(key, message)
     return SignatureBytes(scheme=keypair.scheme, data=data)
 
 

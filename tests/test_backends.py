@@ -1,5 +1,6 @@
 """The Falcon (pqfl.falcon) and libcrypto (pqfl.libcrypto: ML-DSA, SLH-DSA) backends behind sig."""
 
+import copy
 import hashlib
 import math
 import random
@@ -69,9 +70,9 @@ def test_ntt_product_matches_schoolbook(n):
 
 def test_falcon_key_solves_ntru_equation_exactly():
     backend = falcon.Falcon(sig.metadata(SchemeId.FALCON))
-    _, secret_key = backend.keygen(bytes(range(32)))
+    _, secret_key, _ = backend.keygen(bytes(range(32)))
     f, g, F = falcon_parts(backend, secret_key)
-    G = np.rint(falcon._ifft(backend._signing_key(secret_key).G_fft)).astype(np.int64)
+    G = np.rint(falcon._ifft(backend.signing_key(secret_key).G_fft)).astype(np.int64)
     assert max(np.abs(F).max(), np.abs(G).max()) <= 127
     fG = np.convolve(f, G)
     gF = np.convolve(g, F)
@@ -91,9 +92,10 @@ def test_falcon_512_sizes_and_round_trip():
     backend = falcon.Falcon(sig.metadata(SchemeId.FALCON_512))
     meta = backend.metadata
     assert (meta.public_key_len, meta.secret_key_len, meta.signature_max_len) == (897, 1281, 752)
-    public_key, secret_key = backend.keygen(b"\x07" * 32)
+    public_key, secret_key, prepared = backend.keygen(b"\x07" * 32)
     assert (len(public_key), len(secret_key)) == (897, 1281)
-    signature = backend.sign(secret_key, b"payload")
+    assert prepared is None  # a Falcon pair expands its key when it first signs
+    signature = backend.sign(backend.signing_key(secret_key), b"payload")
     assert len(signature) <= 752 and signature[0] == 0x39
     assert backend.verify(public_key, b"payload", signature)
     assert not backend.verify(public_key, b"payloaD", signature)
@@ -123,7 +125,7 @@ def test_falcon_tree_leaves_multiply_to_determinant():
     # standing for a real and an imaginary coordinate; their product is
     # |det B| = q^n, whatever the order the tree visits them in
     backend = falcon.Falcon(sig.metadata(SchemeId.FALCON_512))
-    key = backend._signing_key(backend.keygen(b"\x05" * 32)[1])
+    key = backend.signing_key(backend.keygen(b"\x05" * 32)[1])
     f, g, F, G = key.f_fft, key.g_fft, key.F_fft, key.G_fft
     g00 = g * np.conj(g) + f * np.conj(f)
     g01 = g * np.conj(G) + f * np.conj(F)
@@ -162,11 +164,11 @@ def test_sampler_z_draws_the_discrete_gaussian(monkeypatch, mu, sigma):
 
 def test_falcon_rejects_corrupt_secret_key():
     backend = falcon.Falcon(sig.metadata(SchemeId.FALCON_512))
-    _, secret_key = backend.keygen(b"\x01" * 32)
+    _, secret_key, _ = backend.keygen(b"\x01" * 32)
     broken = bytearray(secret_key)
     broken[-1] ^= 0x01  # one coefficient of F: f*G - g*F = q no longer holds
     with pytest.raises(AdapterFailure, match="NTRU equation"):
-        backend.sign(bytes(broken), b"message")
+        backend.signing_key(bytes(broken))
 
 
 # --- libcrypto: ML-DSA and SLH-DSA -------------------------------------------------
@@ -184,11 +186,11 @@ def libcrypto():
 
 def test_slhdsa_wrong_length_keys(libcrypto):
     backend = libcrypto.EvpSigner(sig.metadata(SchemeId.SPHINCS_PLUS))
-    public_key, secret_key = backend.keygen(None)
+    public_key, secret_key, key = backend.keygen(None)
     assert (len(public_key), len(secret_key)) == (32, 64)
-    signature = backend.sign(secret_key, b"message")
+    signature = backend.sign(key, b"message")
     with pytest.raises(AdapterFailure):
-        backend.sign(secret_key[:-1], b"message")
+        backend.signing_key(secret_key[:-1])
     assert not backend.verify(public_key[:-1], b"message", signature)
     assert not backend.verify(public_key, b"message", signature + b"\x00")
 
@@ -283,12 +285,13 @@ def test_mldsa_matches_pyca_cryptography(libcrypto, level):
         message = b"update %d " % i * (i + 1)
         flipped = bytearray(message)
         flipped[i % len(message)] ^= 1 << (i % 8)
-        public_key, secret_key = backend.keygen(seed)
+        public_key, secret_key, key = backend.keygen(seed)
         theirs = pyca.from_seed_bytes(seed)
         assert secret_key == seed
         assert public_key == theirs.public_key().public_bytes_raw()
 
-        ours = backend.sign(secret_key, message)
+        # the key keygen expanded, then one expanded again from the seed alone
+        ours = backend.sign(key if i % 2 else backend.signing_key(secret_key), message)
         theirs.public_key().verify(ours, message)  # raises InvalidSignature on failure
         assert backend.verify(public_key, message, theirs.sign(message))
         assert not backend.verify(public_key, bytes(flipped), ours)
@@ -296,17 +299,33 @@ def test_mldsa_matches_pyca_cryptography(libcrypto, level):
             theirs.public_key().verify(ours, bytes(flipped))
 
 
-def test_evicted_keys_are_freed_exactly_once(libcrypto, monkeypatch):
-    backend = libcrypto.EvpSigner(sig.metadata(SchemeId.DILITHIUM))
+def test_each_key_is_freed_once_when_its_pair_goes(libcrypto, monkeypatch):
+    backend = sig._adapter(SchemeId.DILITHIUM)
     free = backend._lib.EVP_PKEY_free
     freed = []
     monkeypatch.setattr(backend._lib, "EVP_PKEY_free", lambda key: (freed.append(key), free(key)))
-    for i in range(300):
-        backend.keygen(hashlib.sha256(b"evict %d" % i).digest())
-    assert backend._private.cache_info().currsize == 256
-    assert len(freed) == 300 - 256
-    backend._private.cache_clear()
+    kept = sig.keygen(SchemeId.DILITHIUM, hashlib.sha256(b"kept").digest())
+    pairs = [sig.keygen(SchemeId.DILITHIUM, hashlib.sha256(b"pair %d" % i).digest()) for i in range(300)]
+    pointers = sorted(pair._prepared.pointer for pair in pairs)
+    assert freed == [] and len(set(pointers)) == 300
+    del pairs
+    assert sorted(freed) == pointers
+    message = b"still held"
+    assert sig.verify(kept.public_key, kept.scheme, message, sig.sign(kept, message))
+    with pytest.raises(TypeError):
+        copy.copy(kept._prepared)
     assert len(freed) == 300
+
+
+def test_mldsa_keygen_expands_its_seed_once(libcrypto, monkeypatch):
+    backend = sig._adapter(SchemeId.DILITHIUM)
+    generate = backend._lib.EVP_PKEY_generate
+    calls = []
+    monkeypatch.setattr(backend._lib, "EVP_PKEY_generate", lambda *a: (calls.append(1), generate(*a))[1])
+    pair = sig.keygen(SchemeId.DILITHIUM, 8)
+    for message in b"first", b"second":
+        assert sig.verify(pair.public_key, pair.scheme, message, sig.sign(pair, message))
+    assert len(calls) == 1
 
 
 def test_verify_releases_the_gil():

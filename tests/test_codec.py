@@ -24,7 +24,7 @@ from pqfl.codec import (
     signed_bytes,
     signed_message,
 )
-from pqfl.errors import MalformedEnvelope, MalformedPayload, NonFiniteValue, UnsupportedScheme
+from pqfl.errors import MalformedEnvelope, MalformedPayload, NonFiniteValue
 from pqfl.sig import SchemeId, SignatureBytes
 
 
@@ -239,10 +239,7 @@ def test_each_parameter_sets_digest_reaches_its_category(scheme, parameter_set, 
 
 @pytest.mark.parametrize("scheme", list(SchemeId), ids=[s.label for s in SchemeId])
 def test_signed_message_is_header_and_the_configured_sets_digest(scheme):
-    try:
-        meta = sig.metadata(scheme)
-    except UnsupportedScheme as exc:
-        pytest.skip(str(exc))
+    meta = sig.metadata(scheme)
     payload = memoryview(np.arange(1000, dtype=np.uint8)).toreadonly()
     header = build_header(MsgType.UPDATE_SUBMISSION, scheme, 1, 2, payload)
     message = signed_message(header, payload)

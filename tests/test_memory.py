@@ -2,13 +2,15 @@
 them, splitting copies no sample, evaluation holds one hidden activation, a
 run holds at most one round's uploads and each client worker's working
 vectors, a replay run's memory does not grow with its rounds, round spans
-are kept packed, and SLH-DSA reads each message in place, as does the
-digest of a sealed upload's payload.
+are kept packed, SLH-DSA reads each message in place, as does the
+digest of a sealed upload's payload, and signing keys live only as long as
+their key pairs.
 
 Sizes are the `train-large` benchmark's: 4000 samples of 784 features and
 the 784-256-5 MLP (202,245 parameters, an 808,992-byte payload).
 """
 
+import gc
 import os
 import tracemalloc
 
@@ -167,3 +169,30 @@ def test_slhdsa_signs_and_verifies_a_sealed_update_in_place():
     assert ok
     payload = model.params.encoded_len
     assert peak < 0.25 * payload, f"SLH-DSA sign + verify peaked at {peak / payload:.2f}x the payload"
+
+
+def test_dropped_set_ups_free_their_signing_keys():
+    # perfbench times set-up as 15 calls of which it keeps the last; the
+    # signing keys of the others must go with their key pairs
+    try:
+        from pqfl import libcrypto
+
+        libcrypto.load_libcrypto()
+    except UnsupportedScheme as exc:
+        pytest.skip(str(exc))
+
+    def live_keys():
+        return [o for o in gc.get_objects() if isinstance(o, libcrypto._Key)]
+
+    before = {id(key): key for key in live_keys()}  # held, so no id is reused
+    clients = 10
+    data = fedcore.generate_synthetic(20 * clients, 8, 3, seed=2)
+    shards = fedcore.split_iid(data, clients, seed=3)
+    model = fedcore.init_model(ModelArchitecture(8, (8,), 3), seed=1)
+    cfg = TrainConfig(num_clients=clients, num_rounds=1, seed=1)
+    for seed in range(15):
+        built = protocol.setup_keys(cfg, SchemeId.DILITHIUM, seed, model, shards, eval_data=data)
+    new = [key for key in live_keys() if id(key) not in before]
+    assert len(new) <= clients + 1, f"{len(new)} signing keys live for one set-up of {clients + 1} parties"
+    server, parties, _ = built
+    assert [o.verified_count for o in protocol.run_training(server, parties).outcomes] == [clients]

@@ -346,17 +346,18 @@ def test_upload_naming_another_scheme_is_refused_before_its_digest(monkeypatch):
     # may not have; the registered scheme is checked first
     server, clients, *_ = build_sim()
     keypair = sig.keygen(SchemeId.DILITHIUM, 1)
-    env = protocol._sign_envelope(keypair, MsgType.UPDATE_SUBMISSION, 0, 1, server.model.params, [])
-
-    class Missing:
-        @property
-        def metadata(self):
-            raise UnsupportedScheme("no ML-DSA backend here")
-
-    monkeypatch.setitem(sig._adapters, SchemeId.DILITHIUM, Missing())
-    verified, rejections, _, _ = server_collect_and_verify(server, [codec.encode_envelope(env)])
-    assert verified == []
+    wrong = protocol._sign_envelope(keypair, MsgType.UPDATE_SUBMISSION, 0, 1, server.model.params, [])
+    honest, _ = honest_update(clients[1], server)
+    digested = []
+    digest = codec.signed_message
+    monkeypatch.setattr(codec, "signed_message", lambda header, payload: (
+        digested.append((header.sender_id, header.scheme)), digest(header, payload))[1])
+    verified, rejections, _, _ = server_collect_and_verify(
+        server, [codec.encode_envelope(wrong), honest]
+    )
+    assert [u.client_id for u in verified] == [2]
     assert [(r.sender_id, r.reason) for r in rejections] == [(1, RejectReason.SIGNATURE_INVALID)]
+    assert digested == [(2, SchemeId.TEST_SCHEME)]
 
 
 def test_unknown_sender_rejected():

@@ -1,7 +1,10 @@
 """Signature scheme adapters: round trips, tampering, sizes, concurrency."""
 
+import dataclasses
 import hashlib
+import pickle
 import secrets
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -74,7 +77,7 @@ def test_keygen_refuses_a_key_one_byte_shorter_than_the_table(monkeypatch, short
 
     class Short:
         def keygen(self, seed):
-            return tuple(bytes(n) for n in lengths)
+            return (*(bytes(n) for n in lengths), None)
 
     monkeypatch.setitem(sig._adapters, SchemeId.TEST_SCHEME, Short())
     with pytest.raises(AdapterFailure, match="unexpected key lengths"):
@@ -333,10 +336,31 @@ def test_concurrent_sign_verify(keypairs, scheme):
         assert all(pool.map(round_trip, range(32)))
 
 
-def test_dilithium_key_cache_stays_bounded():
-    first = sig.keygen(SchemeId.DILITHIUM, 9_000)
-    for seed in range(9_001, 9_300):
-        sig.keygen(SchemeId.DILITHIUM, seed)
-    assert sig._adapter(SchemeId.DILITHIUM)._private.cache_info().currsize <= 256
-    signature = sig.sign(first, b"after eviction")
-    assert sig.verify(first.public_key, SchemeId.DILITHIUM, b"after eviction", signature)
+def test_falcon_signing_key_dies_with_its_pair(keypairs):
+    kp = keypairs[SchemeId.FALCON]
+    pair = sig.KeyPair(kp.scheme, kp.public_key, kp.secret_key)
+    sig.sign(pair, b"expands the key")
+    key = weakref.ref(pair._prepared)
+    del pair
+    assert key() is None
+    # the pair still held keeps its own key and signs with it
+    sig.sign(kp, b"prepared")
+    held = kp._prepared
+    signature = sig.sign(kp, b"still held")
+    assert kp._prepared is held
+    assert sig.verify(kp.public_key, kp.scheme, b"still held", signature)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.label)
+def test_pair_rebuilt_from_its_bytes_signs_and_equals_the_original(keypairs, scheme):
+    kp = keypairs[scheme]
+    message = b"signed from the bytes alone"
+    sig.sign(kp, message)  # kp holds a prepared key from here on
+    rebuilt = sig.KeyPair(scheme, kp.public_key, kp.secret_key)
+    copies = [rebuilt, pickle.loads(pickle.dumps(kp)), dataclasses.replace(kp)]
+    # the prepared key is no part of the pair's value
+    for pair in copies:
+        assert pair._prepared is None
+        assert pair == kp and hash(pair) == hash(kp) and repr(pair) == repr(kp)
+    assert sig.verify(kp.public_key, scheme, message, sig.sign(rebuilt, message))
+    assert rebuilt._prepared is not None and rebuilt == kp
