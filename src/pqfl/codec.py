@@ -17,14 +17,16 @@ re-labelling an envelope invalidates its signature. Version 1 signed
 header || payload itself and is refused. NaN/Inf values are rejected in both
 directions so a poisoned payload cannot corrupt aggregation silently.
 
-An envelope lives in one buffer. `signed_bytes` lays out header || payload
-once, writing parameter values straight into it (or around them, computed
-in its `values_slot`), with room behind them for the signature; the signer
-hashes the payload in place, and `seal` appends u32 signature_len ||
-signature in place. Decoding takes views into
-the wire bytes instead of slices. Wire bytes are handed out as read-only
-buffers that nothing else writes to; a writable buffer given to a decoder is
-copied once first, so nothing decoded aliases memory that can still change.
+An envelope is written into the room its signer hands over, which only
+`envelope_room` sizes: a broadcast's from `ServerState.broadcasts`, an
+upload's from `protocol.upload_room`, any other's new. `signed_bytes` lays
+out header || payload at its start, parameter values straight into it (or
+around them, computed in its `values_slot`); the signer hashes the payload
+in place, and `seal` writes u32 signature_len || signature behind it.
+Decoding takes views into the wire bytes instead of slices. Wire bytes are
+handed out as read-only buffers that nothing else writes to; a writable
+buffer given to a decoder is copied once first, so nothing decoded aliases
+memory that can still change.
 """
 
 from __future__ import annotations
@@ -46,11 +48,6 @@ VERSION = 2
 HEADER_LEN = 23
 _HEADER_FMT = "<4sBBBIIQ"
 _MAX_RANK = 64
-# Buffers that will hold an envelope start it this many bytes in. Parameter
-# values sit 27 + 8 * rank bytes into an envelope, 3 more than a multiple of
-# 4, so the lead leaves them float32-aligned in memory; numpy runs misaligned
-# arrays through slower buffered loops.
-BUFFER_LEAD = 1
 
 
 # Wire bytes: `bytes`, or a read-only view of a buffer that no one writes to.
@@ -72,6 +69,11 @@ class ReusedBuffer:
     Only the owner calls `take`, from one thread at a time.
     """
 
+    # Views start this far in: parameter values sit 27 + 8 * rank bytes into an
+    # envelope, so the lead leaves them float32-aligned in memory; numpy runs
+    # misaligned arrays through slower buffered loops.
+    BUFFER_LEAD = 1
+
     def __init__(self) -> None:
         self._buf: np.ndarray | None = None
 
@@ -80,10 +82,21 @@ class ReusedBuffer:
         if (
             self._buf is None
             or sys.getrefcount(self._buf) > 2
-            or not n <= len(self._buf) - BUFFER_LEAD <= 2 * n
+            or not n <= len(self._buf) - self.BUFFER_LEAD <= 2 * n
         ):
-            self._buf = np.zeros(BUFFER_LEAD + n, dtype=np.uint8)
-        return memoryview(self._buf)[BUFFER_LEAD : BUFFER_LEAD + n]
+            self._buf = np.zeros(self.BUFFER_LEAD + n, dtype=np.uint8)
+        return memoryview(self._buf)[self.BUFFER_LEAD : self.BUFFER_LEAD + n]
+
+
+def envelope_room(payload_len: int, max_signature_len: int, buffer: ReusedBuffer | None = None) -> memoryview:
+    """A writable room for an envelope with a `payload_len`-byte payload and a
+    signature of up to `max_signature_len` bytes, taken from `buffer` or new."""
+    return (buffer or ReusedBuffer()).take(HEADER_LEN + payload_len + 4 + max_signature_len)
+
+
+def params_len(shape: tuple[int, ...]) -> int:
+    """Length of the canonical payload of a `shape` vector: rank, dims, values."""
+    return 4 + 8 * len(shape) + 4 * math.prod(shape)
 
 
 class MsgType(enum.IntEnum):
@@ -123,8 +136,8 @@ class ParameterVector:
 
     @property
     def encoded_len(self) -> int:
-        """Length of the canonical payload: rank, dims, then the values."""
-        return 4 + 8 * len(self.shape) + 4 * self.size
+        """Length of the canonical payload, `params_len(shape)`."""
+        return params_len(self.shape)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParameterVector):
@@ -151,7 +164,7 @@ def _readonly(b) -> memoryview:
 
 def values_slot(room: bytearray | memoryview, shape: tuple[int, ...], offset: int = HEADER_LEN) -> np.ndarray:
     """The float32 values of a parameter payload of `shape` at `offset` in
-    `room`; by default, of an envelope's payload in a `ReusedBuffer` room,
+    `room`; by default, of an envelope's payload in an `envelope_room`,
     where `signed_bytes` leaves values computed in this slot in place."""
     return np.frombuffer(room, "<f4", math.prod(shape), offset + 4 + 8 * len(shape))
 
@@ -302,23 +315,18 @@ def signed_message(header: MessageHeader, payload: Wire) -> bytes:
 
 
 def signed_bytes(
-    header: MessageHeader,
-    payload: Wire | ParameterVector,
-    max_signature_len: int = 0,
-    buffer: ReusedBuffer | memoryview | None = None,
+    header: MessageHeader, payload: Wire | ParameterVector, room: memoryview | None = None
 ) -> memoryview:
     """The envelope's header || payload, which `seal` completes. Not what is
     signed: a signature covers `signed_message(header, payload)`.
 
-    They are laid out at the start of a room (`buffer`, or one taken from
-    it or from a new ReusedBuffer) with space left for u32 signature_len ||
-    a signature of up to `max_signature_len` bytes, which `seal` fills. A
-    ParameterVector payload is encoded straight into the room, around values
-    already in its `values_slot`. Returns a read-only view.
+    They are laid out at the start of `room`, an `envelope_room` (by default
+    a new one with no space for a signature). A ParameterVector payload is
+    encoded straight into the room, around values already in its
+    `values_slot`. Returns a read-only view.
     """
     payload_end = HEADER_LEN + header.payload_len
-    size = payload_end + 4 + max_signature_len
-    buf = buffer[:size] if isinstance(buffer, memoryview) else (buffer or ReusedBuffer()).take(size)
+    buf = envelope_room(header.payload_len, 0) if room is None else room
     buf[:HEADER_LEN] = header.encode()
     if isinstance(payload, ParameterVector):
         if payload.encoded_len != header.payload_len:
@@ -331,23 +339,20 @@ def signed_bytes(
     return buf[:payload_end].toreadonly()
 
 
-def seal(header: MessageHeader, laid_out: memoryview, signature: SignatureBytes) -> SignedEnvelope:
-    """Append u32 signature_len || signature in place behind the header ||
-    payload that `signed_bytes` returned as `laid_out`, and return the
-    envelope, whose payload and wire bytes are views into that one buffer."""
+def seal(header: MessageHeader, room: memoryview, signature: SignatureBytes) -> SignedEnvelope:
+    """Write u32 signature_len || signature into `room` behind the header ||
+    payload that `signed_bytes` laid out at its start, and return the
+    envelope, whose payload and wire bytes are views into `room`."""
     sig = signature.data
-    payload_end = len(laid_out)
+    payload_end = HEADER_LEN + header.payload_len
     end = payload_end + 4 + len(sig)
     if len(sig) >= 2**32:
         raise MalformedEnvelope("signature too long for u32 length field")
-    if not isinstance(laid_out.obj, np.ndarray) or payload_end != HEADER_LEN + header.payload_len:
-        raise ValueError("laid_out is not a view returned by signed_bytes()")
-    buf = memoryview(laid_out.obj)[BUFFER_LEAD:]
-    if end > len(buf):
+    if end > len(room):
         raise ValueError(f"no room for a {len(sig)}-byte signature")
-    struct.pack_into("<I", buf, payload_end, len(sig))
-    buf[payload_end + 4 : end] = sig
-    wire = buf[:end].toreadonly()
+    struct.pack_into("<I", room, payload_end, len(sig))
+    room[payload_end + 4 : end] = sig
+    wire = room[:end].toreadonly()
     env = SignedEnvelope(header=header, payload=wire[HEADER_LEN:payload_end], signature=signature)
     object.__setattr__(env, "wire", wire)
     return env
@@ -358,8 +363,9 @@ def encode_envelope(e: SignedEnvelope) -> Wire:
     else a new `bytes` laid out by the same writer."""
     if e.wire is not None:
         return e.wire
-    laid_out = signed_bytes(e.header, e.payload, len(e.signature.data))
-    return bytes(seal(e.header, laid_out, e.signature).wire)
+    room = envelope_room(e.header.payload_len, len(e.signature.data))
+    signed_bytes(e.header, e.payload, room)
+    return bytes(seal(e.header, room, e.signature).wire)
 
 
 def decode_envelope(b: Wire | bytearray) -> SignedEnvelope:

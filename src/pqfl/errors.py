@@ -13,8 +13,8 @@ class PqflError(Exception):
 # --- signature schemes ---
 
 class UnsupportedScheme(PqflError):
-    """The requested scheme has no compiled-in adapter, or is disallowed
-    in the current mode (e.g. the test scheme under strict mode)."""
+    """An unknown scheme name or wire code, a value that is not a `SchemeId`,
+    ML-DSA or SLH-DSA with no OpenSSL >= 3.5 libcrypto, or strict-mode TestScheme."""
 
 
 class AdapterFailure(PqflError):

@@ -21,15 +21,15 @@ process keeps from round to round; over TCP, each client has its own socket
 and thread after a signed key announce, with every socket on both sides
 waiting at most `channel.IO_TIMEOUT_S` (30 s).
 
-The server lays its broadcasts out in one `codec.ReusedBuffer`,
-`ServerState.broadcasts`. A client trains its update in the room of its
-upload (`upload_room`), which is then signed around it. Each TCP client
-thread takes its rooms from a `ReusedBuffer` of its own. In process, each
-upload is held in `collected` until `finish_round` has aggregated it, so
-the driver's thread takes a new room for each client as it hands the client
-to the pool. An envelope and every view or array decoded from it keep its
-buffer, which the next envelope reuses only once they are gone: a broadcast
-once its round is over, an upload once it is sent.
+Each envelope is signed in a room (`codec.envelope_room`) that `codec.seal`
+writes into: a broadcast's from `ServerState.broadcasts`, an upload's from
+`upload_room` (the client trains its update in it), any other's new. A TCP
+client thread takes its upload rooms from a `ReusedBuffer` of its own; in
+process, each upload is held in `collected` until `finish_round` has
+aggregated it, so the driver's thread takes a new room for each client as
+it hands the client to the pool. An envelope and every view or array
+decoded from it keep its buffer, which the next envelope reuses only once
+they are gone: a broadcast once its round is over, an upload once it is sent.
 """
 
 from __future__ import annotations
@@ -248,20 +248,21 @@ def _sign_envelope(
     sender_id: int,
     payload: bytes | codec.ParameterVector,
     spans: list[Span],
-    buffer: codec.ReusedBuffer | memoryview | None = None,
+    room: memoryview | None = None,
 ) -> SignedEnvelope:
     """Lay out header ‖ payload once, sign header ‖ digest(payload) with the
-    payload hashed in place, and seal the signature in behind it, all in one
-    room (`buffer`, see `codec.signed_bytes`). The digest pass is timed as
-    the SIGN span."""
+    payload hashed in place, and seal the signature in behind it, all in
+    `room` (by default a new `codec.envelope_room`). The digest pass is timed
+    as the SIGN span."""
     t0 = time.perf_counter()
     header = codec.build_header(msg_type, keypair.scheme, round, sender_id, payload)
-    max_len = sig.metadata(keypair.scheme).signature_max_len
-    laid_out = codec.signed_bytes(header, payload, max_len, buffer)
+    if room is None:
+        room = codec.envelope_room(header.payload_len, sig.metadata(keypair.scheme).signature_max_len)
+    laid_out = codec.signed_bytes(header, payload, room)
     t1 = time.perf_counter()
     signature = sig.sign(keypair, codec.signed_message(header, laid_out[codec.HEADER_LEN :]))
     t2 = time.perf_counter()
-    env = codec.seal(header, laid_out, signature)
+    env = codec.seal(header, room, signature)
     t3 = time.perf_counter()
     spans += [
         (sender_id, Phase.SERIALIZE, t0, t1 - t0),
@@ -273,16 +274,11 @@ def _sign_envelope(
 
 def distribute_model(server: ServerState, spans: list[Span] | None = None) -> SignedEnvelope:
     """Sign the current global parameters into a broadcast envelope laid out
-    in `server.broadcasts`, appending the server's spans to `spans`."""
-    return _sign_envelope(
-        server.keypair,
-        MsgType.MODEL_DISTRIBUTION,
-        server.model.round,
-        SERVER_ID,
-        server.model.params,
-        [] if spans is None else spans,
-        server.broadcasts,
-    )
+    in a room from `server.broadcasts`, appending the server's spans to `spans`."""
+    params, max_len = server.model.params, sig.metadata(server.keypair.scheme).signature_max_len
+    room = codec.envelope_room(params.encoded_len, max_len, server.broadcasts)
+    return _sign_envelope(server.keypair, MsgType.MODEL_DISTRIBUTION, server.model.round, SERVER_ID,
+                          params, [] if spans is None else spans, room)
 
 
 # --- admission: one rule for broadcasts, uploads and announces ----------------
@@ -374,9 +370,9 @@ def client_submit_update(
     client: ClientState,
     update: ModelUpdate,
     spans: list[Span] | None = None,
-    buffer: codec.ReusedBuffer | memoryview | None = None,
+    room: memoryview | None = None,
 ) -> SignedEnvelope:
-    """Wrap a local update in a signed submission envelope laid out in `buffer`."""
+    """Wrap a local update in a signed submission envelope laid out in `room` or a new one."""
     if update.round != client.last_accepted_round:
         raise RoundMismatch(f"update round {update.round}, current {client.last_accepted_round}")
     return _sign_envelope(
@@ -386,7 +382,7 @@ def client_submit_update(
         client.client_id,
         update.delta,
         [] if spans is None else spans,
-        buffer,
+        room,
     )
 
 
@@ -397,18 +393,18 @@ class ClientRoundResult:
     skipped: Rejection | None = None  # why the client sat out, if it did
 
 
-def upload_room(client: ClientState, buffer: codec.ReusedBuffer) -> memoryview:
-    """A room from `buffer` for one of `client`'s signed uploads."""
-    delta_len = 12 + 4 * client.architecture.param_count  # u32 rank 1, u64 size, f32 values
-    return buffer.take(codec.HEADER_LEN + delta_len + 4 + sig.metadata(client.scheme).signature_max_len)
+def upload_room(client: ClientState, buffer: codec.ReusedBuffer | None = None) -> memoryview:
+    """A room for one of `client`'s signed uploads, taken from `buffer` or new."""
+    delta_len = codec.params_len((client.architecture.param_count,))
+    return codec.envelope_room(delta_len, sig.metadata(client.scheme).signature_max_len, buffer)
 
 
 def client_process_round(
     client: ClientState, env_blob: codec.Wire, room: memoryview | None = None
 ) -> ClientRoundResult:
     """One full client round over wire bytes: decode, verify, train the
-    update in the `codec.values_slot` of `room`, an `upload_room`, and sign
-    the upload around it there (without `room`, in new memory).
+    update in the `codec.values_slot` of `room`, an `upload_room` (by default
+    a new one), and sign the upload around it there.
 
     A client that refuses the incoming model sits the round out and reports
     the `Rejection` instead of raising.
@@ -422,8 +418,9 @@ def client_process_round(
         return ClientRoundResult(reply=None, spans=spans, skipped=exc.rejection)
 
     t0 = time.perf_counter()
+    room = upload_room(client) if room is None else room
     seed = train_seed(client.cfg.seed, model.round, client.client_id)
-    out = None if room is None else codec.values_slot(room, model.params.shape)
+    out = codec.values_slot(room, model.params.shape)
     update = fedcore.local_train(model, client.dataset, client.cfg, seed, client.client_id, out)
     spans.append((client.client_id, Phase.TRAIN, t0, time.perf_counter() - t0))
 
@@ -612,9 +609,7 @@ def run_training(
         try:  # zip takes a token before it takes, and so delivers, the next frame
             for _, (cid, frame) in zip(iter(free.get, ...), frames):
                 client = by_id[cid]
-                task = tasks[cid] = pool.submit(
-                    client_process_round, client, frame, upload_room(client, codec.ReusedBuffer())
-                )
+                task = tasks[cid] = pool.submit(client_process_round, client, frame, upload_room(client))
                 task.add_done_callback(lambda _: free.put(None))
         finally:  # no task of this round outlives it
             wait(tasks.values())

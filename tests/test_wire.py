@@ -6,6 +6,7 @@ an 808,992-byte payload), where one stray copy of a payload dwarfs everything
 else a message allocates.
 """
 
+import dataclasses
 import hashlib
 import socket
 import threading
@@ -157,8 +158,9 @@ def test_reused_buffer_is_replaced_while_held_or_badly_sized():
     del held
     kept = weakref.ref(buffers.take(100).obj)
     assert buffers.take(50).obj is kept()  # at most twice the size: reused
-    assert len(buffers.take(101).obj) == codec.BUFFER_LEAD + 101  # too small: replaced
-    assert len(buffers.take(50).obj) == codec.BUFFER_LEAD + 50  # over twice the size: replaced
+    lead = codec.ReusedBuffer.BUFFER_LEAD
+    assert len(buffers.take(101).obj) == lead + 101  # too small: replaced
+    assert len(buffers.take(50).obj) == lead + 50  # over twice the size: replaced
 
 
 def test_received_frames_keep_their_bytes_while_held():
@@ -187,24 +189,47 @@ def test_received_frames_keep_their_bytes_while_held():
 
 
 def test_signing_reuses_the_envelope_buffer_only_once_the_envelope_is_dropped():
-    _, client, update = parties(SchemeId.TEST_SCHEME, SMALL)
-    buffers = codec.ReusedBuffer()
+    server, _, update = parties(SchemeId.TEST_SCHEME, SMALL)
 
-    def sign(delta):
-        return protocol._sign_envelope(
-            client.keypair, MsgType.UPDATE_SUBMISSION, 0, 1, delta, [], buffers
-        )
+    def broadcast(params):
+        server.model = dataclasses.replace(server.model, params=params)
+        return protocol.distribute_model(server)
 
-    first = sign(update.delta)
+    first = broadcast(update.delta)
     expected = bytes(first.wire)
-    second = sign(ParameterVector(-update.delta.values, update.delta.shape))
+    second = broadcast(ParameterVector(-update.delta.values, update.delta.shape))
     assert second.wire.obj is not first.wire.obj
     assert bytes(first.wire) == expected
     kept = weakref.ref(second.wire.obj)
     del second
-    third = sign(update.delta)
+    third = broadcast(update.delta)
     assert third.wire.obj is kept()
     assert bytes(third.wire) == expected
+
+
+def signed_in_a_plain_room(client, update, path):
+    """`update` signed into a room that no ReusedBuffer cut: the start of a
+    view of a new array, through the protocol or codec's own calls."""
+    room = memoryview(np.zeros(4096, np.uint8))
+    if path == "protocol":
+        return protocol.client_submit_update(client, update, [], room)
+    header = codec.build_header(
+        MsgType.UPDATE_SUBMISSION, client.scheme, update.round, client.client_id, update.delta
+    )
+    laid_out = codec.signed_bytes(header, update.delta, room)
+    signature = sig.sign(client.keypair, codec.signed_message(header, laid_out[HEADER_LEN:]))
+    return codec.seal(header, room, signature)
+
+
+@pytest.mark.parametrize("path", ["protocol", "codec"])
+def test_an_envelope_signed_into_a_plain_room_is_the_one_admitted(path):
+    server, client, update = parties(SchemeId.TEST_SCHEME, SMALL)
+    env = signed_in_a_plain_room(client, update, path)
+    assert codec.decode_envelope(env.wire) == env
+    assert bytes(env.payload) == codec.encode_params(update.delta)
+    verified, rejections, _, _ = protocol.server_collect_and_verify(server, [env.wire])
+    assert rejections == []
+    assert [u.delta for u in verified] == [update.delta]
 
 
 def test_an_upload_is_laid_out_around_the_values_its_client_trained(monkeypatch):
