@@ -7,10 +7,11 @@ test on any machine.
 import dataclasses
 import os
 import threading
+import time
 
 import pytest
 
-from pqfl import channel, codec, fedcore, protocol
+from pqfl import channel, codec, fedcore, protocol, sig
 from pqfl.channel import Direction
 from pqfl.cli import parse_attack
 from pqfl.errors import NonFiniteGradient
@@ -29,11 +30,13 @@ def set_cpus(monkeypatch):
     return set_cpus
 
 
-def build_sim(num_clients=CLIENTS, num_rounds=3, scheme=SchemeId.TEST_SCHEME):
+def build_sim(num_clients=CLIENTS, num_rounds=3, scheme=SchemeId.TEST_SCHEME, layers=(8, 16, 3)):
+    features, hidden, classes = layers
     cfg = TrainConfig(num_clients=num_clients, num_rounds=num_rounds, seed=MASTER)
-    data = fedcore.generate_synthetic(240, 8, 3, derive_seed(MASTER, "data"))
+    data = fedcore.generate_synthetic(240, features, classes, derive_seed(MASTER, "data"))
     shards = fedcore.split_iid(data, num_clients, derive_seed(MASTER, "split"))
-    model = fedcore.init_model(fedcore.ModelArchitecture(8, (16,), 3), derive_seed(MASTER, "init"))
+    arch = fedcore.ModelArchitecture(features, (hidden,), classes)
+    model = fedcore.init_model(arch, derive_seed(MASTER, "init"))
     server, clients, _ = protocol.setup_keys(
         cfg, scheme, MASTER, model, shards, eval_data=data
     )
@@ -64,6 +67,50 @@ def test_four_workers_give_the_one_worker_result(set_cpus, attack):
     assert pooled == alone
     if attack:  # the attack reached the run
         assert any(rejected or skipped for rejected, skipped in alone[1])
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("attack", [
+    None, "bitflip", "substitute", "strip", "replay:p=0.5", "bitflip:direction=s2c",
+])
+def test_clients_prepared_on_the_calling_thread_give_the_pooled_result(
+    set_cpus, monkeypatch, cpus, attack
+):
+    set_cpus(cpus)
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 0)
+    pooled = observed(attack)
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 2**62)
+    assert observed(attack) == pooled
+
+
+def test_the_token_window_bounds_outstanding_sign_steps(set_cpus, monkeypatch):
+    set_cpus(1)
+    num_clients = 8
+    trained, signed, outstanding = [], [], []
+    local_train, sign = fedcore.local_train, sig.sign
+
+    def counting_train(*args):
+        # this client's slot, and each client prepared and not yet signed
+        outstanding.append(1 + len(trained) - len(signed))
+        update = local_train(*args)
+        trained.append(update.client_id)
+        return update
+
+    def slow_sign(keypair, message):
+        if keypair.public_key == server.keypair.public_key:
+            return sign(keypair, message)
+        time.sleep(0.002)
+        signature = sign(keypair, message)
+        signed.append(keypair.public_key)
+        return signature
+
+    monkeypatch.setattr(fedcore, "local_train", counting_train)
+    monkeypatch.setattr(sig, "sign", slow_sign)
+    server, clients = build_sim(num_clients, num_rounds=1)
+    protocol.run_training(server, clients)
+    # each sign step sleeps, so with no window all 8 would be outstanding
+    assert len(signed) == num_clients
+    assert max(outstanding) <= 2 * protocol.client_workers(num_clients) == 2
 
 
 def test_channel_is_used_only_by_the_calling_thread_in_order(set_cpus, monkeypatch):
@@ -109,17 +156,40 @@ def test_pool_has_one_worker_per_cpu_and_no_more_than_clients(set_cpus, monkeypa
     set_cpus(4)
     assert protocol.client_workers(10) == 4
     assert protocol.client_workers(3) == 3
-    threads = set()
-    process_round = protocol.client_process_round
+    caller = threading.get_ident()
+    process_round, local_train, sign = protocol.client_process_round, fedcore.local_train, sig.sign
+    rounds, trained, signed = {}, set(), {}
 
-    def recording(*args):
-        threads.add(threading.get_ident())
-        return process_round(*args)
+    def recording_round(client, *args):
+        rounds[client.client_id] = threading.get_ident()
+        return process_round(client, *args)
 
-    monkeypatch.setattr(protocol, "client_process_round", recording)
+    def recording_train(*args):
+        trained.add(threading.get_ident())
+        return local_train(*args)
+
+    def recording_sign(keypair, message):
+        signed.setdefault(keypair.public_key, set()).add(threading.get_ident())
+        return sign(keypair, message)
+
+    monkeypatch.setattr(protocol, "client_process_round", recording_round)
+    monkeypatch.setattr(fedcore, "local_train", recording_train)
+    monkeypatch.setattr(sig, "sign", recording_sign)
+
+    # 8-16-3: each client trains on the calling thread and signs on the pool
     server, clients = build_sim(num_clients=3)
     protocol.run_training(server, clients)
-    assert 1 <= len(threads) <= 3 and threading.get_ident() not in threads
+    client_signers = set().union(*(signed.pop(c.keypair.public_key) for c in clients))
+    assert rounds == {} and trained == {caller}
+    assert 1 <= len(client_signers) <= 3 and caller not in client_signers
+    assert signed == {server.keypair.public_key: {caller}}  # the broadcasts
+
+    # 784-256-5: each client's whole round runs on the pool
+    trained.clear()
+    server, clients = build_sim(num_clients=3, num_rounds=1, layers=(784, 256, 5))
+    protocol.run_training(server, clients)
+    assert set(rounds) == {1, 2, 3} and caller not in rounds.values()
+    assert trained and trained <= set(rounds.values()) and len(set(rounds.values())) <= 3
 
     set_cpus(1)
     assert protocol.client_workers(10) == 1
