@@ -15,7 +15,9 @@ out. A round whose verified set is empty leaves the parameters unchanged.
 
 One round driver serves both transports and alone passes messages through
 the channel, on its own thread. They differ only in the exchange that
-carries the broadcasts out and the replies back. In process, the clients
+carries the broadcasts out and the replies back. The exchange yields each
+reply as soon as it and every lower client id's are in, and the server
+admits it then, while later clients still train or sign. In process, the clients
 run on a pool of one thread per usable CPU (`client_workers`), which the
 process keeps from round to round; for a small model, whose training gains
 nothing from threads, the driver's thread runs each client's round up to
@@ -27,9 +29,9 @@ Each envelope is signed in a room (`codec.envelope_room`) that `codec.seal`
 writes into: a broadcast's from `ServerState.broadcasts`, an upload's from
 `upload_room` (the client trains its update in it), any other's new. A TCP
 client thread takes its upload rooms from a `ReusedBuffer` of its own; in
-process, each upload is held in `collected` until `finish_round` has
-aggregated it, so the driver's thread takes a new room for each client as
-it hands the client to the pool. An envelope and every view or array
+process, a verified upload is held until `finish_round` has aggregated it,
+so the driver's thread takes a new room for each client as it hands the
+client to the pool. An envelope and every view or array
 decoded from it keep its buffer, which the next envelope reuses only once
 they are gone: a broadcast once its round is over, an upload once it is sent.
 """
@@ -45,7 +47,7 @@ import queue
 import threading
 import time
 import types
-from collections.abc import Callable, Container, Iterator, Mapping
+from collections.abc import Callable, Container, Generator, Iterable, Iterator, Mapping
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
@@ -446,14 +448,16 @@ def client_process_round(
 
 def server_collect_and_verify(
     server: ServerState,
-    envelope_blobs: list[codec.Wire],
+    envelope_blobs: Iterable[codec.Wire],
     spans: list[Span] | None = None,
 ) -> tuple[list[ModelUpdate], list[Rejection], int, int]:
-    """Filter raw submission bytes down to the verified update set.
+    """Filter raw submission bytes down to the verified update set, admitting
+    each blob as it is pulled from `envelope_blobs`.
 
     Returns (verified updates, rejections, payload_bytes, signature_bytes);
-    rejection is data, never an exception. At most one update per client
-    enters the set (first valid wins). The server's spans go to `spans`.
+    rejection is data, never an exception, and rejections come in the order
+    the blobs do. At most one update per client enters the set (first valid
+    wins). The server's spans go to `spans`.
     """
     spans = [] if spans is None else spans
     verified: list[ModelUpdate] = []
@@ -483,22 +487,24 @@ def server_collect_and_verify(
 
 def finish_round(
     server: ServerState,
-    collected: list[codec.Wire],
+    uploads: Iterable[codec.Wire],
     dist_env: SignedEnvelope,
     spans: list[Span],
     skipped_clients: list[int],
     wall_start: float,
 ) -> RoundOutcome:
-    """Server half of round completion: verify, aggregate, measure.
+    """Server half of round completion: admit each upload as `uploads` yields
+    it, then aggregate and measure.
 
-    `spans` holds every span of the round so far; the server's verify spans
-    are appended to it before it is packed into the outcome.
+    `spans` holds every span of the round so far; the server's spans, and
+    those `uploads` adds as it goes, are appended to it before it is packed
+    into the outcome. `skipped_clients` is read once `uploads` is exhausted.
 
-    Empties `collected` once the round is aggregated: the verified deltas
-    are views into those uploads, and the evaluation that follows should not
+    Lets go of the verified set once the round is aggregated: its deltas
+    are views into the uploads, and the evaluation that follows should not
     run with a whole round of them still held."""
     verified, rejections, payload_bytes, signature_bytes = server_collect_and_verify(
-        server, collected, spans
+        server, uploads, spans
     )
     verified_count = len(verified)
     if verified:
@@ -507,7 +513,6 @@ def finish_round(
         log.warning("round %d: empty verified set, parameters unchanged", server.model.round)
         server.model = replace(server.model, round=server.model.round + 1)
     del verified
-    collected.clear()
 
     loss = (
         fedcore.forward_loss(server.model, server.eval_data)
@@ -536,11 +541,13 @@ class TrainingResult:
     outcomes: list[RoundOutcome]
 
 
-# The transport interface: carry each (client id, broadcast frame) out, append
-# the clients' spans to the round's, and return each client's (id, reply) in
-# ascending id, b"" for a client that sat out.
+# The transport interface: carry each (client id, broadcast frame) out, then
+# yield each client's (id, reply) in ascending id, b"" for a client that sat
+# out, as soon as that reply and every lower id's are in, appending the
+# clients' spans to the round's. The driver closes it once the round is
+# admitted or has failed.
 Addressed = tuple[int, codec.Wire]
-Exchange = Callable[[Iterator[Addressed], list[Span]], list[Addressed]]
+Exchange = Callable[[Iterator[Addressed], list[Span]], Generator[Addressed, None, None]]
 
 
 def _run_rounds(
@@ -550,10 +557,19 @@ def _run_rounds(
 
     The one caller of `chan.deliver`, on the server's thread: each client's
     broadcast in ascending client id, made as the exchange takes it, then each
-    reply in that order. So an attack sees the same messages in the same
-    order over either transport."""
+    reply in that order, as the server pulls it for admission. So an attack
+    sees the same messages in the same order over either transport."""
     client_ids = sorted(c.client_id for c in clients)
     outcomes = []
+
+    def delivered(replies: Iterator[Addressed], skipped: list[int]) -> Iterator[codec.Wire]:
+        """Each reply delivered as it is pulled; a client that sat out goes to `skipped`."""
+        for cid, reply in replies:
+            if reply:
+                yield chan.deliver(reply, Direction.CLIENT_TO_SERVER, cid)
+            else:
+                skipped.append(cid)
+
     for _ in range(server.cfg.num_rounds):
         wall_start = time.perf_counter()
         spans: list[Span] = []
@@ -562,17 +578,11 @@ def _run_rounds(
         dist_blob = codec.encode_envelope(dist_env)
         spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
         frames = (chan.deliver(dist_blob, Direction.SERVER_TO_CLIENT, cid) for cid in client_ids)
-        replies = exchange(zip(client_ids, frames), spans)
-        collected, skipped = [], []
-        while replies:  # each reply is let go once delivered: only `collected` keeps an upload
-            cid, reply = replies.pop(0)
-            if reply:
-                collected.append(chan.deliver(reply, Direction.CLIENT_TO_SERVER, cid))
-            else:
-                skipped.append(cid)
-            del reply
-        # finish_round empties `collected`, so no upload reaches the next round
-        outcome = finish_round(server, collected, dist_env, spans, skipped, wall_start)
+        skipped: list[int] = []
+        # closed here, not at garbage collection, so a failed admission waits for the clients
+        with contextlib.closing(exchange(zip(client_ids, frames), spans)) as replies:
+            outcome = finish_round(server, delivered(replies, skipped), dist_env, spans,
+                                   skipped, wall_start)
         del dist_env, dist_blob  # so that the next broadcast can reuse their buffer
         outcomes.append(outcome)
         log.info("round %d: verified=%d rejected=%d loss=%.6f", outcome.round,
@@ -614,18 +624,20 @@ def run_training(
 ) -> TrainingResult:
     """Run the configured number of rounds over the in-process channel, the
     clients of each round on `client_workers(len(clients))` threads (only
-    their sign steps for a small model, `_PREPARE_ON_DRIVER_BELOW`)."""
+    their sign steps for a small model, `_PREPARE_ON_DRIVER_BELOW`). Once
+    every client is handed over, the driver's thread admits each upload as
+    soon as that client and every lower id are done."""
     by_id = {c.client_id: c for c in clients}
     workers = client_workers(len(clients))
     pool = _client_pool(workers)
 
-    def exchange(frames: Iterator[Addressed], spans: list[Span]) -> list[Addressed]:
+    def exchange(frames: Iterator[Addressed], spans: list[Span]) -> Generator[Addressed, None, None]:
         # Each frame is delivered here, on the driver's thread, as it is taken,
         # and taken once fewer than 2 * workers clients or sign steps are
         # queued or running: a worker that finishes finds the next one queued,
         # and tampered broadcasts are not all held at once. Each client's
         # upload room is taken here too, as memory a pool thread allocated
-        # stays in its arena. A client that fails here raises once the tasks
+        # stays in its arena. A client that fails raises once the tasks
         # before it are done.
         tasks: dict[int, Future[ClientRoundResult]] = {}
         free: queue.SimpleQueue[None] = queue.SimpleQueue()  # a token for each client slot
@@ -635,18 +647,17 @@ def run_training(
             for _, (cid, frame) in zip(iter(free.get, ...), frames):
                 client, room = by_id[cid], upload_room(by_id[cid])
                 if client.cfg.batch_size * client.architecture.param_count < _PREPARE_ON_DRIVER_BELOW:
-                    task = tasks[cid] = pool.submit(_prepare_round(client, frame, room))
+                    tasks[cid] = pool.submit(_prepare_round(client, frame, room))
                 else:
-                    task = tasks[cid] = pool.submit(client_process_round, client, frame, room)
-                task.add_done_callback(lambda _: free.put(None))
-        finally:  # no task of this round outlives it
+                    tasks[cid] = pool.submit(client_process_round, client, frame, room)
+                tasks[cid].add_done_callback(lambda _: free.put(None))
+            # in ascending id, each task dropped as its reply goes: a Future keeps its result
+            for cid in list(tasks):
+                result = tasks.pop(cid).result()
+                spans += result.spans
+                yield cid, result.reply or b""
+        finally:  # no task of this round outlives it, even when admission fails
             wait(tasks.values())
-        replies = []
-        for cid, task in tasks.items():  # in ascending id: the lowest failing client raises
-            result = task.result()
-            spans += result.spans
-            replies.append((cid, result.reply or b""))
-        return replies
 
     return _run_rounds(server, clients, chan or _channel.Channel(), exchange)
 
@@ -686,7 +697,7 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState],
     listener = _channel.tcp_listen(host, port)
     address = listener.getsockname()[:2]
     # Each client puts its spans here once a round, before it sends its reply,
-    # so they are all in once the server has every reply of the round.
+    # so there is a list in for each reply the server has read.
     client_spans: queue.SimpleQueue[list[Span]] = queue.SimpleQueue()
     failures: dict[int, Exception] = {}  # by client id, set by client threads, read after join
 
@@ -709,13 +720,13 @@ def _tcp_exchange(server: ServerState, clients: list[ClientState],
     accepted: list[_channel.FrameSocket] = []
     conns: dict[int, _channel.FrameSocket] = {}
 
-    def exchange(frames: Iterator[Addressed], spans: list[Span]) -> list[Addressed]:
+    def exchange(frames: Iterator[Addressed], spans: list[Span]) -> Generator[Addressed, None, None]:
         for cid, frame in frames:
             conns[cid].send_frame(frame)
-        replies = [(cid, conns[cid].recv_frame()) for cid in sorted(conns)]
-        for _ in conns:
+        for cid in sorted(conns):
+            reply = conns[cid].recv_frame()
             spans += client_spans.get_nowait()
-        return replies
+            yield cid, reply
 
     threads = [threading.Thread(target=client_main, args=(c,), daemon=True) for c in clients]
     error = None
