@@ -20,9 +20,10 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from pqfl import bench, channel, fedcore, protocol, sig
+from pqfl import bench, channel, protocol, sig
 from pqfl.errors import PqflError, UnsupportedScheme
 from pqfl.fedcore import TrainConfig
 from pqfl.sig import SchemeId
@@ -240,32 +241,10 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_one_scheme(
-    args: argparse.Namespace, scheme: SchemeId, cfg: TrainConfig
-) -> list[bench.RoundMetrics]:
-    """Execute one full training run and return its per-round metrics."""
-    if args.dataset == "idx":
-        data = fedcore.load_idx_dataset(args.idx_images, args.idx_labels, args.idx_limit)
-    else:
-        data = fedcore.generate_synthetic(
-            args.samples, args.features, args.classes,
-            fedcore.derive_seed(cfg.seed, "data"), args.separation,
-        )
-    shards = fedcore.split_iid(data, cfg.num_clients, fedcore.derive_seed(cfg.seed, "split"))
-    arch = fedcore.ModelArchitecture(
-        input_dim=data.num_features,
-        hidden_dims=args.hidden,
-        num_classes=int(data.labels.max()) + 1,
-    )
-    model = fedcore.init_model(arch, fedcore.derive_seed(cfg.seed, "init"))
-    options = protocol.ProtocolOptions(
-        strict=args.strict,
-        verify_updates=not args.no_verify,
-        verify_models=not args.no_verify,
-    )
-    server, clients, _registry = protocol.setup_keys(
-        cfg, scheme, cfg.seed, model, shards, options, eval_data=data
-    )
+def run_one_scheme(args: argparse.Namespace, spec: protocol.RunSpec) -> list[bench.RoundMetrics]:
+    """Build the run `spec` describes, execute it with `args`' attack and
+    transport, and return its per-round metrics."""
+    server, clients = protocol.build_run(spec)
     chan = channel.Channel(args.attack)
     if args.transport is None:
         result = protocol.run_training(server, clients, chan)
@@ -274,14 +253,14 @@ def run_one_scheme(
 
     metrics = []
     for outcome in result.outcomes:
-        record = bench.round_metrics(scheme, outcome)
+        record = bench.round_metrics(spec.scheme, outcome)
         metrics.append(record)
         print(
-            f"{scheme.label} round {record.round}: verified={record.verified_count} "
+            f"{spec.scheme.label} round {record.round}: verified={record.verified_count} "
             f"rejected={record.rejected_count} loss={record.global_loss:.6f} "
             f"wall={record.wall_time_s:.3f}s"
         )
-    print(f"{scheme.label} final loss: {metrics[-1].global_loss:.6f}")
+    print(f"{spec.scheme.label} final loss: {metrics[-1].global_loss:.6f}")
     return metrics
 
 
@@ -307,10 +286,18 @@ def cmd_run(args: argparse.Namespace) -> int:
                 raise ValueError(f"{flag} must name an existing file")
     if args.strict and SchemeId.TEST_SCHEME in args.scheme:
         raise UnsupportedScheme("TestScheme is not allowed in strict mode")
+    options = protocol.ProtocolOptions(
+        strict=args.strict, verify_updates=not args.no_verify, verify_models=not args.no_verify
+    )
+    spec = protocol.RunSpec(
+        cfg, args.scheme[0], args.hidden, args.samples, args.features, args.classes, args.separation,
+        idx_images=args.idx_images if args.dataset == "idx" else None,
+        idx_labels=args.idx_labels, idx_limit=args.idx_limit, options=options,
+    )
 
-    records = [
-        record for scheme in args.scheme for record in run_one_scheme(args, scheme, cfg)
-    ]
+    records = []
+    for scheme in args.scheme:
+        records += run_one_scheme(args, replace(spec, scheme=scheme))
     if args.out:
         bench.emit_round_csv(records, args.out)
         print(f"metrics written to {args.out}")

@@ -198,7 +198,9 @@ def read_idx(path: str) -> np.ndarray:
 
 def load_idx_dataset(images_path: str, labels_path: str, limit: int | None = None) -> ClientDataset:
     """Pair an IDX image file with an IDX label file; pixels are flattened
-    and scaled to [0, 1]."""
+    and scaled to [0, 1]; `limit`, if given, keeps the first `limit` samples."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     images = read_idx(images_path)
     labels = read_idx(labels_path)
     if images.shape[0] != labels.shape[0]:

@@ -42,6 +42,7 @@ import contextlib
 import enum
 import functools
 import logging
+import math
 import os
 import queue
 import threading
@@ -241,6 +242,52 @@ def setup_keys(
         for i, (kp, ds) in enumerate(zip(client_kps, client_datasets), start=1)
     ]
     return server, clients, registry
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One run as plain data, each field a `pqfl run` flag or a `setup_keys`
+    argument; `cfg.seed` is its only seed. The data is the Gaussian mixture of
+    `samples`, `features`, `classes` and `separation` unless `idx_images`
+    names an IDX file. A mixture too small for the clients, or with a
+    non-finite separation, is refused here, before anything is built."""
+
+    cfg: TrainConfig
+    scheme: sig.SchemeId = sig.SchemeId.DILITHIUM
+    hidden: tuple[int, ...] = (32,)
+    samples: int = 1000
+    features: int = 20
+    classes: int = 5
+    separation: float = 3.0
+    idx_images: str | None = None
+    idx_labels: str | None = None
+    idx_limit: int | None = None
+    options: ProtocolOptions = ProtocolOptions()
+
+    def __post_init__(self):
+        if self.idx_images is None and self.samples < self.cfg.num_clients:
+            raise ValueError(f"{self.samples} samples cannot cover {self.cfg.num_clients} clients")
+        if self.idx_images is None and not math.isfinite(self.separation):
+            raise ValueError(f"separation must be finite, got {self.separation}")
+
+
+def build_run(spec: RunSpec) -> tuple[ServerState, list[ClientState]]:
+    """The server and clients of the run `spec` describes. The data, its IID
+    split and the model take their seeds from `spec.cfg.seed` under the labels
+    "data", "split" and "init", each key pair under "key" (`derive_keypair`).
+    The model has a class for each label up to the data's largest."""
+    seed = spec.cfg.seed
+    if spec.idx_images is not None:
+        data = fedcore.load_idx_dataset(spec.idx_images, spec.idx_labels, spec.idx_limit)
+    else:
+        data = fedcore.generate_synthetic(spec.samples, spec.features, spec.classes,
+                                          fedcore.derive_seed(seed, "data"), spec.separation)
+    shards = fedcore.split_iid(data, spec.cfg.num_clients, fedcore.derive_seed(seed, "split"))
+    arch = fedcore.ModelArchitecture(data.num_features, spec.hidden, int(data.labels.max()) + 1)
+    model = fedcore.init_model(arch, fedcore.derive_seed(seed, "init"))
+    server, clients, _registry = setup_keys(spec.cfg, spec.scheme, seed, model, shards,
+                                            spec.options, eval_data=data)
+    return server, clients
 
 
 # --- per-phase operations ----------------------------------------------------

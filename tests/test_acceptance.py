@@ -5,6 +5,8 @@ pass/fail lines and recorded margins. Desk-scale runs use M=10 clients and
 T=10 rounds on the seeded synthetic dataset.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,13 @@ from pqfl.fedcore import TrainConfig, derive_seed
 from pqfl.protocol import (
     ProtocolOptions,
     RejectReason,
+    RunSpec,
+    build_run,
     client_process_round,
     distribute_model,
     finish_round,
     run_training,
     run_training_tcp,
-    setup_keys,
 )
 from pqfl.sig import SchemeId, SignatureBytes
 
@@ -29,16 +32,9 @@ ALL = list(sig.ALL_SCHEMES)
 PQC = list(sig.PQC_SCHEMES)
 
 
-def desk_sim(scheme, master=MASTER, num_clients=10, num_rounds=10, options=None):
-    cfg = TrainConfig(num_clients=num_clients, num_rounds=num_rounds, seed=master)
-    data = fedcore.generate_synthetic(600, 12, 4, derive_seed(master, "data"))
-    shards = fedcore.split_iid(data, num_clients, derive_seed(master, "split"))
-    arch = fedcore.ModelArchitecture(12, (24,), 4)
-    model = fedcore.init_model(arch, derive_seed(master, "init"))
-    server, clients, registry = setup_keys(
-        cfg, scheme, master, model, shards, options, eval_data=data
-    )
-    return server, clients, registry, model, shards, data, cfg
+def desk_sim(scheme, num_clients=10, num_rounds=10, options=ProtocolOptions()):
+    cfg = TrainConfig(num_clients=num_clients, num_rounds=num_rounds, seed=MASTER)
+    return build_run(RunSpec(cfg, scheme, (24,), 600, 12, 4, options=options))
 
 
 def flip_bit(data: bytes, pos: int) -> bytes:
@@ -113,7 +109,7 @@ def test_criterion_03_scheme_transparency():
     finals = {}
     losses = {}
     for scheme in ALL:
-        server, clients, *_ = desk_sim(scheme)
+        server, clients = desk_sim(scheme)
         result = run_training(server, clients)
         finals[scheme] = result.model.params
         losses[scheme] = [o.global_loss for o in result.outcomes]
@@ -126,9 +122,10 @@ def test_criterion_03_scheme_transparency():
 # --- criterion 4: oracle equivalence ----------------------------------------------------
 
 def test_criterion_04_oracle_equivalence():
-    server, clients, _, model, shards, data, cfg = desk_sim(SchemeId.DILITHIUM)
+    server, clients = desk_sim(SchemeId.DILITHIUM)
+    model, shards = server.model, [(c.client_id, c.dataset) for c in clients]
     secured = run_training(server, clients)
-    oracle = fedcore.run_plain_fedavg(model, list(enumerate(shards, start=1)), cfg, eval_data=data)
+    oracle = fedcore.run_plain_fedavg(model, shards, server.cfg, eval_data=server.eval_data)
     assert secured.model.params == oracle.model.params
     assert secured.model.params.values.tobytes() == oracle.model.params.values.tobytes()
 
@@ -144,7 +141,8 @@ def test_criterion_05_poisoning_defense(kind, extra):
         kind=kind, target_client=1, direction=Direction.CLIENT_TO_SERVER,
         probability=1.0, seed=5, **extra,
     )
-    server, clients, _, model, shards, _, cfg = desk_sim(SchemeId.DILITHIUM)
+    server, clients = desk_sim(SchemeId.DILITHIUM)
+    model, shards = server.model, [(c.client_id, c.dataset) for c in clients]
     result = run_training(server, clients, Channel(attack))
 
     for outcome in result.outcomes:  # soundness: no tampered update in S, ever
@@ -155,8 +153,7 @@ def test_criterion_05_poisoning_defense(kind, extra):
             RejectReason.SIGNATURE_INVALID, RejectReason.MALFORMED,
         )
 
-    honest_nine = list(enumerate(shards, start=1))[1:]
-    oracle = fedcore.run_plain_fedavg(model, honest_nine, cfg)
+    oracle = fedcore.run_plain_fedavg(model, shards[1:], server.cfg)  # the honest nine
     assert result.model.params == oracle.model.params
 
 
@@ -168,10 +165,10 @@ def test_criterion_06_defense_value():
         direction=Direction.CLIENT_TO_SERVER, probability=1.0, seed=6,
     )
     baseline_opts = ProtocolOptions(verify_updates=False, verify_models=False)
-    server_b, clients_b, *_ = desk_sim(SchemeId.DILITHIUM, options=baseline_opts)
+    server_b, clients_b = desk_sim(SchemeId.DILITHIUM, options=baseline_opts)
     poisoned = run_training(server_b, clients_b, Channel(attack))
 
-    server_s, clients_s, *_ = desk_sim(SchemeId.DILITHIUM)
+    server_s, clients_s = desk_sim(SchemeId.DILITHIUM)
     secured = run_training(server_s, clients_s, Channel(attack))
 
     poisoned_loss = poisoned.outcomes[-1].global_loss
@@ -189,7 +186,7 @@ def test_criterion_07_replay_defense():
     """Randomized 1000-message replay campaign: prior-round envelopes are
     re-delivered to both sides every round; all are rejected and the
     verified set only ever contains the current round's honest updates."""
-    server, clients, *_ = desk_sim(SchemeId.DILITHIUM)
+    server, clients = desk_sim(SchemeId.DILITHIUM)
     rng = np.random.default_rng(derive_seed(MASTER, "c7"))
     captured_updates: list[tuple[int, bytes]] = []
     captured_dists: list[tuple[int, bytes]] = []
@@ -197,10 +194,8 @@ def test_criterion_07_replay_defense():
     stale_rejections = 0
     client_replay_rejections = 0
 
-    import time as _time
-
     for rnd in range(server.cfg.num_rounds):
-        wall_start = _time.perf_counter()
+        wall_start = time.perf_counter()
         spans = []
         dist_env = distribute_model(server, spans)
         dist_blob = codec.encode_envelope(dist_env)
@@ -317,9 +312,9 @@ def test_criterion_09_gradient_check():
 # --- criterion 10: transport equivalence -----------------------------------------------------
 
 def test_criterion_10_transport_equivalence(tmp_path):
-    server_a, clients_a, *_ = desk_sim(SchemeId.DILITHIUM)
+    server_a, clients_a = desk_sim(SchemeId.DILITHIUM)
     in_proc = run_training(server_a, clients_a)
-    server_b, clients_b, *_ = desk_sim(SchemeId.DILITHIUM)
+    server_b, clients_b = desk_sim(SchemeId.DILITHIUM)
     over_tcp = run_training_tcp(server_b, clients_b)
 
     assert in_proc.model.params.values.tobytes() == over_tcp.model.params.values.tobytes()

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from pqfl import bench, fedcore, protocol, sig
+from pqfl import bench, protocol, sig
 from pqfl.bench import (
     MicrobenchRecord,
     RoundMetrics,
@@ -19,7 +19,7 @@ from pqfl.bench import (
     summarize,
     summarize_microbench,
 )
-from pqfl.fedcore import TrainConfig, derive_seed
+from pqfl.fedcore import TrainConfig
 from pqfl.sig import SchemeId
 
 MASTER = 7
@@ -28,13 +28,8 @@ MASTER = 7
 def run_sim(scheme=SchemeId.TEST_SCHEME, num_rounds=4, num_clients=3, samples=150,
             features=8, hidden=(16,)):
     cfg = TrainConfig(num_clients=num_clients, num_rounds=num_rounds, seed=MASTER)
-    data = fedcore.generate_synthetic(samples, features, 3, derive_seed(MASTER, "data"))
-    shards = fedcore.split_iid(data, num_clients, derive_seed(MASTER, "split"))
-    model = fedcore.init_model(
-        fedcore.ModelArchitecture(features, hidden, 3), derive_seed(MASTER, "init")
-    )
-    server, clients, _ = protocol.setup_keys(cfg, scheme, MASTER, model, shards, eval_data=data)
-    return protocol.run_training(server, clients)
+    spec = protocol.RunSpec(cfg, scheme, hidden, samples, features, 3)
+    return protocol.run_training(*protocol.build_run(spec))
 
 
 @pytest.fixture(scope="module")
@@ -222,12 +217,8 @@ def test_per_round_overhead_ordering_across_runs():
     ballpark of a small image-classifier MLP) that scheme costs stand
     above sub-millisecond CPU noise.
     """
-    import statistics
-
-    from pqfl.sig import PQC_SCHEMES
-
     medians = {}
-    for scheme in PQC_SCHEMES:
+    for scheme in sig.PQC_SCHEMES:
         per_round = []
         for _repeat in range(5):
             result = run_sim(
@@ -245,12 +236,7 @@ def test_metrics_collection_overhead_under_one_percent():
     # the spread between an outer wall clock and the per-round wall times
     # bounds everything the instrumentation adds outside the timed phases
     cfg = TrainConfig(num_clients=6, num_rounds=3, seed=MASTER)
-    data = fedcore.generate_synthetic(600, 10, 3, derive_seed(MASTER, "data"))
-    shards = fedcore.split_iid(data, 6, derive_seed(MASTER, "split"))
-    model = fedcore.init_model(fedcore.ModelArchitecture(10, (16,), 3), derive_seed(MASTER, "init"))
-    server, clients, _ = protocol.setup_keys(
-        cfg, SchemeId.DILITHIUM, MASTER, model, shards, eval_data=data
-    )
+    server, clients = protocol.build_run(protocol.RunSpec(cfg, SchemeId.DILITHIUM, (16,), 600, 10, 3))
     t0 = time.perf_counter()
     result = protocol.run_training(server, clients)
     outer = time.perf_counter() - t0

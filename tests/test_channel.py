@@ -26,22 +26,16 @@ from pqfl.channel import (
 )
 from pqfl.codec import ParameterVector
 from pqfl.errors import ConnectionFailed, FrameTooLarge, NonFiniteGradient, PeerClosed
-from pqfl.fedcore import TrainConfig, derive_seed
+from pqfl.fedcore import TrainConfig
 from pqfl.protocol import ProtocolOptions, RejectReason, run_training, run_training_tcp
 from pqfl.sig import SchemeId
 
 MASTER = 42
 
 
-def build_sim(num_clients=4, num_rounds=3, scheme=SchemeId.TEST_SCHEME, options=None, master=MASTER):
-    cfg = TrainConfig(num_clients=num_clients, num_rounds=num_rounds, seed=master)
-    data = fedcore.generate_synthetic(200, 8, 3, derive_seed(master, "data"))
-    shards = fedcore.split_iid(data, num_clients, derive_seed(master, "split"))
-    model = fedcore.init_model(fedcore.ModelArchitecture(8, (16,), 3), derive_seed(master, "init"))
-    server, clients, _ = protocol.setup_keys(
-        cfg, scheme, master, model, shards, options, eval_data=data
-    )
-    return server, clients, model, shards, data, cfg
+def build_sim(num_clients=4, num_rounds=3, scheme=SchemeId.TEST_SCHEME, options=ProtocolOptions()):
+    cfg = TrainConfig(num_clients=num_clients, num_rounds=num_rounds, seed=MASTER)
+    return protocol.build_run(protocol.RunSpec(cfg, scheme, (16,), 200, 8, 3, options=options))
 
 
 def sample_envelope(round=1, sender=2, size=50) -> bytes:
@@ -117,7 +111,7 @@ def test_substitute_requires_poison():
 
 
 def test_substitute_keeps_original_signature():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     env = protocol.distribute_model(server)
     model = protocol.client_receive_model(clients[0], env)
     update = fedcore.local_train(model, clients[0].dataset, clients[0].cfg, 1, 1)
@@ -138,7 +132,7 @@ def test_substitute_keeps_original_signature():
 def test_substitute_with_identical_bytes_passes():
     # signatures verify bytes, not intent: replacing a payload with the
     # byte-identical payload is undetectable
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     blob_env = protocol.distribute_model(server)
     model = protocol.client_receive_model(clients[0], blob_env)
     update = fedcore.local_train(model, clients[0].dataset, clients[0].cfg, 1, 1)
@@ -150,7 +144,7 @@ def test_substitute_with_identical_bytes_passes():
 
 
 def test_strip_attack_rejected_at_server():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     env = protocol.distribute_model(server)
     model = protocol.client_receive_model(clients[0], env)
     update = fedcore.local_train(model, clients[0].dataset, clients[0].cfg, 1, 1)
@@ -173,7 +167,7 @@ def test_replay_helper_uniform_choice():
 
 
 def test_replayed_prior_round_update_is_stale():
-    server, clients, *_ = build_sim(num_rounds=2)
+    server, clients = build_sim(num_rounds=2)
     env = protocol.distribute_model(server)
     model = protocol.client_receive_model(clients[0], env)
     update = fedcore.local_train(model, clients[0].dataset, clients[0].cfg, 1, 1)
@@ -185,7 +179,7 @@ def test_replayed_prior_round_update_is_stale():
 
 
 def test_replay_within_round_is_duplicate():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     env = protocol.distribute_model(server)
     model = protocol.client_receive_model(clients[0], env)
     update = fedcore.local_train(model, clients[0].dataset, clients[0].cfg, 1, 1)
@@ -234,10 +228,10 @@ def test_baseline_mode_poison_raises_loss():
         direction=Direction.CLIENT_TO_SERVER, probability=1.0, seed=6,
     )
     baseline_opts = ProtocolOptions(verify_updates=False, verify_models=False)
-    server_b, clients_b, *_ = build_sim(num_rounds=6, options=baseline_opts)
+    server_b, clients_b = build_sim(num_rounds=6, options=baseline_opts)
     poisoned = run_training(server_b, clients_b, Channel(attack))
 
-    server_s, clients_s, *_ = build_sim(num_rounds=6)
+    server_s, clients_s = build_sim(num_rounds=6)
     secured = run_training(server_s, clients_s, Channel(attack))
 
     assert poisoned.outcomes[-1].global_loss > secured.outcomes[-1].global_loss
@@ -402,9 +396,9 @@ def test_frame_to_a_slowly_reading_peer_fails_within_one_deadline(monkeypatch):
 # --- TCP training equivalence -----------------------------------------------------
 
 def test_tcp_run_matches_in_process():
-    server_a, clients_a, *_ = build_sim(scheme=SchemeId.DILITHIUM)
+    server_a, clients_a = build_sim(scheme=SchemeId.DILITHIUM)
     in_proc = run_training(server_a, clients_a)
-    server_b, clients_b, *_ = build_sim(scheme=SchemeId.DILITHIUM)
+    server_b, clients_b = build_sim(scheme=SchemeId.DILITHIUM)
     over_tcp = run_training_tcp(server_b, clients_b)
     assert in_proc.model.params == over_tcp.model.params
     for a, b in zip(in_proc.outcomes, over_tcp.outcomes):
@@ -428,10 +422,10 @@ def test_tcp_run_with_attack_matches_in_process(kind, direction):
     # client 1's broadcast is the first message of the run, and a replay has
     # nothing to pick before it
     unforged = {0} if (kind, direction) == (AttackKind.REPLAY, Direction.SERVER_TO_CLIENT) else set()
-    server_a, clients_a, *_ = build_sim()
+    server_a, clients_a = build_sim()
     chan_a = Channel(attack)
     in_proc = run_training(server_a, clients_a, chan_a)
-    server_b, clients_b, *_ = build_sim()
+    server_b, clients_b = build_sim()
     chan_b = Channel(attack)
     over_tcp = run_training_tcp(server_b, clients_b, chan_b)
     assert in_proc.model.params.values.tobytes() == over_tcp.model.params.values.tobytes()
@@ -458,7 +452,7 @@ def test_tcp_replay_runs_are_reproducible():
     )
     runs = []
     for _ in range(2):
-        server, clients, *_ = build_sim(num_rounds=6)
+        server, clients = build_sim(num_rounds=6)
         result = run_training_tcp(server, clients, Channel(attack))
         rounds = [
             (o.verified_count, [(r.sender_id, r.reason) for r in o.rejections], o.skipped_clients)
@@ -478,7 +472,7 @@ def test_tcp_replay_runs_are_reproducible():
     ids=["none", "bitflip", "replay"],
 )
 def test_history_is_kept_only_for_replay(attack, kept):
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     chan = Channel(attack)
     run_training(server, clients, chan)
     assert bool(chan.history) == kept
@@ -511,7 +505,7 @@ class DigestingChannel(Channel):
 def test_tcp_replay_history_keeps_the_bytes_it_was_handed():
     # Over TCP every message sits in a receive buffer that later frames reuse
     # once nothing refers to it; a history that still holds it keeps it.
-    server, clients, *_ = build_sim(num_rounds=4)
+    server, clients = build_sim(num_rounds=4)
     chan = DigestingChannel(AttackConfig(kind=AttackKind.REPLAY, target_client=1, seed=8))
     run_training_tcp(server, clients, chan)
     history = chan.history
@@ -541,7 +535,7 @@ def run_tcp_bounded(server, clients, deadline):
 
 
 def test_tcp_unregistered_announce_fails_fast():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     clients[2].keypair = sig.keygen(SchemeId.TEST_SCHEME, 777)  # key not in the registry
     error, _ = run_tcp_bounded(server, clients, deadline=5.0)
     assert isinstance(error, ConnectionFailed)
@@ -561,7 +555,7 @@ def test_tcp_silent_peer_fails_within_deadline(monkeypatch):
         return real_connect(host, port, *args, **kwargs)
 
     monkeypatch.setattr(channel, "tcp_connect", connect_after_silent_peer)
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     try:
         error, elapsed = run_tcp_bounded(server, clients, deadline=5.0)
     finally:
@@ -601,7 +595,7 @@ def test_tcp_second_announce_for_connected_client_fails(monkeypatch):
         return fs
 
     monkeypatch.setattr(channel, "tcp_connect", connect)
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     try:
         error, _ = run_tcp_bounded(server, clients, deadline=5.0)
     finally:
@@ -644,7 +638,7 @@ def garbage_announce(clients, monkeypatch):
     (garbage_announce, "bad announce"),
 ], ids=["unregistered-id", "other-secret-key", "garbage"])
 def test_tcp_refused_announce_fails_the_run(monkeypatch, tamper, named):
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     tamper(clients, monkeypatch)
     error, _ = run_tcp_bounded(server, clients, deadline=5.0)
     assert isinstance(error, ConnectionFailed)
@@ -653,7 +647,7 @@ def test_tcp_refused_announce_fails_the_run(monkeypatch, tamper, named):
 
 def test_tcp_run_raises_the_diverging_clients_own_failure():
     # the client closes its socket as it fails, so the server sees only PeerClosed
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     clients[0].cfg = dataclasses.replace(clients[0].cfg, learning_rate=1e30)
     error, _ = run_tcp_bounded(server, clients, deadline=10.0)
     assert isinstance(error, NonFiniteGradient)

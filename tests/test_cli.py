@@ -184,7 +184,11 @@ def test_run_bad_attack_spec(tmp_path, capsys):
     ("--attack", "meteor:p=1.0"),
     ("--attack", "bitflip:target=3"),
     ("--attack", "bitflip:target=0"),
-], ids=["udp", "bad-port", "missing-idx", "bad-attack", "target-past-clients", "target-server"])
+    ("--samples", "1"),
+    ("--samples", "0"),
+    ("--separation", "nan"),
+], ids=["udp", "bad-port", "missing-idx", "bad-attack", "target-past-clients", "target-server",
+        "samples-below-clients", "no-samples", "nan-separation"])
 def test_bad_run_input_exits_before_any_run(tmp_path, capsys, extra):
     args = ("run", "--scheme", "all", "--clients", "2", "--rounds", "1", "--seed", "3",
             "--out", str(tmp_path / "x.csv"), *extra)

@@ -15,7 +15,7 @@ from pqfl import channel, codec, fedcore, protocol, sig
 from pqfl.channel import Direction
 from pqfl.cli import parse_attack
 from pqfl.errors import NonFiniteGradient
-from pqfl.fedcore import TrainConfig, derive_seed
+from pqfl.fedcore import TrainConfig
 from pqfl.sig import SchemeId
 
 MASTER = 42
@@ -33,14 +33,7 @@ def set_cpus(monkeypatch):
 def build_sim(num_clients=CLIENTS, num_rounds=3, scheme=SchemeId.TEST_SCHEME, layers=(8, 16, 3)):
     features, hidden, classes = layers
     cfg = TrainConfig(num_clients=num_clients, num_rounds=num_rounds, seed=MASTER)
-    data = fedcore.generate_synthetic(240, features, classes, derive_seed(MASTER, "data"))
-    shards = fedcore.split_iid(data, num_clients, derive_seed(MASTER, "split"))
-    arch = fedcore.ModelArchitecture(features, (hidden,), classes)
-    model = fedcore.init_model(arch, derive_seed(MASTER, "init"))
-    server, clients, _ = protocol.setup_keys(
-        cfg, scheme, MASTER, model, shards, eval_data=data
-    )
-    return server, clients
+    return protocol.build_run(protocol.RunSpec(cfg, scheme, (hidden,), 240, features, classes))
 
 
 def observed(attack):

@@ -199,6 +199,9 @@ def test_idx_round_trip(tmp_path):
 
     limited = load_idx_dataset(str(img_path), str(lab_path), limit=2)
     assert limited.num_samples == 2
+    for limit in (0, -1):  # -1 would slice off the last sample, 0 every one
+        with pytest.raises(ValueError, match="limit"):
+            load_idx_dataset(str(img_path), str(lab_path), limit=limit)
 
 
 def test_idx_malformed(tmp_path):

@@ -11,13 +11,15 @@ from pqfl import codec, fedcore, protocol, sig
 from pqfl.channel import AttackConfig, AttackKind, Channel, Direction
 from pqfl.codec import HEADER_LEN, MsgType, ParameterVector, SignedEnvelope, build_header, signed_message
 from pqfl.errors import ConnectionFailed, RoundMismatch, UnsupportedScheme
-from pqfl.fedcore import TrainConfig, derive_seed, train_seed
+from pqfl.fedcore import TrainConfig, train_seed
 from pqfl.protocol import (
     SERVER_ID,
     Phase,
     ProtocolOptions,
     Refused,
     RejectReason,
+    RunSpec,
+    build_run,
     client_process_round,
     client_receive_model,
     client_submit_update,
@@ -33,23 +35,10 @@ from pqfl.sig import SchemeId
 MASTER = 42
 
 
-def build_sim(
-    num_clients=4,
-    num_rounds=3,
-    scheme=SchemeId.TEST_SCHEME,
-    options=None,
-    master=MASTER,
-    samples=160,
-):
+def build_sim(num_clients=4, num_rounds=3, scheme=SchemeId.TEST_SCHEME, options=ProtocolOptions(),
+              master=MASTER, samples=160):
     cfg = TrainConfig(num_clients=num_clients, num_rounds=num_rounds, seed=master)
-    data = fedcore.generate_synthetic(samples, 8, 3, derive_seed(master, "data"))
-    shards = fedcore.split_iid(data, num_clients, derive_seed(master, "split"))
-    arch = fedcore.ModelArchitecture(8, (16,), 3)
-    model = fedcore.init_model(arch, derive_seed(master, "init"))
-    server, clients, registry = setup_keys(
-        cfg, scheme, master, model, shards, options, eval_data=data
-    )
-    return server, clients, registry, model, shards, data, cfg
+    return build_run(RunSpec(cfg, scheme, (16,), samples, 8, 3, options=options))
 
 
 def honest_update(client, server):
@@ -65,7 +54,8 @@ def honest_update(client, server):
 # --- setup ---------------------------------------------------------------------
 
 def test_setup_registry_counts_and_schemes():
-    server, clients, registry, *_ = build_sim(num_clients=10)
+    server, clients = build_sim(num_clients=10)
+    registry = server.registry
     assert len(registry) == 11
     assert all(scheme == SchemeId.TEST_SCHEME for scheme, _pk in registry.values())
     assert registry[0][1] == server.keypair.public_key
@@ -74,7 +64,8 @@ def test_setup_registry_counts_and_schemes():
 
 
 def test_registry_is_read_only():
-    server, _, registry, *_ = build_sim()
+    server, _ = build_sim()
+    registry = server.registry
     with pytest.raises(TypeError):
         registry[0] = (SchemeId.TEST_SCHEME, b"\x00" * 32)
     with pytest.raises(TypeError):
@@ -88,7 +79,7 @@ def test_setup_strict_mode_rejects_test_scheme():
 
 
 def test_setup_strict_mode_allows_pqc():
-    server, *_ = build_sim(scheme=SchemeId.DILITHIUM, options=ProtocolOptions(strict=True))
+    server, _ = build_sim(scheme=SchemeId.DILITHIUM, options=ProtocolOptions(strict=True))
     assert server.keypair.scheme == SchemeId.DILITHIUM
 
 
@@ -102,9 +93,9 @@ def test_setup_shard_count_mismatch():
 
 
 def test_setup_keys_deterministic_for_seedable_schemes():
-    _, _, reg_a, *_ = build_sim(scheme=SchemeId.DILITHIUM)
-    _, _, reg_b, *_ = build_sim(scheme=SchemeId.DILITHIUM)
-    assert reg_a == reg_b
+    server_a, _ = build_sim(scheme=SchemeId.DILITHIUM)
+    server_b, _ = build_sim(scheme=SchemeId.DILITHIUM)
+    assert server_a.registry == server_b.registry
 
 
 def test_derived_keys_differ_between_parameter_sets():
@@ -121,28 +112,28 @@ def test_derived_keys_differ_between_parameter_sets():
 # --- model distribution -----------------------------------------------------------
 
 def test_distribute_model_payload_and_signature():
-    server, _, registry, model, *_ = build_sim()
+    server, _ = build_sim()
     env = distribute_model(server)
     assert env.header.msg_type == MsgType.MODEL_DISTRIBUTION
     assert env.header.sender_id == 0
     assert env.header.round == 0
-    assert codec.decode_params(env.payload) == model.params
-    scheme, pk = registry[0]
+    assert codec.decode_params(env.payload) == server.model.params
+    scheme, pk = server.registry[0]
     assert env.signed == env.header.encode() + hashlib.sha256(env.payload).digest()
     assert sig.verify(pk, scheme, signed_message(env.header, env.payload), env.signature)
 
 
 def test_distribute_model_tamper_detected():
-    server, _, registry, *_ = build_sim()
+    server, _ = build_sim()
     env = distribute_model(server)
     tampered = bytearray(env.payload)
     tampered[20] ^= 0x01
-    scheme, pk = registry[0]
+    scheme, pk = server.registry[0]
     assert not sig.verify(pk, scheme, signed_message(env.header, bytes(tampered)), env.signature)
 
 
 def test_client_receive_honest_model():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     env = distribute_model(server)
     model = client_receive_model(clients[0], env)
     assert model.params == server.model.params
@@ -194,7 +185,7 @@ def reshaped(server, clients):
     (reshaped, RejectReason.MALFORMED, SERVER_ID),
 ], ids=["wrong-msg-type", "foreign-sender", "replayed", "signed-by-client-key", "reshaped"])
 def test_client_refuses_broadcast(forge, reason, sender_id):
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     env = forge(server, clients)
     watermark = clients[0].last_accepted_round
     with pytest.raises(Refused) as refused:
@@ -206,7 +197,7 @@ def test_client_refuses_broadcast(forge, reason, sender_id):
 
 def test_client_admits_a_broadcast_signed_with_the_servers_key():
     # the control for the forgeries above: each is refused for what it changes
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     model = client_receive_model(clients[0], broadcast(server, codec.encode_params(server.model.params)))
     assert model.params == server.model.params and clients[0].last_accepted_round == 0
 
@@ -234,7 +225,7 @@ def flip_bit(env, offset, bit):
     ("broadcast", 0, ROUND_AT, 0),
 ], ids=["upload-payload", "upload-round", "upload-sender", "broadcast-payload", "broadcast-round"])
 def test_one_bit_flip_is_refused_as_signature_invalid(direction, signed_round, offset, bit):
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     if direction == "upload":
         env = protocol._sign_envelope(
             clients[0].keypair, MsgType.UPDATE_SUBMISSION, signed_round, 1, server.model.params, []
@@ -251,7 +242,7 @@ def test_one_bit_flip_is_refused_as_signature_invalid(direction, signed_round, o
 
 
 def test_badly_signed_last_round_broadcast_does_not_lock_the_client_out():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     payload = codec.encode_params(server.model.params)
     forged = broadcast(server, payload, round=2**32 - 1, keypair=clients[1].keypair)
     with pytest.raises(Refused) as refused:
@@ -263,7 +254,7 @@ def test_badly_signed_last_round_broadcast_does_not_lock_the_client_out():
 
 def test_client_receive_skips_verification_in_baseline_mode():
     options = ProtocolOptions(verify_models=False, verify_updates=False)
-    server, clients, *_ = build_sim(options=options)
+    server, clients = build_sim(options=options)
     env = distribute_model(server)
     resigned = sig.sign(clients[1].keypair, signed_message(env.header, env.payload))
     forged = SignedEnvelope(header=env.header, payload=env.payload, signature=resigned)
@@ -274,7 +265,7 @@ def test_client_receive_skips_verification_in_baseline_mode():
 # --- update submission and server verification ---------------------------------------
 
 def test_honest_submission_enters_verified_set():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     blob, update = honest_update(clients[0], server)
     verified, rejections, _, _ = server_collect_and_verify(server, [blob])
     assert rejections == []
@@ -284,7 +275,7 @@ def test_honest_submission_enters_verified_set():
 
 
 def test_submission_round_must_match_current():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     env = distribute_model(server)
     model = client_receive_model(clients[0], env)
     update = fedcore.local_train(
@@ -296,14 +287,14 @@ def test_submission_round_must_match_current():
 
 
 def test_all_honest_clients_verify():
-    server, clients, *_ = build_sim(num_clients=10, samples=400)
+    server, clients = build_sim(num_clients=10, samples=400)
     blobs = [honest_update(c, server)[0] for c in clients]
     verified, rejections, _, _ = server_collect_and_verify(server, blobs)
     assert len(verified) == 10 and rejections == []
 
 
 def test_bit_flipped_submissions_rejected():
-    server, clients, *_ = build_sim(num_clients=10, samples=400)
+    server, clients = build_sim(num_clients=10, samples=400)
     blobs = [honest_update(c, server)[0] for c in clients]
     for i in (1, 4, 7):  # flip one payload byte in three envelopes
         raw = bytearray(blobs[i])
@@ -316,7 +307,7 @@ def test_bit_flipped_submissions_rejected():
 
 
 def test_duplicate_submission_first_valid_wins():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     blob, _ = honest_update(clients[0], server)
     verified, rejections, _, _ = server_collect_and_verify(server, [blob, blob])
     assert len(verified) == 1
@@ -324,7 +315,7 @@ def test_duplicate_submission_first_valid_wins():
 
 
 def test_forged_sender_id_rejected():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     env = distribute_model(server)
     model = client_receive_model(clients[0], env)
     update = fedcore.local_train(
@@ -344,7 +335,7 @@ def test_forged_sender_id_rejected():
 def test_upload_naming_another_scheme_is_refused_before_its_digest(monkeypatch):
     # the digest depends on the header's scheme, whose backend the receiver
     # may not have; the registered scheme is checked first
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     keypair = sig.keygen(SchemeId.DILITHIUM, 1)
     wrong = protocol._sign_envelope(keypair, MsgType.UPDATE_SUBMISSION, 0, 1, server.model.params, [])
     honest, _ = honest_update(clients[1], server)
@@ -361,7 +352,7 @@ def test_upload_naming_another_scheme_is_refused_before_its_digest(monkeypatch):
 
 
 def test_unknown_sender_rejected():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     blob, _ = honest_update(clients[0], server)
     env = codec.decode_envelope(blob)
     header = build_header(MsgType.UPDATE_SUBMISSION, env.header.scheme, 0, 99, env.payload)
@@ -374,7 +365,7 @@ def test_unknown_sender_rejected():
 
 
 def test_stale_round_rejected():
-    server, clients, *_ = build_sim(num_rounds=3)
+    server, clients = build_sim(num_rounds=3)
     blob, _ = honest_update(clients[0], server)
     run_training(server, clients)  # advances server to round 3
     verified, rejections, _, _ = server_collect_and_verify(server, [blob])
@@ -384,7 +375,7 @@ def test_stale_round_rejected():
 
 def test_reshaped_upload_rejected_and_the_round_goes_on():
     # the right element count in another shape must not reach aggregation
-    server, clients, *_ = build_sim(num_clients=2)
+    server, clients = build_sim(num_clients=2)
     start = server.model
     _, update_1 = honest_update(clients[0], server)
     blob_2, update_2 = honest_update(clients[1], server)
@@ -401,7 +392,7 @@ def test_reshaped_upload_rejected_and_the_round_goes_on():
 
 
 def test_client_sits_out_a_reshaped_broadcast():
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     result = client_process_round(clients[0], codec.encode_envelope(reshaped(server, clients)))
     assert result.reply is None
     assert result.skipped.reason == RejectReason.MALFORMED
@@ -409,7 +400,7 @@ def test_client_sits_out_a_reshaped_broadcast():
 
 
 def test_garbage_bytes_rejected_as_malformed():
-    server, *_ = build_sim()
+    server, _ = build_sim()
     verified, rejections, _, _ = server_collect_and_verify(server, [b"not an envelope"])
     assert verified == []
     assert [r.reason for r in rejections] == [RejectReason.MALFORMED]
@@ -431,7 +422,7 @@ def announce_blob(client, sender_id, key):
     (1, 1, (1,), RejectReason.DUPLICATE),
 ], ids=["garbage", "key-not-registered", "unknown-id", "signed-by-another-client", "second"])
 def test_refused_announce_fails_with_its_rejection(sender_id, key_of, connected, reason):
-    server, clients, *_ = build_sim()
+    server, clients = build_sim()
     honest = announce_blob(clients[0], 1, clients[0].keypair.public_key)
     assert protocol._check_announce(server, honest, ()) == 1
     blob = (b"not an envelope" if sender_id is None
@@ -445,7 +436,7 @@ def test_refused_announce_fails_with_its_rejection(sender_id, key_of, connected,
 def test_non_finite_payload_rejected_in_baseline_mode():
     # with signatures off, the codec's finite check is the last gate
     options = ProtocolOptions(verify_updates=False, verify_models=False)
-    server, clients, *_ = build_sim(options=options)
+    server, clients = build_sim(options=options)
     blob, _ = honest_update(clients[0], server)
     env = codec.decode_envelope(blob)
     poisoned_payload = bytearray(env.payload)
@@ -463,7 +454,7 @@ def test_non_finite_payload_rejected_in_baseline_mode():
 # --- full rounds -------------------------------------------------------------------
 
 def test_run_training_produces_one_outcome_per_round():
-    server, clients, *_ = build_sim(num_rounds=5)
+    server, clients = build_sim(num_rounds=5)
     result = run_training(server, clients)
     assert len(result.outcomes) == 5
     assert [o.round for o in result.outcomes] == list(range(5))
@@ -474,9 +465,10 @@ def test_run_training_produces_one_outcome_per_round():
 
 
 def test_unsecured_oracle_equivalence():
-    server, clients, _, model, shards, data, cfg = build_sim(num_clients=6, num_rounds=4)
+    server, clients = build_sim(num_clients=6, num_rounds=4)
+    model, shards = server.model, [(c.client_id, c.dataset) for c in clients]
     result = run_training(server, clients)
-    oracle = fedcore.run_plain_fedavg(model, list(enumerate(shards, start=1)), cfg, eval_data=data)
+    oracle = fedcore.run_plain_fedavg(model, shards, server.cfg, eval_data=server.eval_data)
     assert result.model.params == oracle.model.params
     assert result.outcomes[-1].global_loss == pytest.approx(oracle.losses[-1])
 
@@ -484,13 +476,14 @@ def test_unsecured_oracle_equivalence():
 def test_scheme_choice_does_not_change_parameters():
     final = {}
     for scheme in (SchemeId.TEST_SCHEME, SchemeId.DILITHIUM):
-        server, clients, *_ = build_sim(scheme=scheme)
+        server, clients = build_sim(scheme=scheme)
         final[scheme] = run_training(server, clients).model.params
     assert final[SchemeId.TEST_SCHEME] == final[SchemeId.DILITHIUM]
 
 
 def test_attacked_client_excluded_every_round_matches_oracle():
-    server, clients, _, model, shards, _, cfg = build_sim(num_clients=5, num_rounds=4)
+    server, clients = build_sim(num_clients=5, num_rounds=4)
+    model, shards = server.model, [(c.client_id, c.dataset) for c in clients]
     attack = AttackConfig(
         kind=AttackKind.BITFLIP,
         target_client=1,
@@ -503,13 +496,13 @@ def test_attacked_client_excluded_every_round_matches_oracle():
         assert outcome.verified_count == 4
         assert len(outcome.rejections) == 1
 
-    honest_rest = list(enumerate(shards, start=1))[1:]
-    oracle = fedcore.run_plain_fedavg(model, honest_rest, cfg)
+    oracle = fedcore.run_plain_fedavg(model, shards[1:], server.cfg)
     assert result.model.params == oracle.model.params
 
 
 def test_empty_verified_set_skips_round():
-    server, clients, _, model, *_ = build_sim(num_rounds=2)
+    server, clients = build_sim(num_rounds=2)
+    model = server.model
     attack = AttackConfig(
         kind=AttackKind.BITFLIP, direction=Direction.CLIENT_TO_SERVER, probability=1.0, seed=1
     )
@@ -522,7 +515,7 @@ def test_empty_verified_set_skips_round():
 
 
 def test_client_sits_out_when_distribution_tampered():
-    server, clients, *_ = build_sim(num_clients=3, num_rounds=2)
+    server, clients = build_sim(num_clients=3, num_rounds=2)
     attack = AttackConfig(
         kind=AttackKind.BITFLIP,
         target_client=2,
@@ -537,7 +530,7 @@ def test_client_sits_out_when_distribution_tampered():
 
 
 def test_client_process_round_sits_out_on_malformed_blob():
-    _, clients, *_ = build_sim()
+    _, clients = build_sim()
     result = client_process_round(clients[0], b"\x00" * 40)
     assert result.reply is None
     assert (result.skipped.sender_id, result.skipped.reason) == (None, RejectReason.MALFORMED)
@@ -551,7 +544,7 @@ def test_soundness_under_randomized_bitflip_campaign():
     rejected and every honest one is verified."""
     total_envelopes = 0
     for seed in range(5):
-        server, clients, *_ = build_sim(
+        server, clients = build_sim(
             num_clients=10, num_rounds=20, master=100 + seed, samples=400
         )
         attack = AttackConfig(
@@ -571,7 +564,7 @@ def test_soundness_under_randomized_bitflip_campaign():
 
 
 def test_outcome_timings_populated():
-    server, clients, *_ = build_sim(scheme=SchemeId.DILITHIUM, num_rounds=1)
+    server, clients = build_sim(scheme=SchemeId.DILITHIUM, num_rounds=1)
     result = run_training(server, clients)
     t = result.outcomes[0].timings
     assert t.wall_s > 0
@@ -594,7 +587,7 @@ def assert_sequential(spans, slack=1e-9):
 
 
 def test_phase_timings_are_sums_of_round_spans():
-    server, clients, *_ = build_sim(scheme=SchemeId.DILITHIUM, num_rounds=2)
+    server, clients = build_sim(scheme=SchemeId.DILITHIUM, num_rounds=2)
     result = run_training(server, clients)
     for outcome in result.outcomes:
         spans, t = outcome.spans, outcome.timings
@@ -611,7 +604,7 @@ def test_phase_timings_are_sums_of_round_spans():
 
 
 def test_tcp_spans_separate_server_from_concurrent_clients():
-    server, clients, *_ = build_sim(scheme=SchemeId.DILITHIUM, num_rounds=2)
+    server, clients = build_sim(scheme=SchemeId.DILITHIUM, num_rounds=2)
     result = run_training_tcp(server, clients)
     ids = [c.client_id for c in clients]
     for outcome in result.outcomes:

@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 from pqfl import channel, codec, fedcore, protocol, sig
-from pqfl.fedcore import TrainConfig, derive_seed
+from pqfl.fedcore import TrainConfig
 from pqfl.protocol import SERVER_ID, Phase, RejectReason
 from pqfl.sig import SchemeId
 
@@ -34,13 +34,7 @@ def set_cpus(monkeypatch):
 
 def build_sim(num_clients=6):
     cfg = TrainConfig(num_clients=num_clients, num_rounds=1, seed=MASTER)
-    data = fedcore.generate_synthetic(240, 8, 3, derive_seed(MASTER, "data"))
-    shards = fedcore.split_iid(data, num_clients, derive_seed(MASTER, "split"))
-    model = fedcore.init_model(fedcore.ModelArchitecture(8, (16,), 3), derive_seed(MASTER, "init"))
-    server, clients, _ = protocol.setup_keys(
-        cfg, SchemeId.TEST_SCHEME, MASTER, model, shards, eval_data=data
-    )
-    return server, clients
+    return protocol.build_run(protocol.RunSpec(cfg, SchemeId.TEST_SCHEME, (16,), 240, 8, 3))
 
 
 def slow_sign_for(monkeypatch, keypairs, seconds, signed=None):
