@@ -6,13 +6,20 @@ mini-batch SGD or AdamW on float32 parameters. Everything is deterministic
 given the configured seeds: shuffling uses per-(round, client) derived
 seeds, and aggregation accumulates deltas sequentially in ascending
 client-id order so repeated runs are bit-identical.
+
+One kernel, `train_stack`, trains a stack of M clients at once: the
+parameters, their gradient, AdamW's moments and each mini-batch carry a
+leading client axis, and every operation runs on each client's slice as it
+would for that client alone, so each client's delta is bit-identical to its
+own M = 1 call. `local_train` is that call.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,7 +57,7 @@ class ClientDataset:
     caller's data through it; the caller's own arrays keep their flags. A
     shard made by `split_iid` holds its parent's arrays and the indices of its
     rows instead of a copy of them: its `features` and `labels` gather those
-    rows into new read-only arrays on each access, and `local_train` gathers
+    rows into new read-only arrays on each access, and `train_stack` gathers
     one mini-batch at a time."""
 
     __slots__ = ("_features", "_labels", "_rows")
@@ -236,7 +243,7 @@ class ModelArchitecture:
         dims = [self.input_dim, *self.hidden_dims, self.num_classes]
         return [(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
 
-    @property
+    @functools.cached_property
     def param_count(self) -> int:
         return sum(d_in * d_out + d_out for d_in, d_out in self.layer_dims)
 
@@ -276,23 +283,28 @@ def init_model(arch: ModelArchitecture, seed: int) -> GlobalModel:
 
 
 def _unpack(arch: ModelArchitecture, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views of each layer's (weights, bias) in `flat`, one C-contiguous
+    parameter vector or a stack of them (M, param_count); a stack's views
+    keep its client axis first."""
+    lead = flat.shape[:-1]
     layers = []
     off = 0
     for d_in, d_out in arch.layer_dims:
-        w = flat[off : off + d_in * d_out].reshape(d_in, d_out)
+        w = flat[..., off : off + d_in * d_out].reshape(*lead, d_in, d_out)
         off += d_in * d_out
-        b = flat[off : off + d_out]
+        b = flat[..., off : off + d_out]
         off += d_out
         layers.append((w, b))
     return layers
 
 
 def _forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the ReLU activation of each hidden layer in turn, then the logits."""
+    """Yield the ReLU activation of each hidden layer in turn, then the logits:
+    of rows `x` (n, features), or of a stack's (M, n, features) under its layers."""
     h = x
     for i, (w, b) in enumerate(layers):
         h = h @ w
-        h += b
+        h += b[..., None, :]
         if i < len(layers) - 1:
             np.maximum(h, 0, out=h)
         yield h
@@ -305,8 +317,8 @@ def forward_logits(arch: ModelArchitecture, flat: np.ndarray, x: np.ndarray) -> 
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _mean_nll(logp: np.ndarray, y: np.ndarray) -> float:
@@ -335,34 +347,35 @@ def _backprop(
 ) -> np.ndarray:
     """Write the gradient of the mean cross-entropy into `grad_layers`, the
     per-layer views of one flat buffer laid out like the parameters that
-    `layers` views; return the log-probabilities."""
-    n = x.shape[0]
+    `layers` views; return the log-probabilities. A stack's rows `x` (M, n,
+    features) and labels `y` (M, n) give each client's gradient under its own
+    layers, in the buffer's row for that client."""
+    n = x.shape[-2]
     activations = [x, *_forward(layers, x)]
     logp = _log_softmax(activations.pop())
 
     dlogits = np.exp(logp)
-    dlogits[np.arange(n), y] -= 1
+    dlogits.reshape(-1, dlogits.shape[-1])[np.arange(y.size), y.ravel()] -= 1
     dlogits /= n
 
     delta = dlogits
     for i in reversed(range(len(layers))):
         g_w, g_b = grad_layers[i]
-        np.sum(delta, axis=0, out=g_b)
-        np.matmul(activations[i].T, delta, out=g_w)
+        np.sum(delta, axis=-2, out=g_b)
+        np.matmul(activations[i].swapaxes(-1, -2), delta, out=g_w)
         if i > 0:
-            delta = delta @ layers[i][0].T
+            delta = delta @ layers[i][0].swapaxes(-1, -2)
             delta *= activations[i] > 0
     return logp
 
 
 def forward_loss(model: GlobalModel, data: ClientDataset) -> float:
     """Mean cross-entropy of softmax outputs over the whole dataset."""
-    _check_dims(model, data)
+    _check_dims(model.architecture, data)
     return loss_value(model.architecture, model.params.values, data.features, data.labels)
 
 
-def _check_dims(model: GlobalModel, data: ClientDataset) -> None:
-    arch = model.architecture
+def _check_dims(arch: ModelArchitecture, data: ClientDataset) -> None:
     if data.num_features != arch.input_dim:
         raise DimensionMismatch(
             f"dataset has {data.num_features} features, model expects {arch.input_dim}"
@@ -402,12 +415,12 @@ ADAMW_BETA1, ADAMW_BETA2, ADAMW_EPS = 0.9, 0.999, 1e-8
 
 
 class _AdamWState:
-    def __init__(self, size: int, cfg: TrainConfig):
-        self.m = np.zeros(size, dtype=np.float32)
-        self.v = np.zeros(size, dtype=np.float32)
+    def __init__(self, shape: tuple[int, ...], cfg: TrainConfig):
+        self.m = np.zeros(shape, dtype=np.float32)
+        self.v = np.zeros(shape, dtype=np.float32)
         self.t = 0
         self.cfg = cfg
-        self._scratch = (np.empty(size, dtype=np.float32), np.empty(size, dtype=np.float32))
+        self._scratch = (np.empty(shape, dtype=np.float32), np.empty(shape, dtype=np.float32))
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         """m = b1*m + (1-b1)*grad, v = b2*v + (1-b2)*grad*grad, then
@@ -432,6 +445,72 @@ class _AdamWState:
         theta -= a
 
 
+def shard_key(data: ClientDataset) -> tuple[int, int, int]:
+    """Clients whose shards have equal keys, and that share an architecture
+    and a `TrainConfig`, can train in one `train_stack` call: the shards are
+    of one size and drawn from one data set."""
+    return data.num_samples, id(data._features), id(data._labels)
+
+
+def train_stack(
+    arch: ModelArchitecture,
+    starts: Sequence[np.ndarray],
+    shards: Sequence[ClientDataset],
+    cfg: TrainConfig,
+    seeds: Sequence[int],
+    client_ids: Sequence[int],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Run `local_epochs` of seeded mini-batch optimization for M clients at
+    once and return their (M, param_count) float32 deltas. Client m starts
+    from `starts[m]`, shuffles `shards[m]` with its own generator seeded by
+    `seeds[m]` and keeps its own optimizer state, fresh each call; its delta
+    is bit-identical to that of a stack of it alone. The shards must have one
+    `shard_key`.
+
+    Trains in the C-contiguous float32 array `out` when given, which then
+    holds the deltas. A client whose parameters turn non-finite raises
+    NonFiniteGradient naming the first such id in `client_ids`.
+    """
+    if len({shard_key(data) for data in shards}) != 1:
+        raise ValueError("a stack's shards must be of one size and from one data set")
+    for data in shards:
+        _check_dims(arch, data)
+    theta = np.empty((len(shards), arch.param_count), np.float32) if out is None else out
+    for row, start in zip(theta, starts, strict=True):
+        row[:] = start
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    adamw = _AdamWState(theta.shape, cfg) if cfg.optimizer == "adamw" else None
+    grad = np.empty_like(theta)  # every step overwrites all of it
+    # views stay valid: both buffers are only ever updated in place
+    layers, grad_layers = _unpack(arch, theta), _unpack(arch, grad)
+    # a shard's batches are gathered straight from its parent's rows
+    features, labels, n = shards[0]._features, shards[0]._labels, shards[0].num_samples
+
+    # a diverging run overflows here; the finite check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.local_epochs):
+            order = np.stack([
+                rng.permutation(n) if data._rows is None else data._rows[rng.permutation(n)]
+                for rng, data in zip(rngs, shards, strict=True)
+            ])
+            for lo in range(0, n, cfg.batch_size):
+                idx = order[:, lo : lo + cfg.batch_size]
+                _backprop(layers, grad_layers, features[idx], labels[idx])
+                if adamw is not None:
+                    adamw.step(theta, grad)
+                else:
+                    grad *= cfg.learning_rate
+                    theta -= grad
+
+    for row, client_id in zip(theta, client_ids, strict=True):
+        if not all_finite(row):
+            raise NonFiniteGradient(f"client {client_id} diverged (non-finite parameters)")
+    for row, start in zip(theta, starts):
+        row -= start  # the delta, computed in place
+    return theta
+
+
 def local_train(
     global_model: GlobalModel,
     data: ClientDataset,
@@ -441,43 +520,16 @@ def local_train(
     out: np.ndarray | None = None,
 ) -> ModelUpdate:
     """Run `local_epochs` of seeded mini-batch optimization from the global
-    parameters and return the parameter delta. The input model is not
-    mutated; identical seeds give bit-identical deltas.
+    parameters and return the parameter delta: `train_stack` for one client.
+    The input model is not mutated; identical seeds give bit-identical deltas.
 
     Trains in the float32 vector `out` when given, which then holds the delta.
     Optimizer state (AdamW moments) starts fresh each call, i.e. per round.
     """
-    _check_dims(global_model, data)
     start = global_model.params.values
     theta = np.empty_like(start) if out is None else out
-    theta[:] = start
-    rng = np.random.default_rng(client_rng_seed)
-    arch = global_model.architecture
-    adamw = _AdamWState(theta.size, cfg) if cfg.optimizer == "adamw" else None
-    grad = np.empty_like(theta)  # every step overwrites all of it
-    # views stay valid: both buffers are only ever updated in place
-    layers, grad_layers = _unpack(arch, theta), _unpack(arch, grad)
-    # a shard's batches are gathered straight from its parent's rows
-    features, labels, rows = data._features, data._labels, data._rows
-
-    # a diverging run overflows here; the finite check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.local_epochs):
-            perm = rng.permutation(data.num_samples)
-            if rows is not None:
-                perm = rows[perm]
-            for lo in range(0, data.num_samples, cfg.batch_size):
-                idx = perm[lo : lo + cfg.batch_size]
-                _backprop(layers, grad_layers, features[idx], labels[idx])
-                if adamw is not None:
-                    adamw.step(theta, grad)
-                else:
-                    grad *= cfg.learning_rate
-                    theta -= grad
-
-    if not all_finite(theta):
-        raise NonFiniteGradient(f"client {client_id} diverged (non-finite parameters)")
-    theta -= start  # the delta, computed in place
+    train_stack(global_model.architecture, [start], [data], cfg, [client_rng_seed], [client_id],
+                theta[None])
     return ModelUpdate(
         delta=ParameterVector(theta, (theta.size,)),
         client_id=client_id,

@@ -20,20 +20,23 @@ reply as soon as it and every lower client id's are in, and the server
 admits it then, while later clients still train or sign. In process, the clients
 run on a pool of one thread per usable CPU (`client_workers`), which the
 process keeps from round to round; for a small model, whose training gains
-nothing from threads, the driver's thread runs each client's round up to
-its signature and only the sign step goes to the pool. Over TCP, each
+nothing from threads, the driver's thread admits each client's broadcast,
+trains the admitted clients in stacks, several clients in one numpy pass
+(`fedcore.train_stack`), as far as `_PREPARE_ON_DRIVER_BELOW` allows, and
+lays out their uploads; only the sign steps go to the pool. Over TCP, each
 client has its own socket and thread after a signed key announce, with
 every socket on both sides waiting at most `channel.IO_TIMEOUT_S` (30 s).
 
 Each envelope is signed in a room (`codec.envelope_room`) that `codec.seal`
 writes into: a broadcast's from `ServerState.broadcasts`, an upload's from
-`upload_room` (the client trains its update in it), any other's new. A TCP
-client thread takes its upload rooms from a `ReusedBuffer` of its own; in
-process, a verified upload is held until `finish_round` has aggregated it,
-so the driver's thread takes a new room for each client as it hands the
-client to the pool. An envelope and every view or array
-decoded from it keep its buffer, which the next envelope reuses only once
-they are gone: a broadcast once its round is over, an upload once it is sent.
+`upload_room` (a client that trains alone trains its update in it, a
+stack's deltas are copied in), any other's new. A TCP client thread takes
+its upload rooms from a `ReusedBuffer` of its own; in process, a verified
+upload is held until `finish_round` has aggregated it, so the driver's
+thread takes a new room for each client as it hands the client to the pool.
+An envelope and every view or array decoded from it keep its buffer, which
+the next envelope reuses only once they are gone: a broadcast once its round
+is over, an upload once it is sent.
 """
 
 from __future__ import annotations
@@ -140,9 +143,9 @@ class PhaseTimings:
 
     @classmethod
     def from_spans(cls, spans: np.ndarray, wall_s: float) -> "PhaseTimings":
-        # bincount adds each phase's durations in span order
+        # bincount adds each phase's durations in span order; the fields are in Phase's order
         sums = np.bincount(spans["phase"], weights=spans["duration"], minlength=len(Phase))
-        return cls(**{f"{p.name.lower()}_s": float(sums[p]) for p in Phase}, wall_s=wall_s)
+        return cls(*sums.tolist(), wall_s=wall_s)
 
 
 @dataclass
@@ -250,7 +253,8 @@ class RunSpec:
     argument; `cfg.seed` is its only seed. The data is the Gaussian mixture of
     `samples`, `features`, `classes` and `separation` unless `idx_images`
     names an IDX file. A mixture too small for the clients, or with a
-    non-finite separation, is refused here, before anything is built."""
+    non-finite separation, is refused here, before anything is built; an IDX
+    set too small for them by `build_run`, once it is read."""
 
     cfg: TrainConfig
     scheme: sig.SchemeId = sig.SchemeId.DILITHIUM
@@ -279,6 +283,8 @@ def build_run(spec: RunSpec) -> tuple[ServerState, list[ClientState]]:
     seed = spec.cfg.seed
     if spec.idx_images is not None:
         data = fedcore.load_idx_dataset(spec.idx_images, spec.idx_labels, spec.idx_limit)
+        if data.num_samples < spec.cfg.num_clients:  # known only now that the files are read
+            raise ValueError(f"{data.num_samples} samples cannot cover {spec.cfg.num_clients} clients")
     else:
         data = fedcore.generate_synthetic(spec.samples, spec.features, spec.classes,
                                           fedcore.derive_seed(seed, "data"), spec.separation)
@@ -450,29 +456,22 @@ def upload_room(client: ClientState, buffer: codec.ReusedBuffer | None = None) -
     return codec.envelope_room(delta_len, sig.metadata(client.scheme).signature_max_len, buffer)
 
 
-def _prepare_round(
-    client: ClientState, env_blob: codec.Wire, room: memoryview | None = None
-) -> Callable[[], ClientRoundResult]:
-    """A client round over wire bytes up to its signature: decode, verify,
-    train the update in the `codec.values_slot` of `room`, an `upload_room`
-    (by default a new one), and lay out the upload around it there. Returns
-    the sign step, which signs, seals and encodes the upload, or, for a
-    client that refuses the incoming model and sits the round out, reports
-    the `Rejection` instead of raising."""
-    spans: list[Span] = []
-    try:
-        env = _decode_envelope(env_blob, client.client_id, spans)
-        model = client_receive_model(client, env, spans)
-    except Refused as exc:
-        log.info("client %d sitting out: %s", client.client_id, exc)
-        return functools.partial(ClientRoundResult, None, spans, exc.rejection)
+def _admit_broadcast(client: ClientState, env_blob: codec.Wire, spans: list[Span]) -> GlobalModel:
+    """Decode and admit the broadcast in `env_blob`, or raise Refused."""
+    return client_receive_model(client, _decode_envelope(env_blob, client.client_id, spans), spans)
 
-    t0 = time.perf_counter()
-    room = upload_room(client) if room is None else room
-    seed = train_seed(client.cfg.seed, model.round, client.client_id)
-    out = codec.values_slot(room, model.params.shape)
-    update = fedcore.local_train(model, client.dataset, client.cfg, seed, client.client_id, out)
-    spans.append((client.client_id, Phase.TRAIN, t0, time.perf_counter() - t0))
+
+def _sat_out(client: ClientState, spans: list[Span], exc: Refused) -> Callable[[], ClientRoundResult]:
+    """The sign step of a client that refused the incoming model: it reports
+    the `Rejection` instead of raising."""
+    log.info("client %d sitting out: %s", client.client_id, exc)
+    return functools.partial(ClientRoundResult, None, spans, exc.rejection)
+
+
+def _upload(client: ClientState, update: ModelUpdate, spans: list[Span],
+            room: memoryview) -> Callable[[], ClientRoundResult]:
+    """Lay out `update` in `room`, an `upload_room`, and return the sign step,
+    which signs, seals and encodes the upload."""
     sign_and_seal = _lay_out(client.keypair, MsgType.UPDATE_SUBMISSION, update.round,
                              client.client_id, update.delta, spans, room)
 
@@ -489,8 +488,53 @@ def _prepare_round(
 def client_process_round(
     client: ClientState, env_blob: codec.Wire, room: memoryview | None = None
 ) -> ClientRoundResult:
-    """One full client round over wire bytes: `_prepare_round`, then its sign step."""
-    return _prepare_round(client, env_blob, room)()
+    """One full client round over wire bytes: decode, verify, train the
+    update in the `codec.values_slot` of `room`, an `upload_room` (by default
+    a new one), and sign the upload laid out around it there; or, for a
+    client that refuses the incoming model and sits the round out, report the
+    `Rejection` instead of raising."""
+    spans: list[Span] = []
+    try:
+        model = _admit_broadcast(client, env_blob, spans)
+    except Refused as exc:
+        return _sat_out(client, spans, exc)()
+
+    t0 = time.perf_counter()
+    room = upload_room(client) if room is None else room
+    seed = train_seed(client.cfg.seed, model.round, client.client_id)
+    out = codec.values_slot(room, model.params.shape)
+    update = fedcore.local_train(model, client.dataset, client.cfg, seed, client.client_id, out)
+    spans.append((client.client_id, Phase.TRAIN, t0, time.perf_counter() - t0))
+    return _upload(client, update, spans, room)()
+
+
+# One client admitted to a stack: its broadcast's model and its spans so far.
+Admitted = tuple[ClientState, GlobalModel, list[Span]]
+
+
+def _train_stack(stack: list[Admitted]) -> list[Callable[[], ClientRoundResult]]:
+    """Train `stack`, clients that share a `_stack_key`, in one
+    `fedcore.train_stack` call, and lay each delta out in an `upload_room` of
+    its client's own. Returns each client's sign step, in stack order. The
+    call's time is split into equal TRAIN spans, one after another, in stack
+    order, that add up to it."""
+    first = stack[0][0]
+    t0 = time.perf_counter()
+    deltas = fedcore.train_stack(
+        first.architecture,
+        [model.params.values for _, model, _ in stack],
+        [client.dataset for client, _, _ in stack],
+        first.cfg,
+        [train_seed(client.cfg.seed, model.round, client.client_id) for client, model, _ in stack],
+        [client.client_id for client, _, _ in stack],
+    )
+    share = (time.perf_counter() - t0) / len(stack)
+    steps = []
+    for i, ((client, model, spans), delta) in enumerate(zip(stack, deltas)):
+        spans.append((client.client_id, Phase.TRAIN, t0 + i * share, share))
+        update = ModelUpdate(codec.ParameterVector(delta, delta.shape), client.client_id, model.round)
+        steps.append(_upload(client, update, spans, upload_room(client)))
+    return steps
 
 
 def server_collect_and_verify(
@@ -661,7 +705,21 @@ def _client_pool(workers: int) -> ThreadPoolExecutor:
 # which small operations on two threads spend passing it to and fro. Round p50
 # for 10 clients, 1,000 samples, alternating rounds, pool vs driver: 784-16
 # (405 k) 34.9 vs 31.5 ms, 784-32 (809 k) 36.0 vs 35.1, 784-64 (1.62 M) 42.2 vs 43.4.
+# It bounds a stack of such clients, trained in one call, too: M clients'
+# passes together (M * batch_size * param_count) stay below it.
 _PREPARE_ON_DRIVER_BELOW = 2**20
+
+
+def _stack_size(client: ClientState) -> int:
+    """The most clients like `client` that one stack holds, 0 for a client
+    that trains on the pool (`_PREPARE_ON_DRIVER_BELOW`)."""
+    pass_size = client.cfg.batch_size * client.architecture.param_count
+    return max(0, (_PREPARE_ON_DRIVER_BELOW - 1) // pass_size)
+
+
+def _stack_key(client: ClientState) -> tuple:
+    """Clients with equal keys may train in one stack."""
+    return client.cfg, client.architecture, fedcore.shard_key(client.dataset)
 
 
 def run_training(
@@ -670,36 +728,66 @@ def run_training(
     chan: _channel.Channel | None = None,
 ) -> TrainingResult:
     """Run the configured number of rounds over the in-process channel, the
-    clients of each round on `client_workers(len(clients))` threads (only
-    their sign steps for a small model, `_PREPARE_ON_DRIVER_BELOW`). Once
-    every client is handed over, the driver's thread admits each upload as
-    soon as that client and every lower id are done."""
+    clients of each round on `client_workers(len(clients))` threads. For a
+    small model (`_PREPARE_ON_DRIVER_BELOW`) only their sign steps go to the
+    pool: the driver's thread admits each client's broadcast and trains the
+    admitted clients in stacks, `_train_stack`. Once every client is handed
+    over, the driver's thread admits each upload as soon as that client and
+    every lower id are done."""
     by_id = {c.client_id: c for c in clients}
     workers = client_workers(len(clients))
     pool = _client_pool(workers)
+    window = max(2 * workers, min(len(clients), max(map(_stack_size, clients), default=0)))
 
     def exchange(frames: Iterator[Addressed], spans: list[Span]) -> Generator[Addressed, None, None]:
         # Each frame is delivered here, on the driver's thread, as it is taken,
-        # and taken once fewer than 2 * workers clients or sign steps are
-        # queued or running: a worker that finishes finds the next one queued,
-        # and tampered broadcasts are not all held at once. Each client's
-        # upload room is taken here too, as memory a pool thread allocated
-        # stays in its arena. A client that fails raises once the tasks
-        # before it are done.
+        # and taken once fewer than `window` clients are taken and not yet
+        # signed: 2 per worker, so that a worker that finishes finds the next
+        # client queued, or one stack if that is more; tampered broadcasts are
+        # not all held at once. Each client's upload room is taken here too, as
+        # memory a pool thread allocated stays in its arena. A client or stack
+        # that fails raises once the tasks before it are done.
         tasks: dict[int, Future[ClientRoundResult]] = {}
         free: queue.SimpleQueue[None] = queue.SimpleQueue()  # a token for each client slot
-        for _ in range(2 * workers):
+        for _ in range(window):
             free.put(None)
+        stack: list[Admitted] = []
+
+        def submit(cid: int, task: Callable[[], ClientRoundResult]) -> None:
+            tasks[cid] = pool.submit(task)
+            tasks[cid].add_done_callback(lambda _: free.put(None))
+
+        def flush() -> None:  # train the stack and hand its sign steps to the pool
+            if stack:
+                for (client, _, _), sign in zip(stack, _train_stack(stack)):
+                    submit(client.client_id, sign)
+                stack.clear()
+
+        def token() -> None:
+            if len(stack) == window:  # no task holds a token to give back
+                flush()
+            free.get()
+
         try:  # zip takes a token before it takes, and so delivers, the next frame
-            for _, (cid, frame) in zip(iter(free.get, ...), frames):
-                client, room = by_id[cid], upload_room(by_id[cid])
-                if client.cfg.batch_size * client.architecture.param_count < _PREPARE_ON_DRIVER_BELOW:
-                    tasks[cid] = pool.submit(_prepare_round(client, frame, room))
-                else:
-                    tasks[cid] = pool.submit(client_process_round, client, frame, room)
-                tasks[cid].add_done_callback(lambda _: free.put(None))
+            for _, (cid, frame) in zip(iter(token, ...), frames):
+                client = by_id[cid]
+                if not _stack_size(client):
+                    submit(cid, functools.partial(client_process_round, client, frame,
+                                                  upload_room(client)))
+                    continue
+                client_spans: list[Span] = []
+                try:
+                    model = _admit_broadcast(client, frame, client_spans)
+                except Refused as exc:
+                    submit(cid, _sat_out(client, client_spans, exc))
+                    continue
+                if stack and (_stack_key(stack[0][0]) != _stack_key(client)
+                              or len(stack) == _stack_size(client)):
+                    flush()
+                stack.append((client, model, client_spans))
+            flush()
             # in ascending id, each task dropped as its reply goes: a Future keeps its result
-            for cid in list(tasks):
+            for cid in sorted(tasks):
                 result = tasks.pop(cid).result()
                 spans += result.spans
                 yield cid, result.reply or b""

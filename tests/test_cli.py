@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import stat
+import struct
 import subprocess
 import sys
 import warnings
@@ -264,6 +265,22 @@ def test_run_idx_requires_existing_paths(tmp_path, capsys):
     code = run_cli("run", "--dataset", "idx", "--idx-images", str(tmp_path / "nope.idx"),
                    "--idx-labels", str(tmp_path / "nope2.idx"), "--seed", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("limit", [(), ("--idx-limit", "2")], ids=["all-4", "limit-2"])
+def test_idx_set_smaller_than_the_clients_is_a_usage_error(tmp_path, capsys, limit):
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">BBBBIII", 0, 0, 0x08, 3, 4, 2, 2) + bytes(range(16)))
+    labels.write_bytes(struct.pack(">BBBBI", 0, 0, 0x08, 1, 4) + bytes([0, 1, 0, 1]))
+    code = run_cli("run", "--dataset", "idx", "--idx-images", str(images), "--idx-labels",
+                   str(labels), *limit, "--clients", "10", "--rounds", "1", "--seed", "1",
+                   "--out", str(tmp_path / "x.csv"))
+    captured = capsys.readouterr()
+    assert code == 2
+    samples = 2 if limit else 4
+    assert f"{samples} samples cannot cover 10 clients" in captured.err
+    assert "round" not in captured.out
+    assert not (tmp_path / "x.csv").exists()
 
 
 # --- bench / report -----------------------------------------------------------------

@@ -9,6 +9,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from pqfl import channel, codec, fedcore, protocol, sig
@@ -49,6 +50,21 @@ def observed(attack):
     return result.model.params.values.tobytes(), rounds
 
 
+def recorded_stacks(monkeypatch):
+    """The client ids of each `fedcore.train_stack` call, with its start and end times."""
+    stacks = []
+    train_stack = fedcore.train_stack
+
+    def recording(*args):
+        t0 = time.perf_counter()
+        deltas = train_stack(*args)
+        stacks.append((list(args[5]), t0, time.perf_counter()))
+        return deltas
+
+    monkeypatch.setattr(fedcore, "train_stack", recording)
+    return stacks
+
+
 @pytest.mark.parametrize("attack", [
     None, "bitflip", "substitute", "strip", "replay:p=0.5", "bitflip:direction=s2c",
 ])
@@ -78,6 +94,7 @@ def test_clients_prepared_on_the_calling_thread_give_the_pooled_result(
 
 def test_the_token_window_bounds_outstanding_sign_steps(set_cpus, monkeypatch):
     set_cpus(1)
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 0)  # each client trains alone
     num_clients = 8
     trained, signed, outstanding = [], [], []
     local_train, sign = fedcore.local_train, sig.sign
@@ -106,25 +123,21 @@ def test_the_token_window_bounds_outstanding_sign_steps(set_cpus, monkeypatch):
     assert max(outstanding) <= 2 * protocol.client_workers(num_clients) == 2
 
 
-def test_channel_is_used_only_by_the_calling_thread_in_order(set_cpus, monkeypatch):
-    set_cpus(4)
-    num_clients = 12
-    calls, trained, handed_out = [], [], []
-    local_train = fedcore.local_train
-
-    def counting(*args):
-        update = local_train(*args)
-        trained.append(update.client_id)
-        return update
+def channel_calls_in_order(monkeypatch, num_clients):
+    """Run 2 rounds of `num_clients` and check that every channel call came
+    from the calling thread in one order: each round's broadcasts, then its
+    replies, in ascending id. Returns, for each broadcast, how many clients
+    were handed out and not yet trained once it was made."""
+    calls, stacks, handed_out = [], recorded_stacks(monkeypatch), []
 
     class Recording(channel.Channel):
         def deliver(self, msg, direction, client_id):
             calls.append((threading.get_ident(), direction, client_id))
             if direction == Direction.SERVER_TO_CLIENT:  # this client's, and those untrained
-                handed_out.append(sum(d == direction for _, d, _ in calls) - len(trained))
+                trained = sum(len(ids) for ids, *_ in stacks)
+                handed_out.append(sum(d == direction for _, d, _ in calls) - trained)
             return super().deliver(msg, direction, client_id)
 
-    monkeypatch.setattr(fedcore, "local_train", counting)
     server, clients = build_sim(num_clients, num_rounds=2)
     protocol.run_training(server, clients, Recording())
     ids = list(range(1, num_clients + 1))
@@ -132,8 +145,52 @@ def test_channel_is_used_only_by_the_calling_thread_in_order(set_cpus, monkeypat
     one_round += [(Direction.CLIENT_TO_SERVER, cid) for cid in ids]
     assert [call[1:] for call in calls] == 2 * one_round
     assert {call[0] for call in calls} == {threading.get_ident()}
+    return handed_out
+
+
+def test_channel_is_used_only_by_the_calling_thread_in_order(set_cpus, monkeypatch):
+    set_cpus(4)
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 0)  # each client trains alone
+    handed_out = channel_calls_in_order(monkeypatch, 12)
     # a broadcast is made only once fewer than 2 per worker are queued or running
-    assert max(handed_out) <= 2 * protocol.client_workers(num_clients) == 8
+    assert max(handed_out) <= 2 * protocol.client_workers(12) == 8
+
+
+def test_stacked_clients_use_the_channel_on_the_calling_thread_in_order(set_cpus, monkeypatch):
+    set_cpus(4)
+    handed_out = channel_calls_in_order(monkeypatch, 12)
+    assert max(handed_out) == 12  # one stack holds every client of a round
+
+
+def test_a_stack_widens_the_token_window_to_its_size(set_cpus, monkeypatch):
+    set_cpus(1)
+    num_clients = 8
+    server, clients = build_sim(num_clients, num_rounds=1)
+    pass_size = clients[0].cfg.batch_size * clients[0].architecture.param_count
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 3 * pass_size + 1)  # stacks of 3
+    stacks, signed, outstanding = recorded_stacks(monkeypatch), [], []
+    sign = sig.sign
+
+    def slow_sign(keypair, message):
+        if keypair.public_key == server.keypair.public_key:
+            return sign(keypair, message)
+        time.sleep(0.002)
+        signature = sign(keypair, message)
+        signed.append(keypair.public_key)
+        return signature
+
+    class Recording(channel.Channel):
+        def deliver(self, msg, direction, client_id):
+            if direction == Direction.SERVER_TO_CLIENT:  # this client, and those not yet signed
+                outstanding.append(client_id - len(signed))
+            return super().deliver(msg, direction, client_id)
+
+    monkeypatch.setattr(sig, "sign", slow_sign)
+    protocol.run_training(server, clients, Recording())
+    assert [ids for ids, *_ in stacks] == [[1, 2, 3], [4, 5, 6], [7, 8]]
+    assert len(signed) == num_clients
+    # one stack, more than the 2 per worker that clients training alone get
+    assert max(outstanding) == 3 > 2 * protocol.client_workers(num_clients)
 
 
 def test_lowest_diverging_client_raises_its_own_failure(set_cpus):
@@ -150,7 +207,7 @@ def test_pool_has_one_worker_per_cpu_and_no_more_than_clients(set_cpus, monkeypa
     assert protocol.client_workers(10) == 4
     assert protocol.client_workers(3) == 3
     caller = threading.get_ident()
-    process_round, local_train, sign = protocol.client_process_round, fedcore.local_train, sig.sign
+    process_round, train_stack, sign = protocol.client_process_round, fedcore.train_stack, sig.sign
     rounds, trained, signed = {}, set(), {}
 
     def recording_round(client, *args):
@@ -159,17 +216,17 @@ def test_pool_has_one_worker_per_cpu_and_no_more_than_clients(set_cpus, monkeypa
 
     def recording_train(*args):
         trained.add(threading.get_ident())
-        return local_train(*args)
+        return train_stack(*args)
 
     def recording_sign(keypair, message):
         signed.setdefault(keypair.public_key, set()).add(threading.get_ident())
         return sign(keypair, message)
 
     monkeypatch.setattr(protocol, "client_process_round", recording_round)
-    monkeypatch.setattr(fedcore, "local_train", recording_train)
+    monkeypatch.setattr(fedcore, "train_stack", recording_train)
     monkeypatch.setattr(sig, "sign", recording_sign)
 
-    # 8-16-3: each client trains on the calling thread and signs on the pool
+    # 8-16-3: the clients train in a stack on the calling thread and sign on the pool
     server, clients = build_sim(num_clients=3)
     protocol.run_training(server, clients)
     client_signers = set().union(*(signed.pop(c.keypair.public_key) for c in clients))
@@ -206,3 +263,34 @@ def test_uploads_are_allocated_on_the_calling_thread(set_cpus, monkeypatch):
     protocol.run_training(server, clients)
     # each round's broadcast and its uploads
     assert takers == [threading.get_ident()] * 2 * (1 + CLIENTS)
+
+
+def test_a_stacks_train_time_is_split_into_equal_consecutive_spans(set_cpus, monkeypatch):
+    set_cpus(2)
+    stacks = recorded_stacks(monkeypatch)
+    server, clients = build_sim(num_rounds=1)
+    spans = protocol.run_training(server, clients).outcomes[0].spans
+    ((ids, called, returned),) = stacks
+    assert ids == [c.client_id for c in clients]
+    train = spans[spans["phase"] == protocol.Phase.TRAIN]
+    assert sorted(train["party"]) == ids
+    train.sort(order="start")
+    share = train["duration"][0]
+    assert (train["duration"] == share).all() and list(train["party"]) == ids
+    ends = train["start"] + train["duration"]
+    assert np.allclose(train["start"][1:], ends[:-1], rtol=0, atol=1e-9)  # one after another
+    assert train["start"][0] <= called and ends[-1] >= returned
+    assert train["duration"].sum() == pytest.approx(ends[-1] - train["start"][0])
+
+
+def test_uneven_shards_train_in_two_stacks_with_the_pooled_result(set_cpus, monkeypatch):
+    set_cpus(2)
+    cfg = TrainConfig(num_clients=CLIENTS, num_rounds=2, seed=MASTER)
+    spec = protocol.RunSpec(cfg, SchemeId.TEST_SCHEME, (16,), 243, 8, 3)  # 41 or 40 samples
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 0)
+    pooled = protocol.run_training(*protocol.build_run(spec)).model.params.values
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 2**20)
+    stacks = recorded_stacks(monkeypatch)
+    stacked = protocol.run_training(*protocol.build_run(spec)).model.params.values
+    assert [ids for ids, *_ in stacks] == 2 * [[1, 2, 3], [4, 5, 6]]
+    assert stacked.tobytes() == pooled.tobytes()

@@ -357,6 +357,50 @@ def test_divergence_raises_non_finite():
         local_train(model, small_data(), cfg, client_rng_seed=1, client_id=1)
 
 
+# --- stacked training -------------------------------------------------------------
+
+@pytest.mark.parametrize("epochs", [1, 2])
+@pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+@pytest.mark.parametrize("batch_size", [1, 7, 32])
+@pytest.mark.parametrize("hidden", [(), (16,), (16, 8)], ids=["logreg", "16", "16-8"])
+def test_a_stack_trains_each_client_as_it_trains_alone(hidden, batch_size, optimizer, epochs):
+    # 45 samples a shard: batches of 7 and of 32 end with a short one
+    shards = split_iid(small_data(135, d=12, c=4), 3, seed=2)
+    arch = ModelArchitecture(12, hidden, 4)
+    models = [init_model(arch, seed=s) for s in (3, 4, 5)]  # each client starts elsewhere
+    cfg = TrainConfig(
+        num_clients=3, num_rounds=1, local_epochs=epochs, batch_size=batch_size,
+        learning_rate=5e-2, optimizer=optimizer, adamw_weight_decay=0.01, seed=0,
+    )
+    seeds, ids = [11, 12, 13], [4, 5, 6]
+    stacked = fedcore.train_stack(arch, [m.params.values for m in models], shards, cfg, seeds, ids)
+    assert stacked.shape == (3, arch.param_count) and stacked.dtype == np.float32
+    for row, model, shard, seed, cid in zip(stacked, models, shards, seeds, ids):
+        alone = local_train(model, shard, cfg, seed, cid).delta.values
+        assert row.tobytes() == alone.tobytes()
+
+
+def test_a_diverging_stack_names_its_first_diverging_client():
+    shards = split_iid(small_data(90), 3, seed=0)
+    arch = ModelArchitecture(8, (16,), 3)
+    start = init_model(arch, seed=0).params.values
+    blown = np.full_like(start, 1e30)  # its logits overflow
+    cfg = TrainConfig(num_clients=3, num_rounds=1, seed=0)
+    with pytest.raises(NonFiniteGradient, match="client 8 diverged"):
+        fedcore.train_stack(arch, [start, blown, blown], shards, cfg, [1, 2, 3], [7, 8, 9])
+
+
+def test_a_stack_takes_shards_of_one_size_from_one_data_set():
+    arch = ModelArchitecture(8, (16,), 3)
+    start = init_model(arch, seed=0).params.values
+    cfg = TrainConfig(num_clients=2, num_rounds=1, seed=0)
+    uneven = split_iid(small_data(61), 2, seed=0)  # 31 and 30 samples
+    apart = [split_iid(small_data(seed=s), 2, seed=0)[0] for s in (0, 1)]
+    for shards in uneven, apart:
+        with pytest.raises(ValueError, match="one size and from one data set"):
+            fedcore.train_stack(arch, [start, start], shards, cfg, [1, 2], [1, 2])
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(num_clients=0)

@@ -252,6 +252,7 @@ def test_an_upload_is_laid_out_around_the_values_its_client_trained(monkeypatch)
             return super().deliver(msg, direction, client_id)
 
     monkeypatch.setattr(fedcore, "local_train", recording)
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 0)  # each client trains alone
     protocol.run_training(server, clients, Recording())
     for client in clients:
         cid = client.client_id
