@@ -4,8 +4,8 @@ The model family is a softmax classifier with zero or more ReLU hidden
 layers (logistic regression when `hidden_dims` is empty), trained with
 mini-batch SGD or AdamW on float32 parameters. Everything is deterministic
 given the configured seeds: shuffling uses per-(round, client) derived
-seeds, and aggregation accumulates deltas sequentially in ascending
-client-id order so repeated runs are bit-identical.
+seeds, and aggregation adds deltas one at a time in ascending client-id
+order (`RunningSum`) so repeated runs are bit-identical.
 
 One kernel, `train_stack`, trains a stack of M clients at once: the
 parameters, their gradient, AdamW's moments and each mini-batch carry a
@@ -537,39 +537,72 @@ def local_train(
     )
 
 
-def aggregate(global_model: GlobalModel, updates: list[ModelUpdate]) -> GlobalModel:
+class RunningSum:
+    """The float32 sum of one round's deltas, to which `add` adds each update
+    in ascending client id, one at a time, so that a caller can let each
+    update go once it is added; `mean_step` then gives the next global model.
+    Every aggregation adds its deltas here, and so in one order."""
+
+    __slots__ = ("model", "count", "_acc", "_last_id")
+
+    def __init__(self, global_model: GlobalModel):
+        self.model = global_model
+        self.count = 0
+        self._acc: np.ndarray | None = None  # taken by the first add, not before it is needed
+        self._last_id = -1
+
+    def add(self, update: ModelUpdate) -> None:
+        """acc += update's delta, or raise if it is for another round or shape,
+        or its client id is not above every id added so far."""
+        if update.client_id <= self._last_id:
+            raise ValueError(
+                f"update from client {update.client_id} added after client {self._last_id}: "
+                "duplicate or out of ascending id order"
+            )
+        if update.round != self.model.round:
+            raise RoundMismatch(
+                f"update from client {update.client_id} is for round {update.round}, "
+                f"aggregating round {self.model.round}"
+            )
+        if update.delta.shape != self.model.params.shape:
+            raise DimensionMismatch(
+                f"update shape {update.delta.shape} != model shape {self.model.params.shape}"
+            )
+        if self._acc is None:
+            self._acc = np.zeros(self.model.params.size, dtype=np.float32)
+        self._acc += update.delta.values
+        self.count += 1
+        self._last_id = update.client_id
+
+    def mean_step(self) -> GlobalModel:
+        """The next global model: old + sum / count, computed in the sum's own
+        buffer, which the model then owns; call it once."""
+        if not self.count:
+            raise EmptyVerifiedSet("no verified updates to aggregate")
+        acc = self._acc
+        acc /= self.count
+        acc += self.model.params.values  # old + mean: the new parameters, in place
+        return replace(
+            self.model,
+            params=ParameterVector(acc, self.model.params.shape),
+            round=self.model.round + 1,
+        )
+
+
+def aggregate(
+    global_model: GlobalModel, updates: list[ModelUpdate], total: RunningSum | None = None
+) -> GlobalModel:
     """New global parameters = old + elementwise mean of the deltas.
 
-    Deltas are accumulated sequentially in ascending client-id order
-    (float32), making the result independent of input listing order and
-    reproducible bit-for-bit.
+    `updates` are added in ascending client-id order (float32) to `total`,
+    a `RunningSum` of `global_model` that may hold lower ids' deltas already
+    (by default an empty one), making the result independent of input
+    listing order and reproducible bit-for-bit.
     """
-    if not updates:
-        raise EmptyVerifiedSet("no verified updates to aggregate")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    ids = [u.client_id for u in ordered]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate client ids in update set: {ids}")
-    expect_shape = global_model.params.shape
-    acc = np.zeros(global_model.params.size, dtype=np.float32)
-    for u in ordered:
-        if u.round != global_model.round:
-            raise RoundMismatch(
-                f"update from client {u.client_id} is for round {u.round}, "
-                f"aggregating round {global_model.round}"
-            )
-        if u.delta.shape != expect_shape:
-            raise DimensionMismatch(
-                f"update shape {u.delta.shape} != model shape {expect_shape}"
-            )
-        acc += u.delta.values
-    acc /= len(ordered)
-    acc += global_model.params.values  # old + mean: the new parameters, in place
-    return replace(
-        global_model,
-        params=ParameterVector(acc, expect_shape),
-        round=global_model.round + 1,
-    )
+    total = RunningSum(global_model) if total is None else total
+    for u in sorted(updates, key=lambda u: u.client_id):
+        total.add(u)
+    return total.mean_step()
 
 
 @dataclass

@@ -14,10 +14,13 @@ server drops that update for the round (no retry), a client sits the round
 out. A round whose verified set is empty leaves the parameters unchanged.
 
 One round driver serves both transports and alone passes messages through
-the channel, on its own thread. They differ only in the exchange that
-carries the broadcasts out and the replies back. The exchange yields each
-reply as soon as it and every lower client id's are in, and the server
-admits it then, while later clients still train or sign. In process, the clients
+the channel, on its own thread: every broadcast at the start of a round,
+then each reply as the server pulls it. The transports differ only in the
+exchange that carries the broadcasts out and the replies back. The exchange
+yields each reply as soon as it and every lower client id's are in, and the
+server admits it then, adding its delta to the round's running sum
+(`fedcore.RunningSum`), while later clients still train or sign, or wait
+to be handed out. In process, the clients
 run on a pool of one thread per usable CPU (`client_workers`), which the
 process keeps from round to round; for a small model, whose training gains
 nothing from threads, the driver's thread admits each client's broadcast,
@@ -31,9 +34,11 @@ Each envelope is signed in a room (`codec.envelope_room`) that `codec.seal`
 writes into: a broadcast's from `ServerState.broadcasts`, an upload's from
 `upload_room` (a client that trains alone trains its update in it, a
 stack's deltas are copied in), any other's new. A TCP client thread takes
-its upload rooms from a `ReusedBuffer` of its own; in process, a verified
-upload is held until `finish_round` has aggregated it, so the driver's
-thread takes a new room for each client as it hands the client to the pool.
+its upload rooms from a `ReusedBuffer` of its own; in process, an upload is
+held from its client's hand-out until the server has added it to the
+running sum, or has aggregated the round if it keeps the update, and the
+uploads of a window of clients are live at once, so the driver's thread
+takes a new room for each client as it hands the client to the pool.
 An envelope and every view or array decoded from it keep its buffer, which
 the next envelope reuses only once they are gone: a broadcast once its round
 is over, an upload once it is sent.
@@ -41,6 +46,7 @@ is over, an upload once it is sent.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import enum
 import functools
@@ -541,6 +547,7 @@ def server_collect_and_verify(
     server: ServerState,
     envelope_blobs: Iterable[codec.Wire],
     spans: list[Span] | None = None,
+    total: fedcore.RunningSum | None = None,
 ) -> tuple[list[ModelUpdate], list[Rejection], int, int]:
     """Filter raw submission bytes down to the verified update set, admitting
     each blob as it is pulled from `envelope_blobs`.
@@ -549,14 +556,26 @@ def server_collect_and_verify(
     rejection is data, never an exception, and rejections come in the order
     the blobs do. At most one update per client enters the set (first valid
     wins). The server's spans go to `spans`.
+
+    Given `total`, the round's running sum, each verified update is added to
+    it as soon as it is admitted, and left out of the returned set, while
+    signatures are checked and no blob of the round has been refused. Such an
+    update is its own slot's client's: the upload of a lower id, replayed,
+    would be a duplicate, and that of a higher id is not yet delivered, so
+    such updates come in ascending id. The updates admitted after a refusal,
+    or without signature checks, are returned for `fedcore.aggregate` to add
+    in ascending id.
     """
     spans = [] if spans is None else spans
     verified: list[ModelUpdate] = []
     rejections: list[Rejection] = []
     accepted_ids: set[int] = set()
     payload_bytes = signature_bytes = 0
+    folding = total is not None and server.options.verify_updates
     this_round = range(server.model.round, server.model.round + 1)
-    for blob in envelope_blobs:
+
+    def admit(blob: codec.Wire) -> None:
+        nonlocal payload_bytes, signature_bytes, folding
         try:
             env = _decode_envelope(blob, SERVER_ID, spans)
             payload_bytes += len(env.payload)
@@ -569,10 +588,18 @@ def server_collect_and_verify(
             delta = _decode_params(env, server.model.params.shape, SERVER_ID, spans)
         except Refused as exc:
             rejections.append(exc.rejection)
-            continue
+            folding = False
+            return
         accepted_ids.add(sender)
-        verified.append(ModelUpdate(delta=delta, client_id=sender, round=env.header.round))
+        update = ModelUpdate(delta=delta, client_id=sender, round=env.header.round)
+        if folding:
+            total.add(update)
+        else:
+            verified.append(update)
 
+    for blob in envelope_blobs:
+        admit(blob)
+        del blob  # an added or refused upload goes before the next is pulled
     return verified, rejections, payload_bytes, signature_bytes
 
 
@@ -585,25 +612,27 @@ def finish_round(
     wall_start: float,
 ) -> RoundOutcome:
     """Server half of round completion: admit each upload as `uploads` yields
-    it, then aggregate and measure.
+    it, adding it to the round's running sum (`fedcore.RunningSum`) as
+    `server_collect_and_verify` allows, then aggregate and measure.
 
     `spans` holds every span of the round so far; the server's spans, and
     those `uploads` adds as it goes, are appended to it before it is packed
     into the outcome. `skipped_clients` is read once `uploads` is exhausted.
 
-    Lets go of the verified set once the round is aggregated: its deltas
-    are views into the uploads, and the evaluation that follows should not
-    run with a whole round of them still held."""
-    verified, rejections, payload_bytes, signature_bytes = server_collect_and_verify(
-        server, uploads, spans
+    An upload added to the sum is let go at once; the updates kept past it
+    are views into their uploads, and are let go once the round is
+    aggregated, before the evaluation that follows."""
+    total = fedcore.RunningSum(server.model)
+    kept, rejections, payload_bytes, signature_bytes = server_collect_and_verify(
+        server, uploads, spans, total
     )
-    verified_count = len(verified)
-    if verified:
-        server.model = fedcore.aggregate(server.model, verified)
+    verified_count = total.count + len(kept)
+    if verified_count:
+        server.model = fedcore.aggregate(server.model, kept, total)
     else:
         log.warning("round %d: empty verified set, parameters unchanged", server.model.round)
         server.model = replace(server.model, round=server.model.round + 1)
-    del verified
+    del kept, total
 
     loss = (
         fedcore.forward_loss(server.model, server.eval_data)
@@ -632,11 +661,11 @@ class TrainingResult:
     outcomes: list[RoundOutcome]
 
 
-# The transport interface: carry each (client id, broadcast frame) out, then
-# yield each client's (id, reply) in ascending id, b"" for a client that sat
-# out, as soon as that reply and every lower id's are in, appending the
-# clients' spans to the round's. The driver closes it once the round is
-# admitted or has failed.
+# The transport interface: carry each (client id, broadcast frame), delivered
+# already, out, and yield each client's (id, reply) in ascending id, b"" for a
+# client that sat out, as soon as that reply and every lower id's are in,
+# appending the clients' spans to the round's. The driver closes it once the
+# round is admitted or has failed.
 Addressed = tuple[int, codec.Wire]
 Exchange = Callable[[Iterator[Addressed], list[Span]], Generator[Addressed, None, None]]
 
@@ -647,9 +676,11 @@ def _run_rounds(
     """The round loop of both transports: broadcast, exchange, aggregate.
 
     The one caller of `chan.deliver`, on the server's thread: each client's
-    broadcast in ascending client id, made as the exchange takes it, then each
-    reply in that order, as the server pulls it for admission. So an attack
-    sees the same messages in the same order over either transport."""
+    broadcast in ascending client id, all at the start of the round, then
+    each reply in that order, as the server pulls it for admission. So an
+    attack sees the same messages in the same order over either transport.
+    An untampered broadcast is the one shared buffer; a tampered copy is let
+    go once the exchange has taken it."""
     client_ids = sorted(c.client_id for c in clients)
     outcomes = []
 
@@ -660,6 +691,7 @@ def _run_rounds(
                 yield chan.deliver(reply, Direction.CLIENT_TO_SERVER, cid)
             else:
                 skipped.append(cid)
+            del reply  # admitted by now: not held while the next is awaited
 
     for _ in range(server.cfg.num_rounds):
         wall_start = time.perf_counter()
@@ -668,10 +700,13 @@ def _run_rounds(
         t0 = time.perf_counter()
         dist_blob = codec.encode_envelope(dist_env)
         spans.append((SERVER_ID, Phase.SERIALIZE, t0, time.perf_counter() - t0))
-        frames = (chan.deliver(dist_blob, Direction.SERVER_TO_CLIENT, cid) for cid in client_ids)
+        frames = collections.deque(
+            (cid, chan.deliver(dist_blob, Direction.SERVER_TO_CLIENT, cid)) for cid in client_ids
+        )
         skipped: list[int] = []
+        taken = (frames.popleft() for _ in client_ids)
         # closed here, not at garbage collection, so a failed admission waits for the clients
-        with contextlib.closing(exchange(zip(client_ids, frames), spans)) as replies:
+        with contextlib.closing(exchange(taken, spans)) as replies:
             outcome = finish_round(server, delivered(replies, skipped), dist_env, spans,
                                    skipped, wall_start)
         del dist_env, dist_blob  # so that the next broadcast can reuse their buffer
@@ -731,66 +766,68 @@ def run_training(
     clients of each round on `client_workers(len(clients))` threads. For a
     small model (`_PREPARE_ON_DRIVER_BELOW`) only their sign steps go to the
     pool: the driver's thread admits each client's broadcast and trains the
-    admitted clients in stacks, `_train_stack`. Once every client is handed
-    over, the driver's thread admits each upload as soon as that client and
-    every lower id are done."""
+    admitted clients in stacks, `_train_stack`. Between hand-outs, and once
+    every client is handed over, the driver's thread admits each upload as
+    soon as that client and every lower id are done."""
     by_id = {c.client_id: c for c in clients}
     workers = client_workers(len(clients))
     pool = _client_pool(workers)
     window = max(2 * workers, min(len(clients), max(map(_stack_size, clients), default=0)))
 
     def exchange(frames: Iterator[Addressed], spans: list[Span]) -> Generator[Addressed, None, None]:
-        # Each frame is delivered here, on the driver's thread, as it is taken,
-        # and taken once fewer than `window` clients are taken and not yet
-        # signed: 2 per worker, so that a worker that finishes finds the next
-        # client queued, or one stack if that is more; tampered broadcasts are
-        # not all held at once. Each client's upload room is taken here too, as
-        # memory a pool thread allocated stays in its arena. A client or stack
-        # that fails raises once the tasks before it are done.
+        # A client holds one of `window` slots from when it is handed out
+        # until its reply is yielded: 2 per worker, so that a worker that
+        # finishes finds the next client queued, or one stack if that is
+        # more. Each reply is yielded in ascending id as soon as it and every
+        # lower id's are done, between hand-outs, so a round holds the
+        # uploads of the clients in the window, not of all of them. Each
+        # client's upload room is taken here, as it is handed out, as memory
+        # a pool thread allocated stays in its arena. A client or stack that
+        # fails raises once the replies before it are yielded; the clients
+        # not yet handed out then never run.
         tasks: dict[int, Future[ClientRoundResult]] = {}
-        free: queue.SimpleQueue[None] = queue.SimpleQueue()  # a token for each client slot
-        for _ in range(window):
-            free.put(None)
+        taken: collections.deque[int] = collections.deque()  # the slots' ids, ascending
         stack: list[Admitted] = []
-
-        def submit(cid: int, task: Callable[[], ClientRoundResult]) -> None:
-            tasks[cid] = pool.submit(task)
-            tasks[cid].add_done_callback(lambda _: free.put(None))
 
         def flush() -> None:  # train the stack and hand its sign steps to the pool
             if stack:
                 for (client, _, _), sign in zip(stack, _train_stack(stack)):
-                    submit(client.client_id, sign)
+                    tasks[client.client_id] = pool.submit(sign)
                 stack.clear()
 
-        def token() -> None:
-            if len(stack) == window:  # no task holds a token to give back
-                flush()
-            free.get()
+        def reply() -> Addressed:  # the lowest id's, once it is done; a Future keeps its result
+            cid = taken.popleft()
+            result = tasks.pop(cid).result()
+            spans.extend(result.spans)
+            return cid, result.reply or b""
 
-        try:  # zip takes a token before it takes, and so delivers, the next frame
-            for _, (cid, frame) in zip(iter(token, ...), frames):
+        def lowest_done() -> bool:
+            return bool(taken) and taken[0] in tasks and tasks[taken[0]].done()
+
+        try:
+            for cid, frame in frames:
+                while len(taken) == window or lowest_done():
+                    if len(stack) == window:  # the lowest id is stacked, not handed out
+                        flush()
+                    yield reply()
+                taken.append(cid)
                 client = by_id[cid]
                 if not _stack_size(client):
-                    submit(cid, functools.partial(client_process_round, client, frame,
-                                                  upload_room(client)))
+                    tasks[cid] = pool.submit(client_process_round, client, frame, upload_room(client))
                     continue
                 client_spans: list[Span] = []
                 try:
                     model = _admit_broadcast(client, frame, client_spans)
                 except Refused as exc:
-                    submit(cid, _sat_out(client, client_spans, exc))
+                    tasks[cid] = pool.submit(_sat_out(client, client_spans, exc))
                     continue
                 if stack and (_stack_key(stack[0][0]) != _stack_key(client)
                               or len(stack) == _stack_size(client)):
                     flush()
                 stack.append((client, model, client_spans))
             flush()
-            # in ascending id, each task dropped as its reply goes: a Future keeps its result
-            for cid in sorted(tasks):
-                result = tasks.pop(cid).result()
-                spans += result.spans
-                yield cid, result.reply or b""
+            while taken:
+                yield reply()
         finally:  # no task of this round outlives it, even when admission fails
             wait(tasks.values())
 

@@ -123,43 +123,67 @@ def test_the_token_window_bounds_outstanding_sign_steps(set_cpus, monkeypatch):
     assert max(outstanding) <= 2 * protocol.client_workers(num_clients) == 2
 
 
+def recorded_hand_outs(monkeypatch, server):
+    """For each upload room the run takes, as a client is handed to the pool
+    or its stack is trained, how many clients had a room then and had not
+    yet signed, that client included."""
+    rooms, signed, outstanding = [], [], []
+    upload_room, sign = protocol.upload_room, sig.sign
+
+    def counting_room(client, *args):
+        rooms.append(client.client_id)
+        outstanding.append(len(rooms) - len(signed))
+        return upload_room(client, *args)
+
+    def slow_sign(keypair, message):
+        if keypair.public_key == server.keypair.public_key:
+            return sign(keypair, message)
+        time.sleep(0.002)  # so that, with no window, every client would be outstanding
+        signature = sign(keypair, message)
+        signed.append(keypair.public_key)
+        return signature
+
+    monkeypatch.setattr(protocol, "upload_room", counting_room)
+    monkeypatch.setattr(sig, "sign", slow_sign)
+    return outstanding
+
+
 def channel_calls_in_order(monkeypatch, num_clients):
     """Run 2 rounds of `num_clients` and check that every channel call came
     from the calling thread in one order: each round's broadcasts, then its
-    replies, in ascending id. Returns, for each broadcast, how many clients
-    were handed out and not yet trained once it was made."""
-    calls, stacks, handed_out = [], recorded_stacks(monkeypatch), []
+    replies, in ascending id. Returns `recorded_hand_outs` of the run."""
+    calls = []
 
     class Recording(channel.Channel):
         def deliver(self, msg, direction, client_id):
             calls.append((threading.get_ident(), direction, client_id))
-            if direction == Direction.SERVER_TO_CLIENT:  # this client's, and those untrained
-                trained = sum(len(ids) for ids, *_ in stacks)
-                handed_out.append(sum(d == direction for _, d, _ in calls) - trained)
             return super().deliver(msg, direction, client_id)
 
     server, clients = build_sim(num_clients, num_rounds=2)
+    outstanding = recorded_hand_outs(monkeypatch, server)
     protocol.run_training(server, clients, Recording())
     ids = list(range(1, num_clients + 1))
     one_round = [(Direction.SERVER_TO_CLIENT, cid) for cid in ids]
     one_round += [(Direction.CLIENT_TO_SERVER, cid) for cid in ids]
     assert [call[1:] for call in calls] == 2 * one_round
     assert {call[0] for call in calls} == {threading.get_ident()}
-    return handed_out
+    assert len(outstanding) == 2 * num_clients
+    return outstanding
 
 
 def test_channel_is_used_only_by_the_calling_thread_in_order(set_cpus, monkeypatch):
     set_cpus(4)
     monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 0)  # each client trains alone
-    handed_out = channel_calls_in_order(monkeypatch, 12)
-    # a broadcast is made only once fewer than 2 per worker are queued or running
-    assert max(handed_out) <= 2 * protocol.client_workers(12) == 8
+    outstanding = channel_calls_in_order(monkeypatch, 12)
+    # every broadcast is delivered at the start of the round, but a client is
+    # handed out only once fewer than 2 per worker are queued or running
+    assert max(outstanding) <= 2 * protocol.client_workers(12) == 8
 
 
 def test_stacked_clients_use_the_channel_on_the_calling_thread_in_order(set_cpus, monkeypatch):
     set_cpus(4)
-    handed_out = channel_calls_in_order(monkeypatch, 12)
-    assert max(handed_out) == 12  # one stack holds every client of a round
+    outstanding = channel_calls_in_order(monkeypatch, 12)
+    assert max(outstanding) == 12  # one stack holds every client of a round
 
 
 def test_a_stack_widens_the_token_window_to_its_size(set_cpus, monkeypatch):
@@ -168,27 +192,10 @@ def test_a_stack_widens_the_token_window_to_its_size(set_cpus, monkeypatch):
     server, clients = build_sim(num_clients, num_rounds=1)
     pass_size = clients[0].cfg.batch_size * clients[0].architecture.param_count
     monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 3 * pass_size + 1)  # stacks of 3
-    stacks, signed, outstanding = recorded_stacks(monkeypatch), [], []
-    sign = sig.sign
-
-    def slow_sign(keypair, message):
-        if keypair.public_key == server.keypair.public_key:
-            return sign(keypair, message)
-        time.sleep(0.002)
-        signature = sign(keypair, message)
-        signed.append(keypair.public_key)
-        return signature
-
-    class Recording(channel.Channel):
-        def deliver(self, msg, direction, client_id):
-            if direction == Direction.SERVER_TO_CLIENT:  # this client, and those not yet signed
-                outstanding.append(client_id - len(signed))
-            return super().deliver(msg, direction, client_id)
-
-    monkeypatch.setattr(sig, "sign", slow_sign)
-    protocol.run_training(server, clients, Recording())
+    stacks, outstanding = recorded_stacks(monkeypatch), recorded_hand_outs(monkeypatch, server)
+    protocol.run_training(server, clients)
     assert [ids for ids, *_ in stacks] == [[1, 2, 3], [4, 5, 6], [7, 8]]
-    assert len(signed) == num_clients
+    assert len(outstanding) == num_clients
     # one stack, more than the 2 per worker that clients training alone get
     assert max(outstanding) == 3 > 2 * protocol.client_workers(num_clients)
 

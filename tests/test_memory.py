@@ -1,7 +1,7 @@
 """Memory bounds: set-up builds its float32 outputs without float64 copies of
 them, splitting copies no sample, evaluation holds one hidden activation, a
-run holds at most one round's uploads and each client worker's working
-vectors, a replay run's memory does not grow with its rounds, round spans
+run holds the uploads of the client window, not of every client, and each
+client worker's working vectors, a replay run's memory does not grow with its rounds, round spans
 are kept packed, SLH-DSA reads each message in place, as does the
 digest of a sealed upload's payload, and signing keys live only as long as
 their key pairs.
@@ -65,30 +65,46 @@ def test_forward_loss_holds_one_hidden_activation():
     assert peak <= 1.25 * activation, f"forward_loss peaked at {peak / activation:.2f}x one activation"
 
 
+def run_peak(clients, channel_=None, rounds=3):
+    """(traced peak, result, payload size) of a `rounds`-round 784-256-5 run
+    of `clients` with a fixed 128-row evaluation set, on the client workers
+    the CPU affinity mask allows."""
+    data = fedcore.generate_synthetic(16 * clients, 784, 5, seed=2)
+    shards = fedcore.split_iid(data, clients, seed=3)
+    model = fedcore.init_model(LARGE, seed=1)
+    cfg = TrainConfig(num_clients=clients, num_rounds=rounds, batch_size=16, seed=1)
+    server, parties, _ = protocol.setup_keys(
+        cfg, SchemeId.TEST_SCHEME, 1, model, shards,
+        eval_data=fedcore.generate_synthetic(128, 784, 5, seed=4),
+    )
+    peak, result = traced_peak(lambda: protocol.run_training(server, parties, channel_))
+    return peak, result, model.params.encoded_len
+
+
+def round_bound(workers):
+    """The payloads a run may hold at once, whatever its client count: the
+    global model, its broadcast and the round's running sum, and for each
+    of the 2 clients per worker that may hold a slot of the window, an
+    upload room (in which a client trains), and a gradient for the one
+    that trains; half a payload covers everything smaller, such as the
+    evaluation's activations and the round's spans."""
+    return 3 + 3 * workers + 0.5
+
+
 def test_run_holds_at_most_one_round_of_uploads(monkeypatch):
-    clients = 8
+    # and no more than the client window's: the bound has no client count in it
     for cpus in 1, 2:  # the CPUs the process may run on, one client worker each
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        workers = protocol.client_workers(clients)
-        assert workers == cpus
-        data = fedcore.generate_synthetic(16 * clients, 784, 5, seed=2)
-        shards = fedcore.split_iid(data, clients, seed=3)
-        model = fedcore.init_model(LARGE, seed=1)
-        cfg = TrainConfig(num_clients=clients, num_rounds=3, batch_size=16, seed=1)
-        server, parties, _ = protocol.setup_keys(
-            cfg, SchemeId.TEST_SCHEME, 1, model, shards, eval_data=data
-        )
-        peak, result = traced_peak(lambda: protocol.run_training(server, parties))
-        assert [o.verified_count for o in result.outcomes] == [clients] * 3
-        # Beyond one round's uploads: the broadcast, the previous global model
-        # and two working vectors per worker (a client's parameters and
-        # gradient, or the sum that aggregation builds). Holding the previous
-        # round's uploads too would add `clients` more.
-        payload = model.params.encoded_len
-        allowed = (clients + 2 + 2 * workers) * payload
-        assert peak <= allowed, (
-            f"a 3-round run on {workers} workers peaked at {peak / payload:.2f} payloads"
-        )
+        for clients in 8, 32:
+            workers = protocol.client_workers(clients)
+            assert workers == cpus
+            peak, result, payload = run_peak(clients)
+            assert [o.verified_count for o in result.outcomes] == [clients] * 3
+            # holding each round's uploads until it is aggregated would add `clients`
+            assert peak <= round_bound(workers) * payload, (
+                f"a 3-round run of {clients} clients on {workers} workers peaked at "
+                f"{peak / payload:.2f} payloads"
+            )
 
 
 def test_replay_run_memory_is_flat_in_rounds():

@@ -1,8 +1,10 @@
-"""One admission loop and one delivery path.
+"""One admission loop, one delivery path and one accumulation path.
 
 The server admits uploads in `server_collect_and_verify` alone, as the round
-driver (`_run_rounds`) alone delivers messages through the channel. So a
-second, batch admission path cannot come back beside the streamed one.
+driver (`_run_rounds`) alone delivers messages through the channel, and
+`fedcore.RunningSum.add` alone adds an update's delta into a sum. So a
+second, batch admission path cannot come back beside the streamed one, nor
+a sorted-batch sum beside the running one.
 """
 
 import ast
@@ -37,6 +39,27 @@ def _delivers(node: ast.AST) -> bool:
     )
 
 
+def _operands_of_a_sum(node: ast.AST) -> list[ast.AST]:
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+        return [node.value]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return [node.left, node.right]
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("sum", "add", "fsum"):
+            return [*node.args, *(k.value for k in node.keywords)]
+    return []
+
+
+def _adds_a_delta(node: ast.AST) -> bool:
+    return any(
+        isinstance(sub, ast.Attribute) and sub.attr == "delta"
+        for operand in _operands_of_a_sum(node)
+        for sub in ast.walk(operand)
+    )
+
+
 def functions_that(found, source: str) -> list[str]:
     """The top-level functions and methods of `source` in which `found` holds for some node."""
     return [
@@ -66,6 +89,28 @@ def test_the_walker_finds_every_use():
     assert functions_that(_delivers, source) == ["drive", "Batch.admit"]
 
 
+def test_the_walker_finds_every_sum_of_deltas():
+    source = (
+        "class RunningSum:\n"
+        "    def add(self, update):\n"
+        "        self._acc += update.delta.values\n"
+        "def batch(updates):\n"
+        "    return sum(u.delta.values for u in updates)\n"
+        "def pairwise(a, b):\n"
+        "    return a.delta.values + b.delta.values\n"
+        "def numpy_add(acc, u):\n"
+        "    np.add(acc, u.delta.values, out=acc)\n"
+        "def fold(total, updates):\n"
+        "    for u in updates:\n"
+        "        total.add(u)\n"
+        "        ids.add(u.client_id)\n"
+        "    acc = acc + other\n"
+    )
+    assert functions_that(_adds_a_delta, source) == [
+        "RunningSum.add", "batch", "pairwise", "numpy_add",
+    ]
+
+
 def test_one_function_admits_uploads_and_one_delivers():
     admits, delivers = [], []
     for path in sorted(SRC.glob("*.py")):
@@ -74,3 +119,10 @@ def test_one_function_admits_uploads_and_one_delivers():
         delivers += [f"{path.name}:{name}" for name in functions_that(_delivers, source)]
     assert admits == ["protocol.py:server_collect_and_verify"]
     assert delivers == ["protocol.py:_run_rounds"]
+
+
+def test_one_function_adds_deltas_into_a_sum():
+    adders = []
+    for path in sorted(SRC.glob("*.py")):
+        adders += [f"{path.name}:{name}" for name in functions_that(_adds_a_delta, path.read_text())]
+    assert adders == ["fedcore.py:RunningSum.add"]

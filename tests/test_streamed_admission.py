@@ -1,6 +1,7 @@
 """Streamed admission: the server admits each upload as soon as that client
-and every lower id are done, while later clients still train or sign, and
-it keeps every rule and bound of admitting a whole round at once.
+and every lower id are done, while later clients still train, sign or wait
+to be handed out, and it keeps every rule of admitting a whole round at
+once, while holding the uploads of the client window only.
 
 Every in-process test patches the CPU affinity mask, so the pool has the
 size under test on any machine.
@@ -56,6 +57,19 @@ def slow_sign_for(monkeypatch, keypairs, seconds, signed=None):
 
 def phase_spans(spans, party, phase):
     return spans[(spans["party"] == party) & (spans["phase"] == phase)]
+
+
+def recorded_hand_outs(monkeypatch):
+    """{client id: time} of each upload room taken, as the client is handed
+    to the pool or its stack is trained."""
+    taken, upload_room = {}, protocol.upload_room
+
+    def recording(client, *args):
+        taken[client.client_id] = time.perf_counter()
+        return upload_room(client, *args)
+
+    monkeypatch.setattr(protocol, "upload_room", recording)
+    return taken
 
 
 @PLACEMENTS
@@ -117,36 +131,38 @@ def test_admission_pulls_one_upload_at_a_time_with_the_result_of_a_list():
 
 
 def test_a_bitflip_run_holds_at_most_one_round_of_uploads_and_one_more(monkeypatch):
-    clients = 8
     for cpus in 1, 2:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        workers = protocol.client_workers(clients)
-        data = fedcore.generate_synthetic(16 * clients, 784, 5, seed=2)
-        shards = fedcore.split_iid(data, clients, seed=3)
-        model = fedcore.init_model(LARGE, seed=1)
-        cfg = TrainConfig(num_clients=clients, num_rounds=3, batch_size=16, seed=1)
-        server, parties, _ = protocol.setup_keys(
-            cfg, SchemeId.TEST_SCHEME, 1, model, shards, eval_data=data
-        )
-        chan = channel.Channel(channel.AttackConfig(kind=channel.AttackKind.BITFLIP, seed=5))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            result = protocol.run_training(server, parties, chan)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert [o.verified_count for o in result.outcomes] == [0] * 3
-        assert chan.stats.tampered == 3 * clients
-        # test_memory's bound for an honest run, and the flipped copy of one
-        # upload: each original is let go once its copy is delivered, and
-        # each copy once it is refused
-        payload = model.params.encoded_len
-        allowed = (clients + 2 + 2 * workers + 1) * payload
-        assert peak <= allowed, (
-            f"a 3-round bitflip run on {workers} workers peaked at {peak / payload:.2f} payloads"
-        )
+        for clients in 8, 32:
+            workers = protocol.client_workers(clients)
+            data = fedcore.generate_synthetic(16 * clients, 784, 5, seed=2)
+            shards = fedcore.split_iid(data, clients, seed=3)
+            model = fedcore.init_model(LARGE, seed=1)
+            cfg = TrainConfig(num_clients=clients, num_rounds=3, batch_size=16, seed=1)
+            server, parties, _ = protocol.setup_keys(
+                cfg, SchemeId.TEST_SCHEME, 1, model, shards,
+                eval_data=fedcore.generate_synthetic(128, 784, 5, seed=4),
+            )
+            chan = channel.Channel(channel.AttackConfig(kind=channel.AttackKind.BITFLIP, seed=5))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                result = protocol.run_training(server, parties, chan)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert [o.verified_count for o in result.outcomes] == [0] * 3
+            assert chan.stats.tampered == 3 * clients
+            # test_memory's bound for an honest run, 3 + 3 per worker and a
+            # half, and the flipped copy of one upload: each original is let
+            # go once its copy is delivered, and each copy once it is refused
+            payload = model.params.encoded_len
+            allowed = (3 + 3 * workers + 0.5 + 1) * payload
+            assert peak <= allowed, (
+                f"a 3-round bitflip run of {clients} clients on {workers} workers peaked at "
+                f"{peak / payload:.2f} payloads"
+            )
 
 
 @PLACEMENTS
@@ -156,7 +172,7 @@ def test_a_failing_admission_surfaces_once_the_rounds_clients_are_done(
     set_cpus(1)
     monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", prepare_below)
     server, clients = build_sim()
-    signed = []
+    signed, handed_out = [], recorded_hand_outs(monkeypatch)
     slow_sign_for(monkeypatch, [c.keypair for c in clients], 0.01, signed)
     verify, client_1 = sig.verify, clients[0].keypair.public_key
 
@@ -169,6 +185,20 @@ def test_a_failing_admission_surfaces_once_the_rounds_clients_are_done(
     with pytest.raises(RuntimeError, match="verifier failed") as raised:
         protocol.run_training(server, clients)
     # `raised` keeps the failed round's frames, and so its exchange, alive: a
-    # client still signing now would not have been waited for. With two tasks
-    # per worker outstanding, one was still signing when upload 1 was admitted.
-    assert len(signed) == len(clients), raised
+    # client still signing now would not have been waited for. With two
+    # clients per worker in the window, one was still signing when upload 1
+    # was admitted. The clients not yet handed out never ran.
+    assert len(signed) == len(handed_out), raised
+    assert sorted(handed_out) == [c.client_id for c in clients[: len(handed_out)]]
+
+
+def test_uploads_are_admitted_while_later_clients_are_still_handed_out(set_cpus, monkeypatch):
+    set_cpus(1)
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 0)  # each client on the pool
+    server, clients = build_sim(num_clients=8)
+    handed_out = recorded_hand_outs(monkeypatch)
+    slow_sign_for(monkeypatch, [c.keypair for c in clients], 0.01)
+    spans = protocol.run_training(server, clients).outcomes[0].spans
+    assert sorted(handed_out) == [c.client_id for c in clients]
+    first_verify = phase_spans(spans, SERVER_ID, Phase.VERIFY)["start"].min()
+    assert first_verify < max(handed_out.values())
