@@ -807,7 +807,7 @@ def run_training(
         try:
             for cid, frame in frames:
                 while len(taken) == window or lowest_done():
-                    if len(stack) == window:  # the lowest id is stacked, not handed out
+                    if taken[0] not in tasks:  # the lowest id is stacked, not handed out
                         flush()
                     yield reply()
                 taken.append(cid)

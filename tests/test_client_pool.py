@@ -37,10 +37,10 @@ def build_sim(num_clients=CLIENTS, num_rounds=3, scheme=SchemeId.TEST_SCHEME, la
     return protocol.build_run(protocol.RunSpec(cfg, scheme, (hidden,), 240, features, classes))
 
 
-def observed(attack):
+def observed(attack, num_clients=CLIENTS):
     """Final params and, per round, the (sender, reason) rejections and the
     skipped ids of one seeded run."""
-    server, clients = build_sim()
+    server, clients = build_sim(num_clients)
     chan = channel.Channel(attack and dataclasses.replace(parse_attack(attack), seed=7))
     result = protocol.run_training(server, clients, chan)
     rounds = [
@@ -198,6 +198,22 @@ def test_a_stack_widens_the_token_window_to_its_size(set_cpus, monkeypatch):
     assert len(outstanding) == num_clients
     # one stack, more than the 2 per worker that clients training alone get
     assert max(outstanding) == 3 > 2 * protocol.client_workers(num_clients)
+
+
+def test_a_full_window_of_stacks_and_sat_out_clients_gives_the_pooled_result(set_cpus, monkeypatch):
+    # A client that refuses its broadcast holds a slot but joins no stack, so
+    # the window can fill while its lowest id still waits in the stack.
+    set_cpus(1)
+    num_clients = 10
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 0)
+    pooled = observed("bitflip:p=0.5:direction=s2c", num_clients)
+    _, clients = build_sim(num_clients, num_rounds=1)
+    pass_size = clients[0].cfg.batch_size * clients[0].architecture.param_count
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 3 * pass_size + 1)  # stacks of 3
+    stacks = recorded_stacks(monkeypatch)
+    assert observed("bitflip:p=0.5:direction=s2c", num_clients) == pooled
+    assert max(len(ids) for ids, *_ in stacks) == 3
+    assert any(skipped for _, skipped in pooled[1])  # the attack made clients sit out
 
 
 def test_lowest_diverging_client_raises_its_own_failure(set_cpus):

@@ -1,7 +1,8 @@
 """Memory bounds: set-up builds its float32 outputs without float64 copies of
 them, splitting copies no sample, evaluation holds one hidden activation, a
 run holds the uploads of the client window, not of every client, and each
-client worker's working vectors, a replay run's memory does not grow with its rounds, round spans
+client worker's working vectors, a tampered broadcast copy per client at
+most, a replay run's memory does not grow with its rounds, round spans
 are kept packed, SLH-DSA reads each message in place, as does the
 digest of a sealed upload's payload, and signing keys live only as long as
 their key pairs.
@@ -103,6 +104,30 @@ def test_run_holds_at_most_one_round_of_uploads(monkeypatch):
             # holding each round's uploads until it is aggregated would add `clients`
             assert peak <= round_bound(workers) * payload, (
                 f"a 3-round run of {clients} clients on {workers} workers peaked at "
+                f"{peak / payload:.2f} payloads"
+            )
+
+
+def test_a_tampered_broadcast_run_holds_at_most_one_copy_per_client(monkeypatch):
+    # Every broadcast is delivered at the start of the round, and a tampered
+    # one is a copy, held until its client is handed out: this is the one
+    # part of a run's memory that grows with its client count.
+    for cpus in 1, 2:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        for clients in 8, 32:
+            workers = protocol.client_workers(clients)
+            chan = channel.Channel(channel.AttackConfig(
+                kind=channel.AttackKind.BITFLIP, direction=channel.Direction.SERVER_TO_CLIENT,
+                probability=0.5, seed=5,
+            ))
+            peak, result, payload = run_peak(clients, chan)
+            # each tampered broadcast is refused, so its client sits out
+            skipped = [len(o.skipped_clients) for o in result.outcomes]
+            assert chan.stats.tampered == sum(skipped) > 0
+            # an honest run's bound, and one copy for each tampered broadcast of a round
+            assert peak <= (round_bound(workers) + max(skipped)) * payload, (
+                f"a 3-round s2c bitflip run of {clients} clients on {workers} workers, "
+                f"at most {max(skipped)} tampered broadcasts a round, peaked at "
                 f"{peak / payload:.2f} payloads"
             )
 
