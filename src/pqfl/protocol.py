@@ -19,16 +19,16 @@ then each reply as the server pulls it. The transports differ only in the
 exchange that carries the broadcasts out and the replies back. The exchange
 yields each reply as soon as it and every lower client id's are in, and the
 server admits it then, adding its delta to the round's running sum
-(`fedcore.RunningSum`), while later clients still train or sign, or wait
-to be handed out. In process, the clients
-run on a pool of one thread per usable CPU (`client_workers`), which the
-process keeps from round to round; for a small model, whose training gains
-nothing from threads, the driver's thread admits each client's broadcast,
-trains the admitted clients in stacks, several clients in one numpy pass
-(`fedcore.train_stack`), as far as `_PREPARE_ON_DRIVER_BELOW` allows, and
-lays out their uploads; only the sign steps go to the pool. Over TCP, each
-client has its own socket and thread after a signed key announce, with
-every socket on both sides waiting at most `channel.IO_TIMEOUT_S` (30 s).
+(`fedcore.RunningSum`), while later clients still train or sign, or wait to
+be handed out. In process, a run plans once how its clients are handed out
+(`_hand_outs`) to a pool of one thread per usable CPU (`client_workers`),
+kept from round to round: a large model's client alone, its whole round on
+the pool; a small model's, whose training gains nothing from threads, in
+stacks as far as `_PREPARE_ON_DRIVER_BELOW` allows, which the driver's
+thread admits, trains in one numpy pass (`fedcore.train_stack`) and lays
+out, so that only the sign steps go to the pool. Over TCP, each client has
+its own socket and thread after a signed key announce, with every socket on
+both sides waiting at most `channel.IO_TIMEOUT_S` (30 s).
 
 Each envelope is signed in a room (`codec.envelope_room`) that `codec.seal`
 writes into: a broadcast's from `ServerState.broadcasts`, an upload's from
@@ -50,6 +50,7 @@ import collections
 import contextlib
 import enum
 import functools
+import itertools
 import logging
 import math
 import os
@@ -518,10 +519,10 @@ def client_process_round(
 Admitted = tuple[ClientState, GlobalModel, list[Span]]
 
 
-def _train_stack(stack: list[Admitted]) -> list[Callable[[], ClientRoundResult]]:
-    """Train `stack`, clients that share a `_stack_key`, in one
+def _train_stack(stack: list[Admitted]) -> dict[int, Callable[[], ClientRoundResult]]:
+    """Train `stack`, the admitted clients of one stack (`_hand_outs`), in one
     `fedcore.train_stack` call, and lay each delta out in an `upload_room` of
-    its client's own. Returns each client's sign step, in stack order. The
+    its client's own. Returns each client's sign step by client id. The
     call's time is split into equal TRAIN spans, one after another, in stack
     order, that add up to it."""
     first = stack[0][0]
@@ -535,11 +536,11 @@ def _train_stack(stack: list[Admitted]) -> list[Callable[[], ClientRoundResult]]
         [client.client_id for client, _, _ in stack],
     )
     share = (time.perf_counter() - t0) / len(stack)
-    steps = []
+    steps = {}
     for i, ((client, model, spans), delta) in enumerate(zip(stack, deltas)):
         spans.append((client.client_id, Phase.TRAIN, t0 + i * share, share))
         update = ModelUpdate(codec.ParameterVector(delta, delta.shape), client.client_id, model.round)
-        steps.append(_upload(client, update, spans, upload_room(client)))
+        steps[client.client_id] = _upload(client, update, spans, upload_room(client))
     return steps
 
 
@@ -704,9 +705,8 @@ def _run_rounds(
             (cid, chan.deliver(dist_blob, Direction.SERVER_TO_CLIENT, cid)) for cid in client_ids
         )
         skipped: list[int] = []
-        taken = (frames.popleft() for _ in client_ids)
         # closed here, not at garbage collection, so a failed admission waits for the clients
-        with contextlib.closing(exchange(taken, spans)) as replies:
+        with contextlib.closing(exchange((frames.popleft() for _ in client_ids), spans)) as replies:
             outcome = finish_round(server, delivered(replies, skipped), dist_env, spans,
                                    skipped, wall_start)
         del dist_env, dist_blob  # so that the next broadcast can reuse their buffer
@@ -752,9 +752,18 @@ def _stack_size(client: ClientState) -> int:
     return max(0, (_PREPARE_ON_DRIVER_BELOW - 1) // pass_size)
 
 
-def _stack_key(client: ClientState) -> tuple:
-    """Clients with equal keys may train in one stack."""
-    return client.cfg, client.architecture, fedcore.shard_key(client.dataset)
+def _hand_outs(clients: Iterable[ClientState]) -> list[list[ClientState]]:
+    """`clients` in ascending id, cut into the hand-outs of every round: a
+    client whose `_stack_size` is 0 alone, to run its round on the pool; the
+    others in stacks of at most `_stack_size` consecutive clients with one
+    `cfg`, architecture and `fedcore.shard_key`, to train in one call."""
+    hand_outs, ordered = [], sorted(clients, key=lambda c: c.client_id)
+    for _, run in itertools.groupby(
+            ordered, lambda c: (c.cfg, c.architecture, fedcore.shard_key(c.dataset))):
+        run = list(run)  # its clients share a cfg and an architecture, so a `_stack_size`
+        size = _stack_size(run[0]) or 1
+        hand_outs += (run[i : i + size] for i in range(0, len(run), size))
+    return hand_outs
 
 
 def run_training(
@@ -763,73 +772,63 @@ def run_training(
     chan: _channel.Channel | None = None,
 ) -> TrainingResult:
     """Run the configured number of rounds over the in-process channel, the
-    clients of each round on `client_workers(len(clients))` threads. For a
-    small model (`_PREPARE_ON_DRIVER_BELOW`) only their sign steps go to the
-    pool: the driver's thread admits each client's broadcast and trains the
-    admitted clients in stacks, `_train_stack`. Between hand-outs, and once
-    every client is handed over, the driver's thread admits each upload as
-    soon as that client and every lower id are done."""
-    by_id = {c.client_id: c for c in clients}
+    clients of each round on `client_workers(len(clients))` threads, handed
+    out as `_hand_outs` plans once for the run. A large model's client runs
+    its whole round on the pool. For a small model (`_PREPARE_ON_DRIVER_BELOW`)
+    only the sign steps go to the pool: the driver's thread admits the
+    broadcast of each client of a stack and trains the admitted ones in one
+    call, `_train_stack`. Before each hand-out, and once every client is
+    handed out, the driver's thread admits each upload as soon as that
+    client and every lower id are done."""
     workers = client_workers(len(clients))
     pool = _client_pool(workers)
     window = max(2 * workers, min(len(clients), max(map(_stack_size, clients), default=0)))
+    hand_outs = _hand_outs(clients)
 
     def exchange(frames: Iterator[Addressed], spans: list[Span]) -> Generator[Addressed, None, None]:
-        # A client holds one of `window` slots from when it is handed out
-        # until its reply is yielded: 2 per worker, so that a worker that
-        # finishes finds the next client queued, or one stack if that is
-        # more. Each reply is yielded in ascending id as soon as it and every
-        # lower id's are done, between hand-outs, so a round holds the
-        # uploads of the clients in the window, not of all of them. Each
-        # client's upload room is taken here, as it is handed out, as memory
-        # a pool thread allocated stays in its arena. A client or stack that
-        # fails raises once the replies before it are yielded; the clients
-        # not yet handed out then never run.
-        tasks: dict[int, Future[ClientRoundResult]] = {}
-        taken: collections.deque[int] = collections.deque()  # the slots' ids, ascending
-        stack: list[Admitted] = []
-
-        def flush() -> None:  # train the stack and hand its sign steps to the pool
-            if stack:
-                for (client, _, _), sign in zip(stack, _train_stack(stack)):
-                    tasks[client.client_id] = pool.submit(sign)
-                stack.clear()
+        # A hand-out takes its clients' frames once `window` has room for them:
+        # 2 per worker, so that a worker that finishes finds the next client
+        # queued, or one stack if that is more. A client stays in `queued`, in
+        # ascending id, until its reply is yielded, as soon as it and every
+        # lower id's are done, so a round holds the uploads of the window's
+        # clients, not of all of them. Upload rooms are taken here, as memory
+        # a pool thread allocated stays in its arena. A failing client or
+        # stack raises once the replies before it are yielded; the clients not
+        # yet handed out then never run.
+        queued: collections.deque[tuple[int, Future[ClientRoundResult]]] = collections.deque()
 
         def reply() -> Addressed:  # the lowest id's, once it is done; a Future keeps its result
-            cid = taken.popleft()
-            result = tasks.pop(cid).result()
+            cid, task = queued.popleft()
+            result = task.result()
             spans.extend(result.spans)
             return cid, result.reply or b""
 
-        def lowest_done() -> bool:
-            return bool(taken) and taken[0] in tasks and tasks[taken[0]].done()
-
-        try:
-            for cid, frame in frames:
-                while len(taken) == window or lowest_done():
-                    if taken[0] not in tasks:  # the lowest id is stacked, not handed out
-                        flush()
-                    yield reply()
-                taken.append(cid)
-                client = by_id[cid]
-                if not _stack_size(client):
-                    tasks[cid] = pool.submit(client_process_round, client, frame, upload_room(client))
-                    continue
+        def hand_out(group: list[ClientState]) -> list[tuple[int, Future[ClientRoundResult]]]:
+            steps: dict[int, Callable[[], ClientRoundResult]] = {}
+            admitted: list[Admitted] = []
+            for client, (_, frame) in zip(group, frames):
                 client_spans: list[Span] = []
+                if not _stack_size(client):  # alone, its whole round on the pool
+                    steps[client.client_id] = functools.partial(
+                        client_process_round, client, frame, upload_room(client))
+                    continue
                 try:
                     model = _admit_broadcast(client, frame, client_spans)
+                    admitted.append((client, model, client_spans))
                 except Refused as exc:
-                    tasks[cid] = pool.submit(_sat_out(client, client_spans, exc))
-                    continue
-                if stack and (_stack_key(stack[0][0]) != _stack_key(client)
-                              or len(stack) == _stack_size(client)):
-                    flush()
-                stack.append((client, model, client_spans))
-            flush()
-            while taken:
-                yield reply()
+                    steps[client.client_id] = _sat_out(client, client_spans, exc)
+            if admitted:
+                steps.update(_train_stack(admitted))
+            return [(cid, pool.submit(steps[cid])) for cid in sorted(steps)]
+
+        try:
+            for group in [*hand_outs, []]:  # the empty last one waits for every reply left
+                while queued and (not group or len(queued) + len(group) > window
+                                  or queued[0][1].done()):
+                    yield reply()
+                queued.extend(hand_out(group))
         finally:  # no task of this round outlives it, even when admission fails
-            wait(tasks.values())
+            wait([task for _, task in queued])
 
     return _run_rounds(server, clients, chan or _channel.Channel(), exchange)
 

@@ -27,6 +27,8 @@ from pqfl.protocol import (
 )
 from pqfl.sig import SchemeId, SignatureBytes
 
+from conftest import flip_bit
+
 MASTER = 20240917
 ALL = list(sig.ALL_SCHEMES)
 PQC = list(sig.PQC_SCHEMES)
@@ -35,12 +37,6 @@ PQC = list(sig.PQC_SCHEMES)
 def desk_sim(scheme, num_clients=10, num_rounds=10, options=ProtocolOptions()):
     cfg = TrainConfig(num_clients=num_clients, num_rounds=num_rounds, seed=MASTER)
     return build_run(RunSpec(cfg, scheme, (24,), 600, 12, 4, options=options))
-
-
-def flip_bit(data: bytes, pos: int) -> bytes:
-    out = bytearray(data)
-    out[pos // 8] ^= 1 << (pos % 8)
-    return bytes(out)
 
 
 # --- criterion 1: signature correctness suite --------------------------------------

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from pqfl import channel, codec, fedcore, protocol, sig
+from pqfl import channel, codec, protocol, sig
 from pqfl.channel import (
     AttackConfig,
     AttackKind,
@@ -29,6 +29,8 @@ from pqfl.errors import ConnectionFailed, FrameTooLarge, NonFiniteGradient, Peer
 from pqfl.fedcore import TrainConfig
 from pqfl.protocol import ProtocolOptions, RejectReason, run_training, run_training_tcp
 from pqfl.sig import SchemeId
+
+from conftest import honest_update
 
 MASTER = 42
 
@@ -112,10 +114,7 @@ def test_substitute_requires_poison():
 
 def test_substitute_keeps_original_signature():
     server, clients = build_sim()
-    env = protocol.distribute_model(server)
-    model = protocol.client_receive_model(clients[0], env)
-    update = fedcore.local_train(model, clients[0].dataset, clients[0].cfg, 1, 1)
-    blob = codec.encode_envelope(protocol.client_submit_update(clients[0], update))
+    blob, update = honest_update(clients[0], server)
 
     poison = ParameterVector(-update.delta.values, update.delta.shape)
     forged = substitute_update(blob, poison)
@@ -133,10 +132,7 @@ def test_substitute_with_identical_bytes_passes():
     # signatures verify bytes, not intent: replacing a payload with the
     # byte-identical payload is undetectable
     server, clients = build_sim()
-    blob_env = protocol.distribute_model(server)
-    model = protocol.client_receive_model(clients[0], blob_env)
-    update = fedcore.local_train(model, clients[0].dataset, clients[0].cfg, 1, 1)
-    blob = codec.encode_envelope(protocol.client_submit_update(clients[0], update))
+    blob, update = honest_update(clients[0], server)
     same = substitute_update(blob, update.delta)
     assert same == blob
     verified, rejections, _, _ = protocol.server_collect_and_verify(server, [same])
@@ -145,10 +141,7 @@ def test_substitute_with_identical_bytes_passes():
 
 def test_strip_attack_rejected_at_server():
     server, clients = build_sim()
-    env = protocol.distribute_model(server)
-    model = protocol.client_receive_model(clients[0], env)
-    update = fedcore.local_train(model, clients[0].dataset, clients[0].cfg, 1, 1)
-    blob = codec.encode_envelope(protocol.client_submit_update(clients[0], update))
+    blob, _ = honest_update(clients[0], server)
     bare = strip_signature(blob)
     assert codec.decode_envelope(bare).signature.data == b""
     verified, rejections, _, _ = protocol.server_collect_and_verify(server, [bare])
@@ -168,10 +161,7 @@ def test_replay_helper_uniform_choice():
 
 def test_replayed_prior_round_update_is_stale():
     server, clients = build_sim(num_rounds=2)
-    env = protocol.distribute_model(server)
-    model = protocol.client_receive_model(clients[0], env)
-    update = fedcore.local_train(model, clients[0].dataset, clients[0].cfg, 1, 1)
-    blob = codec.encode_envelope(protocol.client_submit_update(clients[0], update))
+    blob, _ = honest_update(clients[0], server)
     run_training(server, clients)  # now at round 2
     verified, rejections, _, _ = protocol.server_collect_and_verify(server, [blob])
     assert verified == []
@@ -180,10 +170,7 @@ def test_replayed_prior_round_update_is_stale():
 
 def test_replay_within_round_is_duplicate():
     server, clients = build_sim()
-    env = protocol.distribute_model(server)
-    model = protocol.client_receive_model(clients[0], env)
-    update = fedcore.local_train(model, clients[0].dataset, clients[0].cfg, 1, 1)
-    blob = codec.encode_envelope(protocol.client_submit_update(clients[0], update))
+    blob, _ = honest_update(clients[0], server)
     verified, rejections, _, _ = protocol.server_collect_and_verify(server, [blob, blob])
     assert len(verified) == 1
     assert [r.reason for r in rejections] == [RejectReason.DUPLICATE]

@@ -19,28 +19,16 @@ from pqfl.errors import NonFiniteGradient
 from pqfl.fedcore import TrainConfig
 from pqfl.sig import SchemeId
 
+from conftest import LARGE, build_sim, slow_sign_for
+
 MASTER = 42
 CLIENTS = 6
-
-
-@pytest.fixture
-def set_cpus(monkeypatch):
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-    return set_cpus
-
-
-def build_sim(num_clients=CLIENTS, num_rounds=3, scheme=SchemeId.TEST_SCHEME, layers=(8, 16, 3)):
-    features, hidden, classes = layers
-    cfg = TrainConfig(num_clients=num_clients, num_rounds=num_rounds, seed=MASTER)
-    return protocol.build_run(protocol.RunSpec(cfg, scheme, (hidden,), 240, features, classes))
 
 
 def observed(attack, num_clients=CLIENTS):
     """Final params and, per round, the (sender, reason) rejections and the
     skipped ids of one seeded run."""
-    server, clients = build_sim(num_clients)
+    server, clients = build_sim(num_clients, num_rounds=3)
     chan = channel.Channel(attack and dataclasses.replace(parse_attack(attack), seed=7))
     result = protocol.run_training(server, clients, chan)
     rounds = [
@@ -97,7 +85,7 @@ def test_the_token_window_bounds_outstanding_sign_steps(set_cpus, monkeypatch):
     monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 0)  # each client trains alone
     num_clients = 8
     trained, signed, outstanding = [], [], []
-    local_train, sign = fedcore.local_train, sig.sign
+    local_train = fedcore.local_train
 
     def counting_train(*args):
         # this client's slot, and each client prepared and not yet signed
@@ -106,45 +94,30 @@ def test_the_token_window_bounds_outstanding_sign_steps(set_cpus, monkeypatch):
         trained.append(update.client_id)
         return update
 
-    def slow_sign(keypair, message):
-        if keypair.public_key == server.keypair.public_key:
-            return sign(keypair, message)
-        time.sleep(0.002)
-        signature = sign(keypair, message)
-        signed.append(keypair.public_key)
-        return signature
-
     monkeypatch.setattr(fedcore, "local_train", counting_train)
-    monkeypatch.setattr(sig, "sign", slow_sign)
     server, clients = build_sim(num_clients, num_rounds=1)
+    slow_sign_for(monkeypatch, [c.keypair for c in clients], 0.002, signed)
     protocol.run_training(server, clients)
     # each sign step sleeps, so with no window all 8 would be outstanding
     assert len(signed) == num_clients
     assert max(outstanding) <= 2 * protocol.client_workers(num_clients) == 2
 
 
-def recorded_hand_outs(monkeypatch, server):
+def recorded_hand_outs(monkeypatch, clients):
     """For each upload room the run takes, as a client is handed to the pool
     or its stack is trained, how many clients had a room then and had not
     yet signed, that client included."""
     rooms, signed, outstanding = [], [], []
-    upload_room, sign = protocol.upload_room, sig.sign
+    upload_room = protocol.upload_room
 
     def counting_room(client, *args):
         rooms.append(client.client_id)
         outstanding.append(len(rooms) - len(signed))
         return upload_room(client, *args)
 
-    def slow_sign(keypair, message):
-        if keypair.public_key == server.keypair.public_key:
-            return sign(keypair, message)
-        time.sleep(0.002)  # so that, with no window, every client would be outstanding
-        signature = sign(keypair, message)
-        signed.append(keypair.public_key)
-        return signature
-
     monkeypatch.setattr(protocol, "upload_room", counting_room)
-    monkeypatch.setattr(sig, "sign", slow_sign)
+    # so that, with no window, every client would be outstanding
+    slow_sign_for(monkeypatch, [c.keypair for c in clients], 0.002, signed)
     return outstanding
 
 
@@ -160,7 +133,7 @@ def channel_calls_in_order(monkeypatch, num_clients):
             return super().deliver(msg, direction, client_id)
 
     server, clients = build_sim(num_clients, num_rounds=2)
-    outstanding = recorded_hand_outs(monkeypatch, server)
+    outstanding = recorded_hand_outs(monkeypatch, clients)
     protocol.run_training(server, clients, Recording())
     ids = list(range(1, num_clients + 1))
     one_round = [(Direction.SERVER_TO_CLIENT, cid) for cid in ids]
@@ -192,7 +165,7 @@ def test_a_stack_widens_the_token_window_to_its_size(set_cpus, monkeypatch):
     server, clients = build_sim(num_clients, num_rounds=1)
     pass_size = clients[0].cfg.batch_size * clients[0].architecture.param_count
     monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 3 * pass_size + 1)  # stacks of 3
-    stacks, outstanding = recorded_stacks(monkeypatch), recorded_hand_outs(monkeypatch, server)
+    stacks, outstanding = recorded_stacks(monkeypatch), recorded_hand_outs(monkeypatch, clients)
     protocol.run_training(server, clients)
     assert [ids for ids, *_ in stacks] == [[1, 2, 3], [4, 5, 6], [7, 8]]
     assert len(outstanding) == num_clients
@@ -201,8 +174,8 @@ def test_a_stack_widens_the_token_window_to_its_size(set_cpus, monkeypatch):
 
 
 def test_a_full_window_of_stacks_and_sat_out_clients_gives_the_pooled_result(set_cpus, monkeypatch):
-    # A client that refuses its broadcast holds a slot but joins no stack, so
-    # the window can fill while its lowest id still waits in the stack.
+    # Stacks of 3 fill the one worker's window, and a client that refuses its
+    # broadcast sits out while the rest of its stack trains.
     set_cpus(1)
     num_clients = 10
     monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 0)
@@ -216,9 +189,35 @@ def test_a_full_window_of_stacks_and_sat_out_clients_gives_the_pooled_result(set
     assert any(skipped for _, skipped in pooled[1])  # the attack made clients sit out
 
 
+def test_the_plan_cuts_ascending_ids_into_stacks_of_one_cfg_architecture_and_shard(monkeypatch):
+    def plan(clients):
+        return [[c.client_id for c in hand_out] for hand_out in protocol._hand_outs(clients)]
+
+    cfg = TrainConfig(num_clients=CLIENTS, num_rounds=1, seed=MASTER)
+    spec = protocol.RunSpec(cfg, SchemeId.TEST_SCHEME, (16,), 243, 8, 3)  # 41 or 40 samples
+    assert plan(protocol.build_run(spec)[1]) == [[1, 2, 3], [4, 5, 6]]
+
+    _, clients = build_sim(8, num_rounds=1)
+    pass_size = clients[0].cfg.batch_size * clients[0].architecture.param_count
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 3 * pass_size + 1)  # stacks of 3
+    assert plan(clients) == [[1, 2, 3], [4, 5, 6], [7, 8]]
+    shuffled = [clients[i] for i in (4, 0, 7, 2, 6, 1, 3, 5)]
+    assert plan(clients[::-1]) == plan(shuffled) == plan(clients)
+
+    def with_client_4(**changes):
+        return [dataclasses.replace(c, **changes) if c.client_id == 4 else c for c in clients]
+
+    own_cfg = dataclasses.replace(clients[3].cfg, learning_rate=0.5)
+    assert plan(with_client_4(cfg=own_cfg)) == [[1, 2, 3], [4], [5, 6, 7], [8]]
+    assert protocol._stack_size(with_client_4(architecture=LARGE)[3]) == 0  # trains on the pool
+    assert plan(with_client_4(architecture=LARGE)) == [[1, 2, 3], [4], [5, 6, 7], [8]]
+    monkeypatch.setattr(protocol, "_PREPARE_ON_DRIVER_BELOW", 0)  # every client on the pool
+    assert plan(clients) == [[cid] for cid in range(1, 9)]
+
+
 def test_lowest_diverging_client_raises_its_own_failure(set_cpus):
     set_cpus(4)
-    server, clients = build_sim()
+    server, clients = build_sim(num_rounds=3)
     for client in clients[2], clients[4]:  # clients 3 and 5
         client.cfg = dataclasses.replace(client.cfg, learning_rate=1e30)
     with pytest.raises(NonFiniteGradient, match="client 3 diverged"):
@@ -250,7 +249,7 @@ def test_pool_has_one_worker_per_cpu_and_no_more_than_clients(set_cpus, monkeypa
     monkeypatch.setattr(sig, "sign", recording_sign)
 
     # 8-16-3: the clients train in a stack on the calling thread and sign on the pool
-    server, clients = build_sim(num_clients=3)
+    server, clients = build_sim(num_clients=3, num_rounds=3)
     protocol.run_training(server, clients)
     client_signers = set().union(*(signed.pop(c.keypair.public_key) for c in clients))
     assert rounds == {} and trained == {caller}

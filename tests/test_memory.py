@@ -12,7 +12,6 @@ the 784-256-5 MLP (202,245 parameters, an 808,992-byte payload).
 """
 
 import gc
-import os
 import tracemalloc
 
 import pytest
@@ -22,19 +21,7 @@ from pqfl.errors import UnsupportedScheme
 from pqfl.fedcore import ModelArchitecture, TrainConfig
 from pqfl.sig import SchemeId
 
-LARGE = ModelArchitecture(784, (256,), 5)
-
-
-def traced_peak(fn):
-    """(bytes allocated at the peak of fn() beyond what was live before, result)."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = fn()
-        return tracemalloc.get_traced_memory()[1] - before, out
-    finally:
-        tracemalloc.stop()
+from conftest import LARGE, run_peak, traced_peak
 
 
 def test_generate_synthetic_peaks_near_its_output():
@@ -66,22 +53,6 @@ def test_forward_loss_holds_one_hidden_activation():
     assert peak <= 1.25 * activation, f"forward_loss peaked at {peak / activation:.2f}x one activation"
 
 
-def run_peak(clients, channel_=None, rounds=3):
-    """(traced peak, result, payload size) of a `rounds`-round 784-256-5 run
-    of `clients` with a fixed 128-row evaluation set, on the client workers
-    the CPU affinity mask allows."""
-    data = fedcore.generate_synthetic(16 * clients, 784, 5, seed=2)
-    shards = fedcore.split_iid(data, clients, seed=3)
-    model = fedcore.init_model(LARGE, seed=1)
-    cfg = TrainConfig(num_clients=clients, num_rounds=rounds, batch_size=16, seed=1)
-    server, parties, _ = protocol.setup_keys(
-        cfg, SchemeId.TEST_SCHEME, 1, model, shards,
-        eval_data=fedcore.generate_synthetic(128, 784, 5, seed=4),
-    )
-    peak, result = traced_peak(lambda: protocol.run_training(server, parties, channel_))
-    return peak, result, model.params.encoded_len
-
-
 def round_bound(workers):
     """The payloads a run may hold at once, whatever its client count: the
     global model, its broadcast and the round's running sum, and for each
@@ -92,10 +63,10 @@ def round_bound(workers):
     return 3 + 3 * workers + 0.5
 
 
-def test_run_holds_at_most_one_round_of_uploads(monkeypatch):
+def test_run_holds_at_most_one_round_of_uploads(set_cpus):
     # and no more than the client window's: the bound has no client count in it
     for cpus in 1, 2:  # the CPUs the process may run on, one client worker each
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        set_cpus(cpus)
         for clients in 8, 32:
             workers = protocol.client_workers(clients)
             assert workers == cpus
@@ -108,12 +79,12 @@ def test_run_holds_at_most_one_round_of_uploads(monkeypatch):
             )
 
 
-def test_a_tampered_broadcast_run_holds_at_most_one_copy_per_client(monkeypatch):
+def test_a_tampered_broadcast_run_holds_at_most_one_copy_per_client(set_cpus):
     # Every broadcast is delivered at the start of the round, and a tampered
     # one is a copy, held until its client is handed out: this is the one
     # part of a run's memory that grows with its client count.
     for cpus in 1, 2:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        set_cpus(cpus)
         for clients in 8, 32:
             workers = protocol.client_workers(clients)
             chan = channel.Channel(channel.AttackConfig(

@@ -1,10 +1,12 @@
-"""One admission loop, one delivery path and one accumulation path.
+"""One admission loop, one delivery path, one accumulation path, one plan.
 
 The server admits uploads in `server_collect_and_verify` alone, as the round
-driver (`_run_rounds`) alone delivers messages through the channel, and
-`fedcore.RunningSum.add` alone adds an update's delta into a sum. So a
+driver (`_run_rounds`) alone delivers messages through the channel,
+`fedcore.RunningSum.add` alone adds an update's delta into a sum, and
+`protocol._hand_outs` alone decides which clients share a stack. So a
 second, batch admission path cannot come back beside the streamed one, nor
-a sorted-batch sum beside the running one.
+a sorted-batch sum beside the running one, nor stacking state kept per
+round beside the plan made once a run.
 """
 
 import ast
@@ -126,3 +128,40 @@ def test_one_function_adds_deltas_into_a_sum():
     for path in sorted(SRC.glob("*.py")):
         adders += [f"{path.name}:{name}" for name in functions_that(_adds_a_delta, path.read_text())]
     assert adders == ["fedcore.py:RunningSum.add"]
+
+
+def stacking_reads(source: str) -> dict[str, list[str]]:
+    """Each top-level function's or method's reads of `shard_key` or
+    `_stack_size`, which decide which clients may share a stack."""
+    reads = {}
+    for name, fn in _top_level_functions(ast.parse(source)):
+        found = [getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(fn)]
+        if found := sorted(n for n in found if n in ("shard_key", "_stack_size")):
+            reads[name] = found
+    return reads
+
+
+def test_the_walker_finds_every_read_of_a_stacking_rule():
+    source = (
+        "def plan(clients):\n"
+        "    return groupby(clients, lambda c: fedcore.shard_key(c.dataset))\n"
+        "def run(clients):\n"
+        "    window = max(map(_stack_size, clients))\n"
+        "    def exchange(stack, client):\n"
+        "        return len(stack) == _stack_size(client)\n"
+        "def sizes(stack):\n"
+        "    return len(stack)\n"
+    )
+    assert stacking_reads(source) == {"plan": ["shard_key"], "run": ["_stack_size", "_stack_size"]}
+
+
+def test_one_function_plans_the_stacks():
+    reads = {}
+    for path in sorted(SRC.glob("*.py")):
+        reads |= {f"{path.name}:{name}": found for name, found in stacking_reads(path.read_text()).items()}
+    assert reads == {
+        "fedcore.py:train_stack": ["shard_key"],  # checks the stack it is given
+        "protocol.py:_hand_outs": ["_stack_size", "shard_key"],  # the plan
+        # the window formula, and the check that sends a client's whole round to the pool
+        "protocol.py:run_training": ["_stack_size", "_stack_size"],
+    }

@@ -11,7 +11,7 @@ from pqfl import codec, fedcore, protocol, sig
 from pqfl.channel import AttackConfig, AttackKind, Channel, Direction
 from pqfl.codec import HEADER_LEN, MsgType, ParameterVector, SignedEnvelope, build_header, signed_message
 from pqfl.errors import ConnectionFailed, RoundMismatch, UnsupportedScheme
-from pqfl.fedcore import TrainConfig, train_seed
+from pqfl.fedcore import TrainConfig
 from pqfl.protocol import (
     SERVER_ID,
     Phase,
@@ -32,6 +32,8 @@ from pqfl.protocol import (
 )
 from pqfl.sig import SchemeId
 
+from conftest import honest_update
+
 MASTER = 42
 
 
@@ -39,16 +41,6 @@ def build_sim(num_clients=4, num_rounds=3, scheme=SchemeId.TEST_SCHEME, options=
               master=MASTER, samples=160):
     cfg = TrainConfig(num_clients=num_clients, num_rounds=num_rounds, seed=master)
     return build_run(RunSpec(cfg, scheme, (16,), samples, 8, 3, options=options))
-
-
-def honest_update(client, server):
-    env = distribute_model(server)
-    model = client_receive_model(client, env)
-    update = fedcore.local_train(
-        model, client.dataset, client.cfg,
-        train_seed(client.cfg.seed, model.round, client.client_id), client.client_id,
-    )
-    return codec.encode_envelope(client_submit_update(client, update)), update
 
 
 # --- setup ---------------------------------------------------------------------
@@ -276,11 +268,7 @@ def test_honest_submission_enters_verified_set():
 
 def test_submission_round_must_match_current():
     server, clients = build_sim()
-    env = distribute_model(server)
-    model = client_receive_model(clients[0], env)
-    update = fedcore.local_train(
-        model, clients[0].dataset, clients[0].cfg, 1, clients[0].client_id
-    )
+    _, update = honest_update(clients[0], server)
     stale = fedcore.ModelUpdate(delta=update.delta, client_id=update.client_id, round=7)
     with pytest.raises(RoundMismatch):
         client_submit_update(clients[0], stale)
@@ -316,11 +304,7 @@ def test_duplicate_submission_first_valid_wins():
 
 def test_forged_sender_id_rejected():
     server, clients = build_sim()
-    env = distribute_model(server)
-    model = client_receive_model(clients[0], env)
-    update = fedcore.local_train(
-        model, clients[0].dataset, clients[0].cfg, 1, clients[0].client_id
-    )
+    _, update = honest_update(clients[0], server)
     payload = codec.encode_params(update.delta)
     # client 1 signs an envelope claiming to be client 2
     header = build_header(MsgType.UPDATE_SUBMISSION, clients[0].scheme, 0, 2, payload)

@@ -16,18 +16,12 @@ import pytest
 from pqfl import channel, codec, fedcore, protocol
 from pqfl.channel import Direction
 from pqfl.errors import DimensionMismatch, EmptyVerifiedSet, RoundMismatch
-from pqfl.fedcore import ModelArchitecture, ModelUpdate, RunningSum, TrainConfig
+from pqfl.fedcore import ModelArchitecture, ModelUpdate, RunningSum
 from pqfl.protocol import ProtocolOptions, RejectReason
-from pqfl.sig import SchemeId
 
-MASTER = 42
+from conftest import build_sim
+
 TRANSPORTS = pytest.mark.parametrize("transport", ["driver", "pool", "tcp"])
-
-
-def build_sim(options=ProtocolOptions()):
-    cfg = TrainConfig(num_clients=6, num_rounds=1, seed=MASTER)
-    spec = protocol.RunSpec(cfg, SchemeId.TEST_SCHEME, (16,), 240, 8, 3, options=options)
-    return protocol.build_run(spec)
 
 
 def run(transport, server, clients, chan, monkeypatch):
@@ -108,7 +102,7 @@ def test_without_signature_checks_a_relabelled_upload_is_added_under_its_claimed
     transport, monkeypatch
 ):
     # slot 2's upload claims sender 5 and slot 5's claims sender 2: both pass
-    server, clients = build_sim(ProtocolOptions(verify_updates=False))
+    server, clients = build_sim(options=ProtocolOptions(verify_updates=False))
     start = server.model
     chan = Rerouting({2: claiming(5), 5: claiming(2)})
     result = run(transport, server, clients, chan, monkeypatch)

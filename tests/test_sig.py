@@ -15,6 +15,8 @@ from pqfl.codec import MsgType
 from pqfl.errors import AdapterFailure, UnsupportedScheme
 from pqfl.sig import SchemeId, SignatureBytes
 
+from conftest import flip_bit
+
 SCHEMES = list(sig.ALL_SCHEMES)
 
 
@@ -42,12 +44,6 @@ def keypairs():
 @pytest.fixture(scope="session")
 def other_keypairs():
     return SeededKeys(9999)
-
-
-def flip_bit(data: bytes, pos: int) -> bytes:
-    out = bytearray(data)
-    out[pos // 8] ^= 1 << (pos % 8)
-    return bytes(out)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.label)

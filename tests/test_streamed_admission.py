@@ -7,52 +7,18 @@ Every in-process test patches the CPU affinity mask, so the pool has the
 size under test on any machine.
 """
 
-import os
 import threading
 import time
-import tracemalloc
 
 import pytest
 
-from pqfl import channel, codec, fedcore, protocol, sig
-from pqfl.fedcore import TrainConfig
+from pqfl import channel, codec, protocol, sig
 from pqfl.protocol import SERVER_ID, Phase, RejectReason
-from pqfl.sig import SchemeId
 
-MASTER = 42
-LARGE = fedcore.ModelArchitecture(784, (256,), 5)
+from conftest import build_sim, run_peak, slow_sign_for
+
 # each model through each placement: prepared on the driver's thread, or whole on the pool
 PLACEMENTS = pytest.mark.parametrize("prepare_below", [2**62, 0], ids=["driver", "pool"])
-
-
-@pytest.fixture
-def set_cpus(monkeypatch):
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-    return set_cpus
-
-
-def build_sim(num_clients=6):
-    cfg = TrainConfig(num_clients=num_clients, num_rounds=1, seed=MASTER)
-    return protocol.build_run(protocol.RunSpec(cfg, SchemeId.TEST_SCHEME, (16,), 240, 8, 3))
-
-
-def slow_sign_for(monkeypatch, keypairs, seconds, signed=None):
-    """Make `sig.sign` sleep `seconds` first for each of `keypairs`, and
-    append the public key to `signed` once it has signed."""
-    slow, sign = {kp.public_key for kp in keypairs}, sig.sign
-
-    def slow_sign(keypair, message):
-        if keypair.public_key not in slow:
-            return sign(keypair, message)
-        time.sleep(seconds)
-        signature = sign(keypair, message)
-        if signed is not None:
-            signed.append(keypair.public_key)
-        return signature
-
-    monkeypatch.setattr(sig, "sign", slow_sign)
 
 
 def phase_spans(spans, party, phase):
@@ -130,34 +96,18 @@ def test_admission_pulls_one_upload_at_a_time_with_the_result_of_a_list():
     assert pulled_after[0] == 0 and all(a < b for a, b in zip(pulled_after, pulled_after[1:]))
 
 
-def test_a_bitflip_run_holds_at_most_one_round_of_uploads_and_one_more(monkeypatch):
+def test_a_bitflip_run_holds_at_most_one_round_of_uploads_and_one_more(set_cpus):
     for cpus in 1, 2:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        set_cpus(cpus)
         for clients in 8, 32:
             workers = protocol.client_workers(clients)
-            data = fedcore.generate_synthetic(16 * clients, 784, 5, seed=2)
-            shards = fedcore.split_iid(data, clients, seed=3)
-            model = fedcore.init_model(LARGE, seed=1)
-            cfg = TrainConfig(num_clients=clients, num_rounds=3, batch_size=16, seed=1)
-            server, parties, _ = protocol.setup_keys(
-                cfg, SchemeId.TEST_SCHEME, 1, model, shards,
-                eval_data=fedcore.generate_synthetic(128, 784, 5, seed=4),
-            )
             chan = channel.Channel(channel.AttackConfig(kind=channel.AttackKind.BITFLIP, seed=5))
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                result = protocol.run_training(server, parties, chan)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
+            peak, result, payload = run_peak(clients, chan)
             assert [o.verified_count for o in result.outcomes] == [0] * 3
             assert chan.stats.tampered == 3 * clients
             # test_memory's bound for an honest run, 3 + 3 per worker and a
             # half, and the flipped copy of one upload: each original is let
             # go once its copy is delivered, and each copy once it is refused
-            payload = model.params.encoded_len
             allowed = (3 + 3 * workers + 0.5 + 1) * payload
             assert peak <= allowed, (
                 f"a 3-round bitflip run of {clients} clients on {workers} workers peaked at "

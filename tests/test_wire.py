@@ -10,7 +10,6 @@ import dataclasses
 import hashlib
 import socket
 import threading
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,7 +21,7 @@ from pqfl.codec import HEADER_LEN, MsgType, ParameterVector, SignedEnvelope
 from pqfl.fedcore import ModelArchitecture, ModelUpdate, TrainConfig
 from pqfl.sig import SchemeId
 
-LARGE = ModelArchitecture(784, (256,), 5)
+from conftest import LARGE, traced_peak
 SMALL = ModelArchitecture(20, (32,), 5)
 
 
@@ -266,18 +265,6 @@ def test_an_upload_is_laid_out_around_the_values_its_client_trained(monkeypatch)
 
 
 # --- allocation guards ---------------------------------------------------------------------
-
-def traced_peak(fn):
-    """(bytes allocated at the peak of fn() beyond what was live before, result)."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = fn()
-        return tracemalloc.get_traced_memory()[1] - before, out
-    finally:
-        tracemalloc.stop()
-
 
 @pytest.fixture(scope="module")
 def large():
